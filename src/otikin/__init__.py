@@ -24,6 +24,7 @@ from .phase import (
 from .measures import (
     Coupling,
     DiscreteMeasure,
+    PairMoments,
     PlanMoments,
     check_coupling,
     measure_from_csv,

@@ -230,8 +230,8 @@ def cmd_discrepancy(args) -> int:
     opts = SolverOptions(threads=_threads_from(args))
     try:
         if args.T is not None:
-            if args.T <= 0:
-                print("error: --T must be positive", file=sys.stderr)
+            if not (np.isfinite(args.T) and args.T > 0):
+                print("error: --T must be positive and finite", file=sys.stderr)
                 return EXIT_USAGE
             res = solve_fixed_T(mu, nu, args.T)
         elif args.optimize_T:
@@ -266,6 +266,9 @@ def cmd_oracle(args) -> int:
 def cmd_interpolate(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
+    if not (np.isfinite(args.T) and args.T > 0):
+        print("error: --T must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
     if args.steps < 1:
         print("error: --steps must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -293,6 +296,15 @@ def cmd_interpolate(args) -> int:
 
 def cmd_simulate(args) -> int:
     mu = _load(args.mu, args.format)
+    if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
+        print("error: --t0 and --t1 must be finite", file=sys.stderr)
+        return EXIT_USAGE
+    if not (np.isfinite(args.dt) and args.dt > 0):
+        print("error: --dt must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    if args.stride < 1:
+        print("error: --stride must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         force = _force_from_arg(args.force)
     except (ValueError, OSError, KeyError) as exc:
@@ -304,9 +316,6 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: integration failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    if args.stride < 1:
-        print("error: --stride must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     frame_files = []

@@ -251,7 +251,10 @@ class ForceField:
         if tag == "harmonic":
             return ForceField.harmonic()
         if tag.startswith("damped:"):
-            return ForceField.damped(float(tag.split(":", 1)[1]))
+            gamma = float(tag.split(":", 1)[1])
+            if not np.isfinite(gamma):
+                raise ValueError(f"damping coefficient must be finite, got {gamma}")
+            return ForceField.damped(gamma)
         raise ValueError(f"unknown force tag {tag!r}")
 
 
@@ -316,12 +319,6 @@ class Trajectory:
         k = self.index_of(t)
         return float(
             np.sqrt(np.sum(self.weights * np.sum(self.forces[k] ** 2, axis=1)))
-        )
-
-    def velocity_norm_at(self, t: float) -> float:
-        k = self.index_of(t)
-        return float(
-            np.sqrt(np.sum(self.weights * np.sum(self.states[k, :, 1, :] ** 2, axis=1)))
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["transportation_simplex", "min_cost_plan", "is_uniform_equal"]
+__all__ = ["transportation_simplex", "is_uniform_equal"]
 
 
 def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -175,7 +175,3 @@ def transportation_simplex(
 
     raise RuntimeError("transportation simplex exceeded its pivot budget")
 
-
-def min_cost_plan(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertex minimiser of the linear transport cost (assignment fast path)."""
-    return transportation_simplex(cost, a, b)

@@ -3,7 +3,9 @@
 A measure is a weighted point cloud of phase states; weights are positive and
 sum to one. Couplings are dense nonnegative matrices with prescribed
 marginals. Every plan-level cost downstream factors through the four moments
-(A, B, C, D) computed here.
+(A, B, C, D), and every pointwise cost matrix is a linear combination of the
+four pairwise matrices behind them; ``PairMoments`` is the one place those
+matrices are built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "DiscreteMeasure",
     "Coupling",
     "PlanMoments",
+    "PairMoments",
     "CouplingReport",
     "validate_measure",
     "measure_from_json",
@@ -268,20 +271,51 @@ def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     return Coupling(np.outer(mu.weights, nu.weights), mu, nu)
 
 
+class PairMoments:
+    """The four pairwise cost matrices of a measure pair, built once.
+
+    With gap = y_j - x_i, vsum = v_i + w_j and vdiff = w_j - v_i, the m x k
+    matrices are A = |gap|^2, B = gap . vsum, C = |vsum|^2 and D = |vdiff|^2.
+    Every pointwise cost and the moments of every plan are linear in them.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
+        if mu.dim != nu.dim:
+            raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+        gap = nu.positions[None, :, :] - mu.positions[:, None, :]
+        vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
+        vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
+        self.A = np.sum(gap * gap, axis=2)
+        self.B = np.sum(gap * vsum, axis=2)
+        self.C = np.sum(vsum * vsum, axis=2)
+        self.D = np.sum(vdiff * vdiff, axis=2)
+        self.pos_scale_sq = mu.position_norm_sq() + nu.position_norm_sq()
+
+    def fixed_T_cost(self, T: float) -> np.ndarray:
+        """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D."""
+        T = float(T)
+        return 12.0 * self.A / T**2 - 12.0 * self.B / T + 3.0 * self.C + self.D
+
+    def infinite_T_cost(self) -> np.ndarray:
+        """Pointwise large-horizon cost 3 |v+w|^2 + |w-v|^2."""
+        return 3.0 * self.C + self.D
+
+    def of(self, P: np.ndarray) -> PlanMoments:
+        """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D."""
+        if P.shape != self.A.shape:
+            raise ValueError("coupling does not match the given measures")
+        return PlanMoments(
+            A=float(np.sum(P * self.A)),
+            B=float(np.sum(P * self.B)),
+            C=float(np.sum(P * self.C)),
+            D=float(np.sum(P * self.D)),
+            pos_scale_sq=self.pos_scale_sq,
+        )
+
+
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:
     """Exact weighted sums of the four pairwise cost ingredients."""
-    if plan.P.shape != (mu.size, nu.size):
-        raise ValueError("coupling does not match the given measures")
-    P = plan.P
-    gap = nu.positions[None, :, :] - mu.positions[:, None, :]
-    vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-    vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-    A = float(np.sum(P * np.sum(gap * gap, axis=2)))
-    B = float(np.sum(P * np.sum(gap * vsum, axis=2)))
-    C = float(np.sum(P * np.sum(vsum * vsum, axis=2)))
-    D = float(np.sum(P * np.sum(vdiff * vdiff, axis=2)))
-    scale = mu.position_norm_sq() + nu.position_norm_sq()
-    return PlanMoments(A=A, B=B, C=C, D=D, pos_scale_sq=scale)
+    return PairMoments(mu, nu).of(plan.P)
 
 
 @dataclass(frozen=True)
@@ -303,14 +337,11 @@ def check_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, P: np.ndarray) -> C
 
 def w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact squared 2-Wasserstein distance with cost |x-y|^2 + |v-w|^2."""
-    from .lp import min_cost_plan
+    from .lp import transportation_simplex
 
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    gap_x = mu.positions[:, None, :] - nu.positions[None, :, :]
-    gap_v = mu.velocities[:, None, :] - nu.velocities[None, :, :]
-    cost = np.sum(gap_x * gap_x, axis=2) + np.sum(gap_v * gap_v, axis=2)
-    P = min_cost_plan(cost, mu.weights, nu.weights)
+    pm = PairMoments(mu, nu)
+    cost = pm.A + pm.D
+    P = transportation_simplex(cost, mu.weights, nu.weights)
     return float(np.sum(P * cost))
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "nonunique_two_atom_instance",
     "circle_measure",
     "circle_shift_coupling_moments",
-    "factor2_endpoints",
     "factor2_force_integral",
     "factor2_trajectory",
     "harmonic_single",
@@ -67,14 +66,6 @@ def circle_shift_coupling_moments(N: int):
     for i in range(N):
         P[i, (i + 1) % N] = 1.0 / N
     return mu, Coupling(P, mu, mu)
-
-
-def factor2_endpoints(eps: float):
-    """Endpoint states of the two-phase slow/brake curve with parameter eps."""
-    t1 = 1.0 + np.sqrt(eps)
-    start = PhaseState([0.0], [0.0])
-    end = PhaseState([2.0 * eps * np.sqrt(eps)], [2.0 * eps - 2.0 * np.sqrt(eps)])
-    return start, end, t1
 
 
 def factor2_force_integral(eps: float) -> float:

@@ -1,6 +1,9 @@
 """Plan-level costs and the optimisation of the kinetic discrepancies.
 
-The fixed-horizon plan cost is linear in the coupling, so its exact minimiser
+Every cost here is a linear combination of the four pairwise matrices of
+``measures.PairMoments``, the one place they are built; each solve builds them
+once and derives its cost matrices and plan moments from them. The
+fixed-horizon plan cost is linear in the coupling, so its exact minimiser
 comes from the transportation simplex. The time-optimised costs are concave in
 the coupling (infima of linear functions), which places global minima at
 vertices of the transportation polytope; the solver combines alternating
@@ -16,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import is_uniform_equal, min_cost_plan, transportation_simplex
+from .lp import is_uniform_equal, transportation_simplex
 from .measures import (
     Coupling,
     DiscreteMeasure,
+    PairMoments,
     PlanMoments,
     group_by_position,
     match_weighted_point_sets,
-    plan_moments,
     product_coupling,
 )
 from .phase import OptimalTime
@@ -41,13 +44,17 @@ __all__ = [
     "solve_tilde_d",
     "brute_force_oracle",
     "detect_free_transport",
-    "pairwise_tilde_dT_sq",
 ]
 
 REGIME_EQUAL_POSITIONS = "equal_positions"
 REGIME_FINITE_T = "finite_T"
 REGIME_INFINITE_T = "infinite_T"
 REGIME_FIXED_T = "fixed_T"
+_REGIME_OF_TAG = {
+    "zero": REGIME_EQUAL_POSITIONS,
+    "finite": REGIME_FINITE_T,
+    "infinite": REGIME_INFINITE_T,
+}
 
 
 def cost_tilde_c_T(m: PlanMoments, T: float) -> float:
@@ -129,23 +136,6 @@ class SolveResult:
     optima: tuple | None = None
 
 
-def pairwise_tilde_dT_sq(mu: DiscreteMeasure, nu: DiscreteMeasure, T: float) -> np.ndarray:
-    """Matrix of squared fixed-horizon discrepancies between all atom pairs."""
-    T = float(T)
-    gap = nu.positions[None, :, :] - mu.positions[:, None, :]
-    vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-    vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-    drift = gap / T - 0.5 * vsum
-    return 12.0 * np.sum(drift * drift, axis=2) + np.sum(vdiff * vdiff, axis=2)
-
-
-def _infinite_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Pointwise large-horizon cost 3 |v+w|^2 + |w-v|^2."""
-    vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-    vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-    return 3.0 * np.sum(vsum * vsum, axis=2) + np.sum(vdiff * vdiff, axis=2)
-
-
 def solve_fixed_T(mu: DiscreteMeasure, nu: DiscreteMeasure, T: float) -> SolveResult:
     """Exact minimiser of the fixed-horizon cost over the transportation polytope.
 
@@ -154,12 +144,10 @@ def solve_fixed_T(mu: DiscreteMeasure, nu: DiscreteMeasure, T: float) -> SolveRe
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    cost = pairwise_tilde_dT_sq(mu, nu, T)
-    P = min_cost_plan(cost, mu.weights, nu.weights)
+    pm = PairMoments(mu, nu)
+    P = transportation_simplex(pm.fixed_T_cost(T), mu.weights, nu.weights)
     plan = Coupling(P, mu, nu)
-    value = cost_tilde_c_T(plan_moments(mu, nu, plan), T)
+    value = cost_tilde_c_T(pm.of(plan.P), T)
     return SolveResult(
         cost_sq=value,
         optimal_time=OptimalTime.finite(T),
@@ -177,7 +165,7 @@ def _position_tol(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return 1e-12 * (1.0 + scale)
 
 
-def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure):
+def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure, pm: PairMoments):
     """D-minimising coupling supported on coincident spatial sites, if feasible.
 
     Feasible iff the spatial marginals coincide as weighted point sets; the
@@ -198,20 +186,16 @@ def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure):
         return None
     P = np.zeros((mu.size, nu.size))
     for ia, ib in pairs:
-        rows = groups_mu[ia][1]
-        cols = groups_nu[ib][1]
-        vmu = mu.velocities[rows]
-        vnu = nu.velocities[cols]
-        gap = vnu[None, :, :] - vmu[:, None, :]
-        cost = np.sum(gap * gap, axis=2)
-        block = transportation_simplex(cost, mu.weights[rows], nu.weights[cols])
-        P[np.ix_(rows, cols)] = block
+        rows, cols = groups_mu[ia][1], groups_nu[ib][1]
+        block = np.ix_(rows, cols)
+        P[block] = transportation_simplex(pm.D[block], mu.weights[rows], nu.weights[cols])
     return Coupling(P, mu, nu)
 
 
 def _alternate_from(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
+    pm: PairMoments,
     T0: float,
     opts: SolverOptions,
 ):
@@ -230,10 +214,9 @@ def _alternate_from(
     iters = 0
     for _ in range(opts.max_alt_iters):
         iters += 1
-        cost = pairwise_tilde_dT_sq(mu, nu, T)
-        P = min_cost_plan(cost, mu.weights, nu.weights)
+        P = transportation_simplex(pm.fixed_T_cost(T), mu.weights, nu.weights)
         plan = Coupling(P, mu, nu)
-        m = plan_moments(mu, nu, plan)
+        m = pm.of(plan.P)
         value = cost_tilde_c(m)
         tag = optimal_time_plan(m)
         trace.append(value)
@@ -249,35 +232,29 @@ def _alternate_from(
     return plan, trace, exit_tag, iters, T
 
 
-def _candidate_value(plan: Coupling, mu, nu, final_cost) -> tuple[float, PlanMoments]:
-    m = plan_moments(mu, nu, plan)
-    return final_cost(m), m
-
-
 def _solve_time_optimised(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     opts: SolverOptions,
     final_cost,
 ) -> SolveResult:
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-
-    candidates: list[tuple[float, Coupling]] = []
+    pm = PairMoments(mu, nu)
+    candidates: list[tuple[float, Coupling, PlanMoments]] = []
     traces: list[tuple[float, ...]] = []
     budget_exhausted = False
 
+    def add_candidate(plan: Coupling) -> None:
+        m = pm.of(plan.P)
+        candidates.append((final_cost(m), plan, m))
+
     # Equal-positions regime: velocity-only transport on coincident sites.
-    eq_plan = _equal_positions_candidate(mu, nu)
+    eq_plan = _equal_positions_candidate(mu, nu, pm)
     if eq_plan is not None:
-        value, _ = _candidate_value(eq_plan, mu, nu, final_cost)
-        candidates.append((value, eq_plan))
+        add_candidate(eq_plan)
 
     # Infinite-horizon regime: linear transport with the large-T pointwise cost.
-    inf_P = min_cost_plan(_infinite_cost_matrix(mu, nu), mu.weights, nu.weights)
-    inf_plan = Coupling(inf_P, mu, nu)
-    inf_value, _ = _candidate_value(inf_plan, mu, nu, final_cost)
-    candidates.append((inf_value, inf_plan))
+    inf_P = transportation_simplex(pm.infinite_T_cost(), mu.weights, nu.weights)
+    add_candidate(Coupling(inf_P, mu, nu))
 
     # Finite-horizon regime: alternating minimisation from each grid start,
     # warm-started also at the product coupling's optimal horizon. Starts whose
@@ -285,7 +262,7 @@ def _solve_time_optimised(
     # stay in the candidate pool; the dedicated zero/infinite candidates above
     # cover those regimes exactly.
     starts = list(opts.T_grid)
-    warm = optimal_time_plan(plan_moments(mu, nu, product_coupling(mu, nu)))
+    warm = optimal_time_plan(pm.of(product_coupling(mu, nu).P))
     if warm.is_finite:
         starts.append(warm.value)
     restarts = 0
@@ -294,9 +271,9 @@ def _solve_time_optimised(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            runs = list(pool.map(lambda T0: _alternate_from(mu, nu, T0, opts), starts))
+            runs = list(pool.map(lambda T0: _alternate_from(mu, nu, pm, T0, opts), starts))
     else:
-        runs = [_alternate_from(mu, nu, T0, opts) for T0 in starts]
+        runs = [_alternate_from(mu, nu, pm, T0, opts) for T0 in starts]
     for plan, trace, exit_tag, iters, _ in runs:
         restarts += 1
         iterations += iters
@@ -305,27 +282,17 @@ def _solve_time_optimised(
             budget_exhausted = True
         if plan is None:
             continue
-        value, _ = _candidate_value(plan, mu, nu, final_cost)
-        candidates.append((value, plan))
+        add_candidate(plan)
 
     # Deterministic merge: first-found wins among equal costs (regime order,
     # then grid order). The reported regime reflects the winning plan itself:
     # its optimal-horizon tag decides between the three time regimes.
-    best = None
-    for cand in candidates:
-        if best is None or cand[0] < best[0] - 0.0:
-            best = cand
-    value, plan = best
-    tag = optimal_time_plan(plan_moments(mu, nu, plan))
-    regime = {
-        "zero": REGIME_EQUAL_POSITIONS,
-        "finite": REGIME_FINITE_T,
-        "infinite": REGIME_INFINITE_T,
-    }[tag.kind]
+    value, plan, m = min(candidates, key=lambda cand: cand[0])
+    tag = optimal_time_plan(m)
     return SolveResult(
         cost_sq=max(value, 0.0),
         optimal_time=tag,
-        regime=regime,
+        regime=_REGIME_OF_TAG[tag.kind],
         plan=plan,
         iterations=iterations,
         restarts_used=restarts,
@@ -446,8 +413,7 @@ def brute_force_oracle(
     tie tolerance of 1e-9 are reported in ``optima``.
     """
     opts = opts or SolverOptions()
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    pm = PairMoments(mu, nu)
     uniform = is_uniform_equal(mu.weights, nu.weights)
     if uniform and mu.size <= opts.oracle_cap:
         vertices = _vertex_plans_uniform(mu.size)
@@ -459,43 +425,21 @@ def brute_force_oracle(
             f"(m={mu.size}, k={nu.size}, cap={opts.oracle_cap})"
         )
 
-    # Pairwise moment ingredients once; per-vertex moments are then plain
-    # weighted gathers, which keeps the enumeration cheap.
-    gap = nu.positions[None, :, :] - mu.positions[:, None, :]
-    vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-    vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-    A_mat = np.sum(gap * gap, axis=2)
-    B_mat = np.sum(gap * vsum, axis=2)
-    C_mat = np.sum(vsum * vsum, axis=2)
-    D_mat = np.sum(vdiff * vdiff, axis=2)
-    scale = mu.position_norm_sq() + nu.position_norm_sq()
-
     evaluated = []
     count = 0
     for P in vertices:
         count += 1
-        m = PlanMoments(
-            A=float(np.sum(P * A_mat)),
-            B=float(np.sum(P * B_mat)),
-            C=float(np.sum(P * C_mat)),
-            D=float(np.sum(P * D_mat)),
-            pos_scale_sq=scale,
-        )
+        m = pm.of(P)
         evaluated.append((cost_c(m), P, optimal_time_plan(m)))
     best_value = min(e[0] for e in evaluated)
     tie_tol = 1e-9 * (1.0 + abs(best_value))
     ties = [e for e in evaluated if e[0] <= best_value + tie_tol]
     optima = tuple((e[1].copy(), e[0], e[2]) for e in ties)
     value, P_best, tag = ties[0]
-    regime = {
-        "zero": REGIME_EQUAL_POSITIONS,
-        "finite": REGIME_FINITE_T,
-        "infinite": REGIME_INFINITE_T,
-    }[tag.kind]
     return SolveResult(
         cost_sq=max(best_value, 0.0),
         optimal_time=tag,
-        regime=regime,
+        regime=_REGIME_OF_TAG[tag.kind],
         plan=Coupling(P_best, mu, nu),
         iterations=count,
         optima=optima,

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,31 @@ TIE_MU = str(DATA / "two_plan_tie_mu.json")
 TIE_NU = str(DATA / "two_plan_tie_nu.json")
 U5_MU = str(DATA / "uniform5_mu.json")
 U5_NU = str(DATA / "uniform5_nu.json")
+
+# Canonical result JSON of the packaged pairs, without the "iterations" key
+# (the time optimisation may change its iteration count, never the result).
+W = "0.20000000000000001"
+U5_FIXED = (
+    '{"cost_sq":18.045818273071827,"regime":"fixed_T","T":1,"plan":'
+    f"[[0,1,{W}],[1,3,{W}],[2,0,{W}],[3,4,{W}],[4,2,{W}]]}}"
+)
+U5_OPT = (
+    '{"cost_sq":8.4426036846255386,"regime":"finite_T","T":3.633332790845607,"plan":'
+    f"[[0,1,{W}],[1,3,{W}],[2,0,{W}],[3,2,{W}],[4,4,{W}]]}}"
+)
+TIE_T2 = '{"cost_sq":30,"regime":"finite_T","T":2,"plan":[[0,1,0.5],[1,0,0.5]]}'
+PINNED = {
+    ("uniform5", "--T"): U5_FIXED,
+    ("uniform5", "--optimize-T"): U5_OPT,
+    ("uniform5", "--tilde"): U5_OPT,
+    ("uniform5", "oracle"): U5_OPT[:-1]
+    + ',"n_optimal_vertices":1,"optimal_times":[3.633332790845607]}',
+    ("two_plan_tie", "--T"): '{"cost_sq":30,"regime":"fixed_T","T":1,"plan":[[0,0,0.5],[1,1,0.5]]}',
+    ("two_plan_tie", "--optimize-T"): TIE_T2,
+    ("two_plan_tie", "--tilde"): TIE_T2,
+    ("two_plan_tie", "oracle"): '{"cost_sq":30,"regime":"finite_T","T":1,"plan":[[0,0,0.5],[1,1,0.5]],'
+    '"n_optimal_vertices":2,"optimal_times":[1,2]}',
+}
 
 
 class TestParsing:
@@ -72,6 +98,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.json")])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--T", "-1"],
+            ["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--T", "nan"],
+            ["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--T", "inf"],
+            ["interpolate", "--mu", U5_MU, "--nu", U5_NU, "--T", "-1", "--steps", "2"],
+            ["interpolate", "--mu", U5_MU, "--nu", U5_NU, "--T", "inf", "--steps", "2"],
+            ["simulate", "--mu", U5_MU, "--force", "free",
+             "--t0", "0", "--t1", "0.5", "--dt", "-0.1"],
+            ["simulate", "--mu", U5_MU, "--force", "free",
+             "--t0", "0", "--t1", "nan", "--dt", "0.1"],
+            ["simulate", "--mu", U5_MU, "--force", "free",
+             "--t0", "inf", "--t1", "0.5", "--dt", "0.1"],
+            # dt does not fit the window, so this fails at integration unless
+            # the stride is checked first.
+            ["simulate", "--mu", U5_MU, "--force", "free",
+             "--t0", "0", "--t1", "0.5", "--dt", "0.7", "--stride", "0"],
+            ["simulate", "--mu", U5_MU, "--force", "damped:nan",
+             "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+        ],
+    )
+    def test_usage_error_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestDiscrepancy:
     def test_packaged_tie_instance(self, tmp_path):
@@ -100,6 +153,18 @@ class TestDiscrepancy:
             main(["discrepancy", "--mu", U5_MU, "--nu", U5_NU,
                   "--optimize-T", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("pair, mode", sorted(PINNED))
+    def test_pinned_output(self, tmp_path, pair, mode):
+        out = tmp_path / "r.json"
+        files = ["--mu", str(DATA / f"{pair}_mu.json"), "--nu", str(DATA / f"{pair}_nu.json")]
+        if mode == "oracle":
+            argv = ["oracle"] + files
+        else:
+            argv = ["discrepancy"] + files + ([mode, "1"] if mode == "--T" else [mode])
+        assert main(argv + ["--out", str(out)]) == 0
+        got = re.sub(rb',"iterations":\d+', b"", out.read_bytes())
+        assert got == PINNED[pair, mode].encode() + b"\n"
 
     def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
         serial, pooled, env = (tmp_path / n for n in ("s.json", "p.json", "e.json"))

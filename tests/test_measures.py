@@ -5,6 +5,7 @@ from otikin.lp import transportation_simplex
 from otikin.measures import (
     Coupling,
     DiscreteMeasure,
+    PairMoments,
     check_coupling,
     match_weighted_point_sets,
     measure_from_csv,
@@ -17,6 +18,7 @@ from otikin.measures import (
     validate_measure,
     w2_sq,
 )
+from otikin.phase import tilde_dT_sq
 
 
 def random_measure(rng, m, n):
@@ -159,6 +161,53 @@ class TestMoments:
         for plan in random_couplings(rng, mu, nu, 50):
             m = plan_moments(mu, nu, plan)
             assert abs(m.B) <= np.sqrt(m.A * m.C) + 1e-10
+
+
+class TestPairMoments:
+    def atomwise(self, mu, nu, fn):
+        return np.array(
+            [[fn(mu.atom(i), nu.atom(j)) for j in range(nu.size)] for i in range(mu.size)]
+        )
+
+    @pytest.mark.parametrize("T", [1e-2, 1.0, 1e2])
+    def test_fixed_T_cost_matches_closed_form(self, T):
+        rng = np.random.default_rng(13)
+        mu, nu = random_measure(rng, 5, 2), random_measure(rng, 4, 2)
+        cost = PairMoments(mu, nu).fixed_T_cost(T)
+        ref = self.atomwise(mu, nu, lambda a, b: tilde_dT_sq(a, b, T))
+        # The expanded form cancels where the drift nearly vanishes at small T,
+        # so the error is measured against the largest entry.
+        assert np.max(np.abs(cost - ref)) <= 1e-10 * np.max(ref)
+
+    def test_infinite_T_cost_matches_closed_form(self):
+        rng = np.random.default_rng(14)
+        mu, nu = random_measure(rng, 5, 2), random_measure(rng, 4, 2)
+        ref = self.atomwise(
+            mu, nu,
+            lambda a, b: 3.0 * np.dot(a.v + b.v, a.v + b.v) + np.dot(b.v - a.v, b.v - a.v),
+        )
+        assert np.allclose(PairMoments(mu, nu).infinite_T_cost(), ref, rtol=1e-14, atol=0.0)
+
+    def test_plan_moments_match_atomwise_sums(self):
+        rng = np.random.default_rng(15)
+        mu, nu = random_measure(rng, 5, 2), random_measure(rng, 4, 2)
+        for plan in random_couplings(rng, mu, nu, 5):
+            m = plan_moments(mu, nu, plan)
+            sums = np.zeros(4)
+            for i in range(mu.size):
+                for j in range(nu.size):
+                    a, b = mu.atom(i), nu.atom(j)
+                    gap, vsum, vdiff = b.x - a.x, a.v + b.v, b.v - a.v
+                    sums += plan.P[i, j] * np.array(
+                        [gap @ gap, gap @ vsum, vsum @ vsum, vdiff @ vdiff]
+                    )
+            assert np.allclose((m.A, m.B, m.C, m.D), sums, rtol=1e-12, atol=1e-14)
+
+    def test_mismatched_plan_rejected(self):
+        rng = np.random.default_rng(16)
+        mu, nu = random_measure(rng, 3, 1), random_measure(rng, 2, 1)
+        with pytest.raises(ValueError):
+            PairMoments(mu, nu).of(np.full((2, 3), 1.0 / 6.0))
 
 
 class TestW2:
