@@ -39,7 +39,6 @@ from .measures import (
 )
 from .solver import (
     SolveResult,
-    SolverOptions,
     brute_force_oracle,
     cost_c,
     cost_tilde_c,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from .dynamics import (
 from .measures import load_measure, measure_to_csv
 from .solver import (
     SolveResult,
-    SolverOptions,
     brute_force_oracle,
     solve_d,
     solve_fixed_T,
@@ -99,18 +97,6 @@ def result_to_json(res: SolveResult) -> dict:
     }
 
 
-def _threads_from(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("OTIKIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return None
-
-
 def _load(path: str, fmt: str):
     if not Path(path).exists():
         print(f"error: no such file: {path}", file=sys.stderr)
@@ -132,6 +118,8 @@ def _force_from_arg(spec: str) -> ForceField:
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a force file must hold a JSON object")
         if data.get("kind") == "poly":
             return ForceField.poly(data["coeffs"])
         raise ValueError(f"unsupported force file kind {data.get('kind')!r}")
@@ -146,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinetic optimal transport with a minimal-acceleration cost.",
     )
     parser.add_argument("--seed", type=int, default=42, help="PRNG seed (PCG64)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for parallel sections (default: OTIKIN_THREADS or serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common_measures = argparse.ArgumentParser(add_help=False)
@@ -227,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_discrepancy(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
-    opts = SolverOptions(threads=_threads_from(args))
     try:
         if args.T is not None:
             if not (np.isfinite(args.T) and args.T > 0):
@@ -235,9 +216,9 @@ def cmd_discrepancy(args) -> int:
                 return EXIT_USAGE
             res = solve_fixed_T(mu, nu, args.T)
         elif args.optimize_T:
-            res = solve_d(mu, nu, opts)
+            res = solve_d(mu, nu)
         else:
-            res = solve_tilde_d(mu, nu, opts)
+            res = solve_tilde_d(mu, nu)
     except ValueError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -248,8 +229,11 @@ def cmd_discrepancy(args) -> int:
 def cmd_oracle(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
+    if args.cap < 1:
+        print("error: --cap must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        res = brute_force_oracle(mu, nu, SolverOptions(oracle_cap=args.cap))
+        res = brute_force_oracle(mu, nu, cap=args.cap)
     except ValueError as exc:
         print(f"error: oracle failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -298,6 +282,9 @@ def cmd_simulate(args) -> int:
     mu = _load(args.mu, args.format)
     if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
         print("error: --t0 and --t1 must be finite", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.t1 > args.t0:
+        print("error: --t1 must exceed --t0", file=sys.stderr)
         return EXIT_USAGE
     if not (np.isfinite(args.dt) and args.dt > 0):
         print("error: --dt must be positive and finite", file=sys.stderr)
@@ -348,16 +335,23 @@ def cmd_probe(args) -> int:
         "harmonic-ensemble": lambda: scenarios.harmonic_ensemble(seed=args.seed),
         "opposite-pair": scenarios.opposite_pair,
     }
-    traj = builders[args.scenario]()
+    if not np.isfinite(args.time):
+        print("error: --time must be finite", file=sys.stderr)
+        return EXIT_USAGE
     try:
         h_list = [float(h) for h in args.h.split(",") if h.strip()]
     except ValueError:
-        print(f"error: bad offset ladder {args.h!r}", file=sys.stderr)
+        h_list = []
+    if not h_list or not all(np.isfinite(h) and h > 0 for h in h_list):
+        print(
+            f"error: --h must list positive finite offsets, got {args.h!r}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
-    opts = SolverOptions(threads=_threads_from(args))
+    traj = builders[args.scenario]()
     try:
         if args.suite == "metric-derivative":
-            pts = metric_derivative_probe(traj, args.time, h_list, opts)
+            pts = metric_derivative_probe(traj, args.time, h_list)
             lines = ["h,ratio_tilde,ratio_d,force_norm"]
             for p in pts:
                 lines.append(
@@ -367,7 +361,7 @@ def cmd_probe(args) -> int:
                     )
                 )
         else:
-            probe = optimal_time_ratio_probe(traj, args.time, h_list, opts)
+            probe = optimal_time_ratio_probe(traj, args.time, h_list)
             lines = ["h,tag,T_ratio"]
             for h, kind, ratio in probe.entries:
                 lines.append(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .measures import Coupling, DiscreteMeasure
 from .phase import CubicSpline, spline_action, spline_from_endpoints
-from .solver import SolverOptions, solve_d, solve_fixed_T
+from .solver import solve_d, solve_fixed_T
 
 __all__ = [
     "SplineEnsemble",
@@ -425,13 +425,19 @@ def _uniform_dt(traj: Trajectory) -> float:
 
 
 def path_action(traj: Trajectory) -> float:
-    """Action (t1 - t0) * integral of the squared force norm, by Simpson's rule."""
+    """Action (t1 - t0) * integral of the squared force norm, by Simpson's rule.
+
+    A non-finite action raises ``ValueError``.
+    """
     if traj.forces.size == 0:
         raise ValueError("trajectory carries no force samples")
     dt = _uniform_dt(traj)
-    norms_sq = np.sum(traj.weights[None, :] * np.sum(traj.forces**2, axis=2), axis=1)
-    span = float(traj.times[-1] - traj.times[0])
-    return span * _simpson(norms_sq, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms_sq = np.sum(traj.weights[None, :] * np.sum(traj.forces**2, axis=2), axis=1)
+        action = float(traj.times[-1] - traj.times[0]) * _simpson(norms_sq, dt)
+    if not np.isfinite(action):
+        raise ValueError("path action overflows; forces are too large")
+    return action
 
 
 @dataclass(frozen=True)
@@ -496,7 +502,6 @@ def metric_derivative_probe(
     traj: Trajectory,
     t: float,
     h_list,
-    opts: SolverOptions | None = None,
 ) -> list[DerivativeProbePoint]:
     """Forward discrepancy ratios against the instantaneous force norm.
 
@@ -513,7 +518,7 @@ def metric_derivative_probe(
             raise ValueError("probe offsets must be positive")
         mu_th = traj.measure_at(t + h)
         fixed = solve_fixed_T(mu_t, mu_th, float(h))
-        full = solve_d(mu_t, mu_th, opts)
+        full = solve_d(mu_t, mu_th)
         out.append(
             DerivativeProbePoint(
                 h=float(h),
@@ -544,7 +549,6 @@ def optimal_time_ratio_probe(
     traj: Trajectory,
     t: float,
     h_list,
-    opts: SolverOptions | None = None,
 ) -> TimeRatioProbe:
     """Ratio of the transport-optimal horizon to the physical offset h."""
     mu_t = traj.measure_at(t)
@@ -553,7 +557,7 @@ def optimal_time_ratio_probe(
         if h <= 0:
             raise ValueError("probe offsets must be positive")
         mu_th = traj.measure_at(t + h)
-        res = solve_d(mu_t, mu_th, opts)
+        res = solve_d(mu_t, mu_th)
         tag = res.optimal_time
         ratio = tag.value / h if tag.is_finite else None
         entries.append((float(h), tag.kind, ratio))

@@ -93,14 +93,14 @@ def transportation_simplex(
     cost: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    max_pivots: int | None = None,
 ) -> np.ndarray:
     """Exact minimiser of ``sum(C * P)`` with prescribed marginals.
 
     Primal transportation simplex with Bland's rule on both the entering cell
     (first negative reduced cost in row-major order) and the leaving cell
     (first among ratio-test ties), which precludes cycling under degeneracy.
-    The result is always a basic solution, i.e. a vertex of the polytope.
+    The result is always a basic solution, i.e. a vertex of the polytope,
+    found within 40 m k + 200 pivots. A non-finite cost entry is rejected.
     """
     cost = np.asarray(cost, dtype=float)
     a = np.asarray(a, dtype=float).ravel()
@@ -108,6 +108,8 @@ def transportation_simplex(
     m, k = a.size, b.size
     if cost.shape != (m, k):
         raise ValueError(f"cost shape {cost.shape} does not match marginals ({m}, {k})")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
     if abs(float(a.sum()) - float(b.sum())) > 1e-9 * max(1.0, float(a.sum())):
         raise ValueError("marginal masses differ; transportation problem infeasible")
     if is_uniform_equal(a, b):
@@ -120,10 +122,8 @@ def transportation_simplex(
     P, basis = _northwest_corner(a, b)
     basis_set = set(basis)
     red_tol = 1e-11 * (1.0 + float(np.max(np.abs(cost))))
-    if max_pivots is None:
-        max_pivots = 40 * m * k + 200
 
-    for _ in range(max_pivots):
+    for _ in range(40 * m * k + 200):
         # Dual potentials from the tree: u_i + v_j = c_ij on basic cells.
         u = np.full(m, np.nan)
         v = np.full(k, np.nan)

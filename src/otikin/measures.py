@@ -277,19 +277,24 @@ class PairMoments:
     With gap = y_j - x_i, vsum = v_i + w_j and vdiff = w_j - v_i, the m x k
     matrices are A = |gap|^2, B = gap . vsum, C = |vsum|^2 and D = |vdiff|^2.
     Every pointwise cost and the moments of every plan are linear in them.
+    Coordinates whose squares overflow raise ``ValueError``.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         if mu.dim != nu.dim:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-        gap = nu.positions[None, :, :] - mu.positions[:, None, :]
-        vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-        vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-        self.A = np.sum(gap * gap, axis=2)
-        self.B = np.sum(gap * vsum, axis=2)
-        self.C = np.sum(vsum * vsum, axis=2)
-        self.D = np.sum(vdiff * vdiff, axis=2)
-        self.pos_scale_sq = mu.position_norm_sq() + nu.position_norm_sq()
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = nu.positions[None, :, :] - mu.positions[:, None, :]
+            vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
+            vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
+            self.A = np.sum(gap * gap, axis=2)
+            self.B = np.sum(gap * vsum, axis=2)
+            self.C = np.sum(vsum * vsum, axis=2)
+            self.D = np.sum(vdiff * vdiff, axis=2)
+            self.pos_scale_sq = mu.position_norm_sq() + nu.position_norm_sq()
+        moments = (self.A, self.B, self.C, self.D, self.pos_scale_sq)
+        if not all(np.all(np.isfinite(M)) for M in moments):
+            raise ValueError("pairwise moments overflow; coordinates are too large")
 
     def fixed_T_cost(self, T: float) -> np.ndarray:
         """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D."""

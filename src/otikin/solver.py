@@ -4,12 +4,12 @@ Every cost here is a linear combination of the four pairwise matrices of
 ``measures.PairMoments``, the one place they are built; each solve builds them
 once and derives its cost matrices and plan moments from them. The
 fixed-horizon plan cost is linear in the coupling, so its exact minimiser
-comes from the transportation simplex. The time-optimised costs are concave in
-the coupling (infima of linear functions), which places global minima at
-vertices of the transportation polytope; the solver combines alternating
-minimisation (plan step / time step) over a multistart grid with an explicit
-enumeration of the three time regimes, and a brute-force vertex oracle
-certifies global minima on small instances.
+comes from the transportation simplex. The time-optimised costs swap the two
+infima: with s = 1/T, the squared discrepancy is the infimum over s >= 0 of
+OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
+3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
+branch-and-bound over s that calls the transportation simplex as a black box,
+and a brute-force vertex oracle cross-checks global minima on small instances.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .measures import (
     PlanMoments,
     group_by_position,
     match_weighted_point_sets,
-    product_coupling,
 )
 from .phase import OptimalTime
 
 __all__ = [
-    "SolverOptions",
     "SolveResult",
     "FreeTransportMatch",
     "cost_tilde_c_T",
@@ -50,6 +48,9 @@ REGIME_EQUAL_POSITIONS = "equal_positions"
 REGIME_FINITE_T = "finite_T"
 REGIME_INFINITE_T = "infinite_T"
 REGIME_FIXED_T = "fixed_T"
+# Relative tolerance of the horizon search: intervals within
+# COST_TOL * (1 + |best|) of the best value found are not split further.
+COST_TOL = 1e-10
 _REGIME_OF_TAG = {
     "zero": REGIME_EQUAL_POSITIONS,
     "finite": REGIME_FINITE_T,
@@ -94,43 +95,14 @@ def optimal_time_plan(m: PlanMoments) -> OptimalTime:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs for the discrepancy solver.
-
-    The multistart grid is log-spaced because the horizon enters the cost
-    through 1/T and 1/T^2; the optimal horizon of the product coupling is
-    always appended as a warm start.
-    """
-
-    T_grid: tuple[float, ...] = tuple(np.logspace(-2.0, 2.0, 15))
-    max_alt_iters: int = 50
-    cost_tol: float = 1e-10
-    oracle_cap: int = 8
-    # Worker cap for the embarrassingly parallel multistarts; None or 1 runs
-    # them sequentially. Results are merged in grid order either way.
-    threads: int | None = None
-
-    def __post_init__(self):
-        if len(self.T_grid) == 0:
-            raise ValueError("multistart grid must be nonempty")
-        if any(T <= 0 for T in self.T_grid):
-            raise ValueError("grid horizons must be positive")
-        if self.cost_tol <= 0:
-            raise ValueError("cost tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class SolveResult:
     cost_sq: float
     optimal_time: OptimalTime
     regime: str
     plan: Coupling
+    # LP solves of a time-optimised search, 1 for a fixed horizon, and
+    # vertices enumerated for the oracle.
     iterations: int = 0
-    restarts_used: int = 0
-    budget_exhausted: bool = False
-    # Per-start traces of the time-optimised cost along alternating iterations
-    # (diagnostics; the descent property is asserted on these in tests).
-    alt_traces: tuple[tuple[float, ...], ...] = ()
     # Populated by the oracle: all optimal vertices within tie tolerance, as
     # (plan matrix, cost, optimal time) triples.
     optima: tuple | None = None
@@ -192,140 +164,121 @@ def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure, pm: Pai
     return Coupling(P, mu, nu)
 
 
-def _alternate_from(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    pm: PairMoments,
-    T0: float,
-    opts: SolverOptions,
-):
-    """Alternating minimisation: plan step at fixed T, then horizon step.
-
-    Both steps minimise one block of the fixed-horizon cost, so the
-    time-optimised cost of the iterates never increases. Returns the last
-    plan, its trace of time-optimised costs, and the exit tag (the horizon
-    update leaving the finite regime routes the result to the corresponding
-    regime candidate).
-    """
-    trace: list[float] = []
-    T = float(T0)
-    plan = None
-    exit_tag = "finite"
-    iters = 0
-    for _ in range(opts.max_alt_iters):
-        iters += 1
-        P = transportation_simplex(pm.fixed_T_cost(T), mu.weights, nu.weights)
-        plan = Coupling(P, mu, nu)
-        m = pm.of(plan.P)
-        value = cost_tilde_c(m)
-        tag = optimal_time_plan(m)
-        trace.append(value)
-        if tag.kind != "finite":
-            exit_tag = tag.kind
-            break
-        if len(trace) >= 2 and trace[-2] - value <= opts.cost_tol * (1.0 + abs(value)):
-            T = tag.value
-            break
-        T = tag.value
-    else:
-        return plan, trace, "budget", iters, T
-    return plan, trace, exit_tag, iters, T
+def _corner_value(m: PlanMoments, u: float, s: float) -> float:
+    """Plan cost 12 u A - 12 s B + 3 C + D, linear in (u, s); at u = s^2 it is
+    the fixed-horizon cost at T = 1/s."""
+    return 12.0 * u * m.A - 12.0 * s * m.B + 3.0 * m.C + m.D
 
 
 def _solve_time_optimised(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    opts: SolverOptions,
     final_cost,
 ) -> SolveResult:
-    pm = PairMoments(mu, nu)
-    candidates: list[tuple[float, Coupling, PlanMoments]] = []
-    traces: list[tuple[float, ...]] = []
-    budget_exhausted = False
+    """Exact search over s = 1/T >= 0 for the infimum of OT(s).
 
-    def add_candidate(plan: Coupling) -> None:
+    Phi(u, s) = min over plans of ``_corner_value`` is concave, and OT(s) =
+    Phi(s^2, s). On [s1, s2] the point (s^2, s) lies in the triangle with
+    corners (s1^2, s1), (s2^2, s2) and (s1 s2, (s1 + s2)/2), where the
+    tangents at the two ends meet; the least of the three corner LP values
+    bounds OT from below on the interval. An interval is dropped when that
+    bound reaches the best time-optimised cost found, or when one of its
+    three plans attains all three corner values (Phi is then that plan's
+    linear function there, whose minimum is already counted); otherwise it is
+    split at its midpoint. Past S, every plan's cost rises whenever
+    2 S A_P >= B_P, which one LP checks for all plans at once, so only
+    [0, S] is searched.
+    """
+    pm = PairMoments(mu, nu)
+    base = pm.infinite_T_cost()
+    best = np.inf  # least time-optimised cost over every plan seen
+    winner = None  # least final cost; the first found wins among equal costs
+    lp_solves = 0
+
+    def consider(P: np.ndarray) -> PlanMoments:
+        nonlocal best, winner
+        plan = Coupling(P, mu, nu)
         m = pm.of(plan.P)
-        candidates.append((final_cost(m), plan, m))
+        best = min(best, cost_tilde_c(m))
+        value = final_cost(m)
+        if winner is None or value < winner[0]:
+            winner = (value, plan, m)
+        return m
+
+    def lp(cost: np.ndarray) -> PlanMoments:
+        nonlocal lp_solves
+        lp_solves += 1
+        return consider(transportation_simplex(cost, mu.weights, nu.weights))
+
+    def corner(u: float, s: float) -> PlanMoments:
+        return lp(12.0 * u * pm.A - 12.0 * s * pm.B + base)
+
+    def tol() -> float:
+        return COST_TOL * (1.0 + abs(best))
 
     # Equal-positions regime: velocity-only transport on coincident sites.
     eq_plan = _equal_positions_candidate(mu, nu, pm)
     if eq_plan is not None:
-        add_candidate(eq_plan)
+        consider(eq_plan.P)
 
-    # Infinite-horizon regime: linear transport with the large-T pointwise cost.
-    inf_P = transportation_simplex(pm.infinite_T_cost(), mu.weights, nu.weights)
-    add_candidate(Coupling(inf_P, mu, nu))
-
-    # Finite-horizon regime: alternating minimisation from each grid start,
-    # warm-started also at the product coupling's optimal horizon. Starts whose
-    # horizon update leaves the finite regime are still feasible couplings and
-    # stay in the candidate pool; the dedicated zero/infinite candidates above
-    # cover those regimes exactly.
-    starts = list(opts.T_grid)
-    warm = optimal_time_plan(pm.of(product_coupling(mu, nu).P))
-    if warm.is_finite:
-        starts.append(warm.value)
-    restarts = 0
-    iterations = 0
-    if opts.threads is not None and opts.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            runs = list(pool.map(lambda T0: _alternate_from(mu, nu, pm, T0, opts), starts))
-    else:
-        runs = [_alternate_from(mu, nu, pm, T0, opts) for T0 in starts]
-    for plan, trace, exit_tag, iters, _ in runs:
-        restarts += 1
-        iterations += iters
-        traces.append(tuple(trace))
-        if exit_tag == "budget":
-            budget_exhausted = True
-        if plan is None:
+    m_zero = corner(0.0, 0.0)
+    S = 1.0
+    while True:
+        m = lp(2.0 * S * pm.A - pm.B)
+        if 2.0 * S * m.A - m.B >= -tol():
+            break
+        S *= 4.0
+    stack = [((0.0, m_zero), (S, corner(S * S, S)))]
+    while stack:
+        (s1, m1), (s2, m2) = stack.pop()
+        mid = 0.5 * (s1 + s2)
+        corners = ((s1 * s1, s1), (s2 * s2, s2), (s1 * s2, mid))
+        plans = (m1, m2, corner(*corners[2]))
+        lows = [_corner_value(m, u, s) for m, (u, s) in zip(plans, corners)]
+        if min(lows) >= best - tol():
             continue
-        add_candidate(plan)
+        if any(
+            all(_corner_value(m, u, s) <= low + tol() for (u, s), low in zip(corners, lows))
+            for m in plans
+        ):
+            continue
+        if not s1 < mid < s2:  # no float left between the ends to evaluate
+            continue
+        m_mid = corner(mid * mid, mid)
+        stack.append(((mid, m_mid), (s2, m2)))
+        stack.append(((s1, m1), (mid, m_mid)))
 
-    # Deterministic merge: first-found wins among equal costs (regime order,
-    # then grid order). The reported regime reflects the winning plan itself:
-    # its optimal-horizon tag decides between the three time regimes.
-    value, plan, m = min(candidates, key=lambda cand: cand[0])
+    # The reported regime reflects the winning plan itself: its optimal-horizon
+    # tag decides between the three time regimes.
+    value, plan, m = winner
     tag = optimal_time_plan(m)
     return SolveResult(
         cost_sq=max(value, 0.0),
         optimal_time=tag,
         regime=_REGIME_OF_TAG[tag.kind],
         plan=plan,
-        iterations=iterations,
-        restarts_used=restarts,
-        budget_exhausted=budget_exhausted,
-        alt_traces=tuple(traces),
+        iterations=lp_solves,
     )
 
 
-def solve_d(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    opts: SolverOptions | None = None,
-) -> SolveResult:
-    """Minimise the envelope cost over couplings (regime enumeration + multistart).
+def solve_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
+    """Minimise the envelope cost over couplings.
 
-    The returned value is the best of the equal-positions, finite-horizon, and
-    infinite-horizon candidates, each evaluated through ``cost_c``.
+    d^2 = min(d~^2, D of the equal-positions candidate): the exact horizon
+    search of ``_solve_time_optimised`` gives d~^2, and every plan it and the
+    equal-positions candidate produce is evaluated through ``cost_c``.
     """
-    return _solve_time_optimised(mu, nu, opts or SolverOptions(), cost_c)
+    return _solve_time_optimised(mu, nu, cost_c)
 
 
-def solve_tilde_d(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    opts: SolverOptions | None = None,
-) -> SolveResult:
-    """Same machinery as ``solve_d`` with final evaluation through ``cost_tilde_c``.
+def solve_tilde_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
+    """Same search as ``solve_d`` with final evaluation through ``cost_tilde_c``.
 
     The infimum may be unattained (approached only along couplings whose
     position gap degenerates), so the returned value is an upper bound; it
     equals the infimum whenever the winning coupling has positive A.
     """
-    return _solve_time_optimised(mu, nu, opts or SolverOptions(), cost_tilde_c)
+    return _solve_time_optimised(mu, nu, cost_tilde_c)
 
 
 def _vertex_plans_uniform(m: int):
@@ -403,26 +356,26 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray):
 def brute_force_oracle(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    opts: SolverOptions | None = None,
+    cap: int = 8,
 ) -> SolveResult:
     """Global minimum of the envelope cost by vertex enumeration.
 
     The time-optimised cost is an infimum of linear functions of the plan,
     hence concave; its minimum over the polytope is attained at a vertex, so
     enumerating vertices is exhaustive. All optimal vertices within a relative
-    tie tolerance of 1e-9 are reported in ``optima``.
+    tie tolerance of 1e-9 are reported in ``optima``. Instances are enumerated
+    up to ``cap`` atoms per side when uniform, else ``cap`` atoms in total.
     """
-    opts = opts or SolverOptions()
     pm = PairMoments(mu, nu)
     uniform = is_uniform_equal(mu.weights, nu.weights)
-    if uniform and mu.size <= opts.oracle_cap:
+    if uniform and mu.size <= cap:
         vertices = _vertex_plans_uniform(mu.size)
-    elif mu.size + nu.size <= opts.oracle_cap:
+    elif mu.size + nu.size <= cap:
         vertices = _vertex_plans_trees(mu.weights, nu.weights)
     else:
         raise ValueError(
             f"instance too large for the oracle "
-            f"(m={mu.size}, k={nu.size}, cap={opts.oracle_cap})"
+            f"(m={mu.size}, k={nu.size}, cap={cap})"
         )
 
     evaluated = []

@@ -153,7 +153,7 @@ def check_two_plan_tie(seed: int = 42) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 3. Oracle dominance of the multistart solver on random uniform instances.
+# 3. Oracle dominance of the horizon search on random uniform instances.
 
 
 def _oracle_sweep(seed: int, count: int = 200):

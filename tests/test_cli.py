@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,12 +119,53 @@ class TestExitCodes:
              "--t0", "0", "--t1", "0.5", "--dt", "0.7", "--stride", "0"],
             ["simulate", "--mu", U5_MU, "--force", "damped:nan",
              "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+            ["simulate", "--mu", U5_MU, "--force", "@{array_file}",
+             "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+            ["probe", "--suite", "metric-derivative", "--time", "nan"],
+            ["probe", "--suite", "t-ratio", "--h", "nan"],
+            ["probe", "--suite", "metric-derivative", "--h", ","],
+            ["probe", "--suite", "metric-derivative", "--h", "0.1,-1"],
+            ["simulate", "--mu", U5_MU, "--force", "free",
+             "--t0", "1", "--t1", "0", "--dt", "0.1"],
+            ["oracle", "--mu", U5_MU, "--nu", U5_NU, "--cap", "-1"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
+        array_file = tmp_path / "array.json"
+        array_file.write_text("[1, 2]")
+        argv = [a.format(array_file=array_file) for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discrepancy", "--nu", "{nu}", "--T", "1"],
+            ["discrepancy", "--nu", "{nu}", "--optimize-T"],
+            ["discrepancy", "--nu", "{nu}", "--tilde"],
+            ["oracle", "--nu", "{nu}"],
+            ["interpolate", "--nu", "{nu}", "--T", "1", "--steps", "2"],
+            ["simulate", "--force", "harmonic", "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+        ],
+    )
+    def test_overflowing_input_exits_4(self, tmp_path, capsys, argv):
+        # squared gaps and forces of atoms at +-1e200 overflow a float
+        def write(name, x):
+            points = [{"x": [x], "v": [0.0], "w": 0.5}, {"x": [0.0], "v": [1.0], "w": 0.5}]
+            path = tmp_path / name
+            path.write_text(json.dumps({"dim": 1, "points": points}))
+            return str(path)
+
+        mu, nu = write("mu.json", 1e200), write("nu.json", -1e200)
+        argv = [a.format(nu=nu) for a in argv] + ["--mu", mu]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
 
 
 class TestDiscrepancy:
@@ -165,17 +207,6 @@ class TestDiscrepancy:
         assert main(argv + ["--out", str(out)]) == 0
         got = re.sub(rb',"iterations":\d+', b"", out.read_bytes())
         assert got == PINNED[pair, mode].encode() + b"\n"
-
-    def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
-        serial, pooled, env = (tmp_path / n for n in ("s.json", "p.json", "e.json"))
-        main(["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--optimize-T",
-              "--out", str(serial)])
-        main(["--threads", "4", "discrepancy", "--mu", U5_MU, "--nu", U5_NU,
-              "--optimize-T", "--out", str(pooled)])
-        monkeypatch.setenv("OTIKIN_THREADS", "3")
-        main(["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--optimize-T",
-              "--out", str(env)])
-        assert serial.read_bytes() == pooled.read_bytes() == env.read_bytes()
 
     def test_oracle_agrees_with_solver(self, tmp_path):
         s, o = tmp_path / "s.json", tmp_path / "o.json"

@@ -96,3 +96,13 @@ def test_single_row_and_column():
 def test_unbalanced_rejected():
     with pytest.raises(ValueError):
         transportation_simplex(np.ones((2, 2)), np.array([0.6, 0.6]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cost_rejected(bad):
+    cost = np.ones((2, 3))
+    cost[1, 1] = bad
+    with pytest.raises(ValueError):
+        transportation_simplex(cost, np.array([0.3, 0.7]), np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValueError):
+        transportation_simplex(cost[:, :2], np.full(2, 0.5), np.full(2, 0.5))

@@ -17,7 +17,6 @@ from otikin.scenarios import (
     random_uniform_instance,
 )
 from otikin.solver import (
-    SolverOptions,
     brute_force_oracle,
     cost_c,
     cost_tilde_c,
@@ -29,6 +28,7 @@ from otikin.solver import (
     solve_tilde_d,
 )
 from otikin.measures import PlanMoments
+from otikin.verification import _oracle_sweep
 
 
 def moments(A, B, C, D):
@@ -137,12 +137,15 @@ class TestFixedHorizonSolve:
 
 class TestTimeOptimisedSolve:
     def test_free_transport_pair(self):
-        mu, nu = free_transport_pair(T=0.7)
-        res = solve_d(mu, nu)
-        assert res.cost_sq <= 1e-10
-        assert res.regime == "finite_T"
-        assert res.optimal_time.is_finite
-        assert res.optimal_time.value == pytest.approx(0.7, abs=1e-6)
+        # T = 1e-3 puts the optimum at s = 1/T = 1000, past the first tail
+        # checks; T = 1e3 puts it near s = 0
+        for T in (1e-3, 0.7, 1e3):
+            mu, nu = free_transport_pair(T=T)
+            res = solve_d(mu, nu)
+            assert res.cost_sq <= 1e-10
+            assert res.regime == "finite_T"
+            assert res.optimal_time.is_finite
+            assert res.optimal_time.value == pytest.approx(T, rel=1e-6)
 
     def test_two_plan_tie_value(self):
         mu, nu = nonunique_two_atom_instance()
@@ -155,15 +158,6 @@ class TestTimeOptimisedSolve:
         assert res.regime == "equal_positions"
         # monotone velocity matching: (-1 -> 0, 1 -> 2) costs (1 + 1)/2
         assert res.cost_sq == pytest.approx(1.0)
-
-    def test_descent_along_alternating_iterations(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            mu, nu = random_uniform_instance(rng, 5, 2)
-            res = solve_d(mu, nu)
-            for trace in res.alt_traces:
-                for prev, cur in zip(trace, trace[1:]):
-                    assert cur <= prev + 1e-9 * (1.0 + abs(prev))
 
     def test_upper_bound_solver_examples(self):
         mu, nu = free_transport_pair(T=1.1)
@@ -221,17 +215,33 @@ class TestOracle:
             assert res.cost_sq >= orc.cost_sq - 1e-9
             if abs(res.cost_sq - orc.cost_sq) <= 1e-8 * (1 + orc.cost_sq):
                 hits += 1
-        assert hits >= 38
+        assert hits == 40
 
     def test_tree_enumeration_nonuniform(self):
+        # the general-marginal simplex path of the search against the oracle
         rng = np.random.default_rng(7)
         w = np.array([0.5, 0.3, 0.2])
         u = np.array([0.4, 0.6])
         mu = DiscreteMeasure(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), w)
         nu = DiscreteMeasure(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), u)
+        pairs = [(mu, nu)]
+        for m, k in ((2, 5), (3, 4), (4, 4)):
+            a = rng.uniform(0.5, 1.5, size=m)
+            b = rng.uniform(0.5, 1.5, size=k)
+            pairs.append((
+                DiscreteMeasure(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)), a / a.sum()),
+                DiscreteMeasure(rng.normal(size=(k, 2)), rng.normal(size=(k, 2)), b / b.sum()),
+            ))
+        for mu, nu in pairs:
+            orc = brute_force_oracle(mu, nu)
+            assert solve_d(mu, nu).cost_sq == pytest.approx(orc.cost_sq, rel=1e-9, abs=1e-12)
+
+    def test_search_matches_oracle_on_sweep_instance_73(self):
+        # a local search from a log grid of horizons stopped at 15.057503
+        # here, above the optimum 15.051267
+        mu, nu = _oracle_sweep(42)[73]
         orc = brute_force_oracle(mu, nu)
-        res = solve_d(mu, nu)
-        assert res.cost_sq >= orc.cost_sq - 1e-9
+        assert solve_d(mu, nu).cost_sq == pytest.approx(orc.cost_sq, rel=1e-9)
 
     def test_cap_enforced(self):
         rng = np.random.default_rng(8)
@@ -270,12 +280,3 @@ class TestFreeTransportDetection:
         a = DiscreteMeasure(rng.normal(size=(4, 2)), np.zeros((4, 2)), np.full(4, 0.25))
         b = DiscreteMeasure(rng.normal(size=(4, 2)), np.zeros((4, 2)), np.full(4, 0.25))
         assert solve_d(a, b).cost_sq <= 1e-10
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(T_grid=())
-    with pytest.raises(ValueError):
-        SolverOptions(T_grid=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        SolverOptions(cost_tol=0.0)
