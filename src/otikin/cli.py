@@ -83,11 +83,7 @@ def result_to_json(res: SolveResult) -> dict:
     else:
         T_repr = None
     P = res.plan.P
-    entries = []
-    for i in range(P.shape[0]):
-        for j in range(P.shape[1]):
-            if P[i, j] >= 1e-15:
-                entries.append([int(i), int(j), float(P[i, j])])
+    entries = [[i, j, float(P[i, j])] for i, j in res.plan.support()]
     return {
         "cost_sq": float(res.cost_sq),
         "regime": res.regime,

@@ -45,8 +45,7 @@ class SplineEnsemble:
     splines: tuple[CubicSpline, ...]
     masses: np.ndarray
     horizon: float
-    # Endpoint atom indices (i, j) per spline when built from a coupling;
-    # used to exempt identical endpoint pairs from the injectivity check.
+    # Endpoint atom indices (i, j) per spline when built from a coupling.
     pair_indices: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
@@ -71,26 +70,17 @@ def build_dynamical_plan(
     plan: Coupling,
     T: float,
 ) -> SplineEnsemble:
-    """One spline per positive-mass pair of the coupling, with the pair's mass.
+    """One spline per support cell of the coupling, with the cell's mass.
 
     The mass-weighted sum of spline actions reproduces the plan's
     fixed-horizon cost exactly (both sides are the same closed form).
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    splines = []
-    masses = []
-    pairs = []
-    P = plan.P
-    for i in range(P.shape[0]):
-        for j in range(P.shape[1]):
-            if P[i, j] > 1e-15:
-                splines.append(spline_from_endpoints(mu.atom(i), nu.atom(j), T))
-                masses.append(P[i, j])
-                pairs.append((i, j))
-    masses = np.asarray(masses)
+    pairs = plan.support()
+    masses = np.asarray([plan.P[i, j] for i, j in pairs])
     return SplineEnsemble(
-        splines=tuple(splines),
+        splines=tuple(spline_from_endpoints(mu.atom(i), nu.atom(j), T) for i, j in pairs),
         masses=masses / masses.sum(),
         horizon=float(T),
         pair_indices=tuple(pairs),
@@ -106,6 +96,10 @@ def interpolate_at(e: SplineEnsemble, t: float) -> DiscreteMeasure:
     return DiscreteMeasure(X, V, e.masses.copy())
 
 
+# Phase separation at or below which two connectors count as meeting.
+SEPARATION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class MongeMatherReport:
     min_separation: float
@@ -114,88 +108,72 @@ class MongeMatherReport:
     offending_time: float | None
 
 
-def monge_mather_check(
-    e: SplineEnsemble,
-    grid_size: int = 50,
-    tol: float = 1e-9,
-) -> MongeMatherReport:
+def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     """Interior injectivity of an ensemble: distinct-endpoint splines never meet.
 
-    Scans ``grid_size`` interior times and all spline pairs whose endpoint
-    pairs differ, recording the minimum phase-space separation. For ensembles
-    built from an optimal (cyclically monotone) coupling the minimum is
-    strictly positive; a reported violation certifies non-optimality.
+    ``min_separation`` is the infimum over t in (0, T) of the phase separation
+    ``sqrt(|dx(t)|^2 + |dv(t)|^2)``, which equals its minimum over [0, T],
+    taken over the spline pairs whose start states differ and whose end states
+    differ (states equal within 1e-12 relative count as equal); it is ``inf``
+    when no pair qualifies. ``violated`` is ``min_separation <= 1e-9``. For
+    ensembles built from an optimal (cyclically monotone) coupling the minimum
+    is strictly positive; a reported violation certifies non-optimality.
+
+    Pairs sharing one endpoint state are skipped because they cannot meet
+    inside (0, T): their difference is t^2 (a + b t), or (T - t)^2 times a
+    linear term, and a common interior zero of it and its derivative forces
+    a = b = 0. For every other pair the squared separation f = |p|^2 + |p'|^2
+    of the difference cubic p is a degree-6 polynomial, so its minimum lies at
+    0, at T or at a root of f'; the separation is evaluated from p and p' at
+    those times (real parts of the roots, clipped to [0, T]).
     """
     T = e.horizon
-    times = np.linspace(0.0, T, grid_size + 2)[1:-1]
-    n = len(e.splines)
+    # (K, 4, n) coefficients in ascending powers of t.
+    coef = np.stack([np.stack([s.a0, s.a1, s.a2, s.a3]) for s in e.splines])
+    x_end = ((coef[:, 3] * T + coef[:, 2]) * T + coef[:, 1]) * T + coef[:, 0]
+    v_end = (3.0 * coef[:, 3] * T + 2.0 * coef[:, 2]) * T + coef[:, 1]
+    first, second = np.triu_indices(len(coef), 1)
 
-    def endpoints(idx: int):
-        s = e.splines[idx]
-        return (s.position(0.0), s.velocity(0.0), s.position(T), s.velocity(T))
+    def same(a: np.ndarray) -> np.ndarray:
+        gap = np.max(np.abs(a[first] - a[second]), axis=1)
+        return gap <= 1e-12 * (1.0 + np.max(np.abs(a[first]), axis=1))
 
-    def same_endpoints(i: int, j: int) -> bool:
-        # Coincident atoms are legal, so distinct indices may still carry
-        # identical endpoint states; those pairs are exempt as well.
-        if e.pair_indices and e.pair_indices[i] == e.pair_indices[j]:
-            return True
-        ei, ej = endpoints(i), endpoints(j)
-        return all(
-            float(np.max(np.abs(a - b))) <= 1e-12 * (1.0 + float(np.max(np.abs(a))))
-            for a, b in zip(ei, ej)
-        )
+    keep = ~((same(coef[:, 0]) & same(coef[:, 1])) | (same(x_end) & same(v_end)))
+    first, second = first[keep], second[keep]
+    if first.size == 0:
+        return MongeMatherReport(np.inf, False, None, None)
 
-    def pair_separation(i: int, j: int, t: float) -> float:
-        si, sj = e.splines[i], e.splines[j]
-        dx = si.position(t) - sj.position(t)
-        dv = si.velocity(t) - sj.velocity(t)
-        return float(np.sqrt(np.dot(dx, dx) + np.dot(dv, dv)))
-
-    min_sep = np.inf
-    offender = None
-    offender_t = None
-    states = np.empty((n, 2, e.splines[0].dim)) if n else None
-    for t in times:
-        for idx, s in enumerate(e.splines):
-            states[idx, 0] = s.position(t)
-            states[idx, 1] = s.velocity(t)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if same_endpoints(i, j):
-                    continue
-                gap = states[i] - states[j]
-                sep = float(np.sqrt(np.sum(gap * gap)))
-                if sep < min_sep:
-                    min_sep = sep
-                    offender = (i, j)
-                    offender_t = float(t)
-
-    if offender is not None:
-        # The squared separation of a spline pair is a smooth polynomial in t,
-        # so a crossing between grid points can evade the coarse scan; refine
-        # locally around the worst grid point (staying inside the interior
-        # span, where meetings of distinct-endpoint optimal pairs are ruled
-        # out and separations stay bounded away from zero).
-        lo, hi = float(times[0]), float(times[-1])
-        width = (times[1] - times[0]) if len(times) > 1 else (hi - lo)
-        center = offender_t
-        for _ in range(4):
-            a = max(lo, center - width)
-            b = min(hi, center + width)
-            local = np.linspace(a, b, 41)
-            seps = [pair_separation(*offender, float(t)) for t in local]
-            k = int(np.argmin(seps))
-            if seps[k] < min_sep:
-                min_sep = float(seps[k])
-                offender_t = float(local[k])
-            center = float(local[k])
-            width /= 10.0
-    violated = bool(min_sep <= tol)
+    p = coef[first] - coef[second]
+    # In scaled time tau = t / T the coefficients are O(1) for any horizon;
+    # f'(tau) / 2 = <q, q'> + <q', q''> / T^2 with q(tau) = p(T tau).
+    q = p * (T ** np.arange(4.0))[:, None]
+    dq = q[:, 1:] * np.array([1.0, 2.0, 3.0])[:, None]
+    ddq = dq[:, 1:] * np.array([1.0, 2.0])[:, None]
+    half_df = np.zeros((len(p), 6))
+    for a in range(4):
+        for b in range(3):
+            half_df[:, a + b] += np.sum(q[:, a] * dq[:, b], axis=1)
+    for a in range(3):
+        for b in range(2):
+            half_df[:, a + b] += np.sum(dq[:, a] * ddq[:, b], axis=1) / T**2
+    # Candidate times per pair: 0, 1 and up to five roots; unused slots stay 0.
+    tau = np.zeros((len(p), 7))
+    tau[:, 1] = 1.0
+    for r, c in enumerate(half_df):
+        roots = np.polynomial.polynomial.polyroots(c).real
+        tau[r, 2 : 2 + roots.size] = roots
+    t = np.clip(tau, 0.0, 1.0)[:, :, None] * T
+    pos = ((p[:, None, 3] * t + p[:, None, 2]) * t + p[:, None, 1]) * t + p[:, None, 0]
+    vel = (3.0 * p[:, None, 3] * t + 2.0 * p[:, None, 2]) * t + p[:, None, 1]
+    sep = np.sqrt(np.sum(pos * pos, axis=2) + np.sum(vel * vel, axis=2))
+    r, c = np.unravel_index(int(np.argmin(sep)), sep.shape)
+    min_sep = float(sep[r, c])
+    violated = min_sep <= SEPARATION_TOL
     return MongeMatherReport(
-        min_separation=float(min_sep),
+        min_separation=min_sep,
         violated=violated,
-        offending_pair=offender if violated else None,
-        offending_time=offender_t if violated else None,
+        offending_pair=(int(first[r]), int(second[r])) if violated else None,
+        offending_time=float(t[r, c, 0]) if violated else None,
     )
 
 

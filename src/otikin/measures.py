@@ -42,6 +42,8 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-6
 MARGINAL_TOL = 1e-9
+# Plan cells with less mass than this are outside the plan's support.
+SUPPORT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,10 @@ class Coupling:
             raise ValueError(
                 f"marginal violation {max(row_err, col_err):.3e} exceeds {MARGINAL_TOL}"
             )
+
+    def support(self) -> list[tuple[int, int]]:
+        """Row-major ``(i, j)`` cells of the plan with mass at least 1e-15."""
+        return [(int(i), int(j)) for i, j in np.argwhere(self.P >= SUPPORT_TOL)]
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,6 @@ class CubicSpline:
     def velocity(self, t: float) -> np.ndarray:
         return (3.0 * self.a3 * t + 2.0 * self.a2) * t + self.a1
 
-    def acceleration(self, t: float) -> np.ndarray:
-        return 6.0 * self.a3 * t + 2.0 * self.a2
-
 
 def spline_from_endpoints(src: PhaseState, dst: PhaseState, T: float) -> CubicSpline:
     """Minimal-acceleration cubic from ``src`` at time 0 to ``dst`` at time T.

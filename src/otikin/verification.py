@@ -277,7 +277,7 @@ def check_interior_injectivity(seed: int = 42) -> CheckResult:
     for mu, nu in instances:
         res = solve_fixed_T(mu, nu, 1.0)
         ens = build_dynamical_plan(mu, nu, res.plan, 1.0)
-        rep = monge_mather_check(ens, grid_size=50, tol=1e-9)
+        rep = monge_mather_check(ens)
         if np.isfinite(rep.min_separation):
             checked += 1
             min_sep = min(min_sep, rep.min_separation)
@@ -287,10 +287,10 @@ def check_interior_injectivity(seed: int = 42) -> CheckResult:
         orc = brute_force_oracle(mu, nu)
         if orc.optimal_time.is_finite:
             ens2 = build_dynamical_plan(mu, nu, orc.plan, orc.optimal_time.value)
-            rep2 = monge_mather_check(ens2, grid_size=50, tol=1e-9)
+            rep2 = monge_mather_check(ens2)
             if np.isfinite(rep2.min_separation) and rep2.violated:
                 violations += 1
-    cross = monge_mather_check(crossing_ensemble(), grid_size=50, tol=1e-9)
+    cross = monge_mather_check(crossing_ensemble())
     ok = violations == 0 and cross.violated
     return _result(
         "interior-injectivity",

@@ -3,6 +3,7 @@ import pytest
 
 from otikin.dynamics import (
     ForceField,
+    SplineEnsemble,
     build_dynamical_plan,
     interpolate_at,
     metric_derivative_probe,
@@ -14,15 +15,67 @@ from otikin.dynamics import (
     spline_forcing,
     vlasov_integrate,
 )
-from otikin.measures import DiscreteMeasure, product_coupling
-from otikin.phase import tilde_dT_sq
+from otikin.measures import (
+    Coupling,
+    DiscreteMeasure,
+    product_coupling,
+    pushforward_free_transport,
+)
+from otikin.phase import PhaseState, spline_from_endpoints, tilde_dT_sq
 from otikin.scenarios import (
     crossing_ensemble,
     harmonic_single,
     nonunique_two_atom_instance,
     random_uniform_instance,
 )
-from otikin.solver import solve_fixed_T
+from otikin.solver import solve_d, solve_fixed_T
+
+
+def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
+    """Two connectors that meet in phase at ``t_meet``, built like ``crossing_ensemble``."""
+    s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), T)
+    meet = PhaseState(s1.position(t_meet), s1.velocity(t_meet))
+    head = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, t_meet)
+    dst2 = PhaseState(head.position(T), head.velocity(T))
+    s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, T)
+    return SplineEnsemble(
+        splines=(s1, s2), masses=np.array([0.5, 0.5]), horizon=T, pair_indices=((0, 0), (1, 1))
+    )
+
+
+def dense_min_separation(e: SplineEnsemble, n_times: int = 100_000) -> float:
+    """Least phase separation of the eligible pairs over a dense time grid.
+
+    Each pair's grid minimum is refined once by a second grid of the same size
+    over the two cells around it, so the grid spacing adds no visible error.
+    """
+    T = e.horizon
+
+    def state(s, t):
+        return np.concatenate([s.position(t), s.velocity(t)])
+
+    def same(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
+
+    best = np.inf
+    grid = np.linspace(0.0, T, n_times)[:, None]
+    h = T / (n_times - 1)
+    for i, si in enumerate(e.splines):
+        for sj in e.splines[i + 1 :]:
+            if same(state(si, 0.0), state(sj, 0.0)) or same(state(si, T), state(sj, T)):
+                continue
+            d3, d2, d1, d0 = si.a3 - sj.a3, si.a2 - sj.a2, si.a1 - sj.a1, si.a0 - sj.a0
+
+            def sep(t):
+                dx = ((d3 * t + d2) * t + d1) * t + d0
+                dv = (3.0 * d3 * t + 2.0 * d2) * t + d1
+                return np.sqrt(np.sum(dx * dx + dv * dv, axis=1))
+
+            coarse = sep(grid)
+            t0 = float(grid[int(np.argmin(coarse)), 0])
+            fine = np.linspace(max(0.0, t0 - h), min(T, t0 + h), n_times)[:, None]
+            best = min(best, float(np.min(coarse)), float(np.min(sep(fine))))
+    return best
 
 
 class TestDynamicalPlan:
@@ -96,7 +149,7 @@ class TestMongeMather:
         mu, nu = random_uniform_instance(rng, 6, 2)
         res = solve_fixed_T(mu, nu, 1.0)
         ens = build_dynamical_plan(mu, nu, res.plan, 1.0)
-        rep = monge_mather_check(ens, grid_size=50)
+        rep = monge_mather_check(ens)
         assert not rep.violated
         assert rep.min_separation > 1e-6
 
@@ -109,10 +162,67 @@ class TestMongeMather:
         assert rep.min_separation == np.inf
 
     def test_crossing_pair_flagged(self):
-        rep = monge_mather_check(crossing_ensemble(), grid_size=50)
+        rep = monge_mather_check(crossing_ensemble())
         assert rep.violated
         assert rep.min_separation <= 1e-9
         assert rep.offending_time == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("t_meet", [0.01, 0.99])
+    def test_crossing_near_an_end_flagged(self, t_meet):
+        rep = monge_mather_check(crossing_at(t_meet))
+        assert rep.violated
+        assert rep.offending_pair == (0, 1)
+        assert rep.offending_time == pytest.approx(t_meet, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "velocities, expected",
+        [([1.0, 0.5], np.sqrt(0.5)), ([0.5, 1.0], np.sqrt(1.25))],
+        ids=["closing", "opening"],
+    )
+    def test_minimum_at_an_end_of_the_horizon(self, velocities, expected):
+        # Two drifting atoms: the gap 1 + (v1 - v0) t is least at t = T when
+        # closing and at t = 0 when opening.
+        mu = DiscreteMeasure([[0.0], [1.0]], [[v] for v in velocities], [0.5, 0.5])
+        nu = pushforward_free_transport(mu, 1.0)
+        ens = build_dynamical_plan(mu, nu, Coupling(np.diag([0.5, 0.5]), mu, nu), 1.0)
+        rep = monge_mather_check(ens)
+        assert not rep.violated
+        assert rep.min_separation == pytest.approx(expected, rel=1e-12)
+
+    def test_shared_start_pair_exempt(self):
+        # One start state, two end states: the connectors differ by
+        # t^2 (a + b t), which cannot vanish with its derivative inside (0, T).
+        mu = DiscreteMeasure([[0.0]], [[1.0]], [1.0])
+        nu = DiscreteMeasure([[1.0], [-1.0]], [[0.0], [2.0]], [0.5, 0.5])
+        rep = monge_mather_check(build_dynamical_plan(mu, nu, product_coupling(mu, nu), 1.0))
+        assert not rep.violated
+        assert rep.min_separation == np.inf
+
+    def test_exact_minimum_on_weighted_ensembles(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 6:
+            m, k = (int(v) for v in rng.integers(2, 6, size=2))
+            n = int(rng.integers(1, 4))
+            mu = DiscreteMeasure(
+                rng.normal(size=(m, n)), rng.normal(size=(m, n)), rng.dirichlet(np.ones(m))
+            )
+            nu = DiscreteMeasure(
+                rng.normal(size=(k, n)), rng.normal(size=(k, n)), rng.dirichlet(np.ones(k))
+            )
+            res = solve_d(mu, nu)
+            if not res.optimal_time.is_finite:
+                continue
+            ens = build_dynamical_plan(mu, nu, res.plan, res.optimal_time.value)
+            dense = dense_min_separation(ens)
+            rep = monge_mather_check(ens)
+            if dense == np.inf:
+                assert rep.min_separation == np.inf
+                continue
+            # At most the sampled minimum, up to rounding in the evaluation.
+            assert rep.min_separation <= dense * (1.0 + 1e-12)
+            assert rep.min_separation == pytest.approx(dense, rel=1e-9)
+            checked += 1
 
 
 class TestVlasov:

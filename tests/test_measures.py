@@ -127,6 +127,11 @@ class TestCouplings:
         with pytest.raises(ValueError):
             Coupling(np.full((3, 3), 0.2), mu, nu)
 
+    def test_support_keeps_cells_from_1e_15_row_major(self):
+        mu = DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
+        P = np.array([[0.5, 1e-15], [9e-16, 0.5]])
+        assert Coupling(P, mu, mu).support() == [(0, 0), (0, 1), (1, 1)]
+
 
 class TestMoments:
     def test_singleton_example(self):
