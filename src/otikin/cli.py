@@ -7,8 +7,9 @@ run with trajectory export), ``probe`` (derivative / time-ratio ladders), and
 ``verify`` (packaged verification suites).
 
 Exit codes: 2 usage or missing file, 3 malformed measure data, 4 solver
-failure, 5 verification failure. JSON outputs are byte-deterministic: floats
-are written with 17 significant digits and keys in fixed order.
+failure (an input the solver rejects, or a ``RuntimeError`` of the simplex),
+5 verification failure. JSON outputs are byte-deterministic: floats are
+written with 17 significant digits and keys in fixed order.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def cmd_discrepancy(args) -> int:
             res = solve_d(mu, nu)
         else:
             res = solve_tilde_d(mu, nu)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     _write_text(args.out, canonical_json(result_to_json(res)) + "\n")
@@ -255,7 +256,7 @@ def cmd_interpolate(args) -> int:
     try:
         res = solve_fixed_T(mu, nu, args.T)
         ens = build_dynamical_plan(mu, nu, res.plan, args.T)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     outdir = Path(args.out)
@@ -364,8 +365,8 @@ def cmd_probe(args) -> int:
                     f"{_fmt_float(h)},{kind},"
                     + (_fmt_float(ratio) if ratio is not None else "")
                 )
-    except ValueError as exc:
-        print(f"error: probe failed: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

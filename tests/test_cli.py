@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otikin.solver
 from otikin.cli import build_parser, canonical_json, main
 from otikin.measures import measure_from_csv, measure_to_json
 
@@ -167,6 +171,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discrepancy", "--T", "1"],
+            ["discrepancy", "--optimize-T"],
+            ["discrepancy", "--tilde"],
+            ["interpolate", "--T", "1", "--steps", "2"],
+            ["probe", "--suite", "metric-derivative"],
+        ],
+    )
+    def test_simplex_runtime_error_exits_4(self, tmp_path, capsys, monkeypatch, argv):
+        def fail(cost, a, b):
+            raise RuntimeError("transportation simplex exceeded its pivot budget")
+
+        monkeypatch.setattr(otikin.solver, "transportation_simplex", fail)
+        points = [{"x": [0.0], "v": [1.0], "w": 0.3}, {"x": [1.0], "v": [0.0], "w": 0.7}]
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"dim": 1, "points": points}))
+        if argv[0] != "probe":
+            argv = argv + ["--mu", str(pair), "--nu", str(pair)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed: transportation simplex exceeded")
+
 
 class TestDiscrepancy:
     def test_packaged_tie_instance(self, tmp_path):
@@ -291,6 +321,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the assignment fast path needs scipy.optimize; it costs a cold
+    # start every subcommand would otherwise pay
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, otikin.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_canonical_json_fixed_formatting():

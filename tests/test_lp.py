@@ -1,9 +1,25 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from otikin.lp import is_uniform_equal, transportation_simplex
+
+
+def reference_lp_value(cost, a, b):
+    """Optimal value of the same transportation problem by HiGHS."""
+    from scipy.optimize import linprog
+
+    m, k = cost.shape
+    A_eq = np.zeros((m + k, m * k))
+    for i in range(m):
+        A_eq[i, i * k : (i + 1) * k] = 1.0
+    for j in range(k):
+        A_eq[m + j, j::k] = 1.0
+    ref = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]), method="highs")
+    assert ref.status == 0
+    return ref.fun
 
 
 def brute_force_min(cost, a, b):
@@ -29,8 +45,6 @@ def test_matches_assignment_brute_force():
 
 
 def test_general_marginals_against_reference_lp():
-    from scipy.optimize import linprog
-
     rng = np.random.default_rng(1)
     for _ in range(40):
         m = int(rng.integers(2, 6))
@@ -44,17 +58,93 @@ def test_general_marginals_against_reference_lp():
         assert np.max(np.abs(P.sum(axis=1) - a)) < 1e-10
         assert np.max(np.abs(P.sum(axis=0) - b)) < 1e-10
         assert P.min() >= -1e-12
+        ref = reference_lp_value(cost, a, b)
+        assert float(np.sum(P * cost)) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
-        A_eq = np.zeros((m + k, m * k))
-        for i in range(m):
-            A_eq[i, i * k : (i + 1) * k] = 1.0
-        for j in range(k):
-            A_eq[m + j, j::k] = 1.0
-        ref = linprog(
-            cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]), method="highs"
-        )
-        assert ref.status == 0
-        assert float(np.sum(P * cost)) == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+@pytest.mark.parametrize("m, k", [(10, 15), (15, 10), (20, 20), (25, 30), (30, 25), (40, 30)])
+def test_larger_general_marginals_against_reference_lp(m, k):
+    rng = np.random.default_rng(100 * m + k)
+    cost = rng.normal(size=(m, k))
+    a = rng.uniform(0.2, 1.0, size=m)
+    b = rng.uniform(0.2, 1.0, size=k)
+    a, b = a / a.sum(), b / b.sum()
+    P = transportation_simplex(cost, a, b)
+    assert float(np.sum(P * cost)) == pytest.approx(reference_lp_value(cost, a, b), rel=1e-9)
+    assert np.max(np.abs(P.sum(axis=1) - a)) <= 1e-12
+    assert np.max(np.abs(P.sum(axis=0) - b)) <= 1e-12
+    assert P.min() >= 0.0
+    assert int(np.count_nonzero(P)) <= m + k - 1
+
+
+def pinned_problem(seed):
+    """Seeded LP up to 20 x 20: rounded costs (ties) on every third seed,
+    small-integer marginals (degenerate pivots) on every even one."""
+    rng = np.random.default_rng(seed)
+    m, k = (int(x) for x in rng.integers(2, 21, size=2))
+    cost = rng.normal(size=(m, k))
+    if seed % 3 == 0:
+        cost = np.round(cost, 1)
+    if seed % 2 == 0:
+        a = rng.integers(1, 4, size=m).astype(float)
+        b = rng.integers(1, 4, size=k).astype(float)
+        gap = a.sum() - b.sum()
+        if gap > 0:
+            b[0] += gap
+        else:
+            a[0] -= gap
+        total = a.sum()
+        a, b = a / total, b / total
+    else:
+        a = rng.uniform(0.2, 1.0, size=m)
+        b = rng.uniform(0.2, 1.0, size=k)
+        a, b = a / a.sum(), b / b.sum()
+    return cost, a, b
+
+
+# First 16 hex digits of the SHA-256 of each plan's bytes, recorded from the
+# simplex that recomputed every potential from scratch and scanned every cell
+# in Python. The start and the pivot rule decide which optimal vertex is
+# returned, and the pivots' arithmetic decides its bits; a change to any of
+# them shows here.
+PINNED_PLANS = [
+    "11cea066ed4d2526",  # (18, 14)
+    "27fffab5e3cc54ab",  # (10, 11)
+    "84a3e06b0c2ebf2d",  # (17, 6)
+    "100221d5c6509846",  # (17, 3)
+    "7f49fe5aa9d3543f",  # (15, 19)
+    "a8439fd37bb045e0",  # (14, 17)
+    "fb6139a3fe2db1c3",  # (10, 12)
+    "850958bdf38026ca",  # (19, 13)
+    "9844158b25731804",  # (15, 8)
+    "1b2b999eb1bf1155",  # (10, 18)
+    "334a131bfaa9f139",  # (16, 20)
+    "828876a8c3138b00",  # (4, 4)
+    "a737fc2377c626f7",  # (13, 6)
+    "a4980ce5683b07f2",  # (19, 18)
+    "1f82eba9b90d7905",  # (4, 17)
+    "06494434a9d163fa",  # (19, 15)
+    "a6e333bc99f6f804",  # (12, 12)
+    "4594143cdac8235d",  # (16, 18)
+    "be55d43af1923b82",  # (18, 9)
+    "dc4199d40e545a70",  # (13, 9)
+    "3dc1506a9f543380",  # (18, 7)
+    "b197bd14b4fb724b",  # (7, 16)
+    "315190746fb0b841",  # (16, 8)
+    "5d3c7b910d628903",  # (2, 15)
+    "bbf63cabba929389",  # (9, 8)
+    "4b96981919e82374",  # (11, 5)
+    "8faa7689e91b2998",  # (18, 11)
+    "080688213d51b0cf",  # (2, 15)
+    "7c1dc02a1857757b",  # (14, 18)
+    "6419940941be77c9",  # (19, 2)
+]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_PLANS)))
+def test_pinned_plan_bytes(seed):
+    P = transportation_simplex(*pinned_problem(seed))
+    assert hashlib.sha256(P.tobytes()).hexdigest()[:16] == PINNED_PLANS[seed]
 
 
 def test_returns_vertex_support():
