@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Coupling, DiscreteMeasure
-from .phase import CubicSpline, spline_action, spline_from_endpoints
+from .phase import HORIZON_TOL, CubicSpline, spline_action, spline_from_endpoints
 from .solver import solve_d, solve_fixed_T
 
 __all__ = [
@@ -89,7 +89,7 @@ def build_dynamical_plan(
 
 def interpolate_at(e: SplineEnsemble, t: float) -> DiscreteMeasure:
     """Measure traced by the ensemble at time t: atoms (alpha(t), alpha'(t))."""
-    if not (-1e-12 * e.horizon <= t <= e.horizon * (1.0 + 1e-12)):
+    if not (-HORIZON_TOL * e.horizon <= t <= e.horizon * (1.0 + HORIZON_TOL)):
         raise ValueError(f"time {t} outside ensemble horizon [0, {e.horizon}]")
     X = np.asarray([s.position(t) for s in e.splines])
     V = np.asarray([s.velocity(t) for s in e.splines])

@@ -3,15 +3,24 @@
 ``transportation_simplex`` solves min <C, P> over the transportation polytope
 {P >= 0, row sums = a, col sums = b} and returns a basic (vertex) solution;
 vertex outputs are required by the concave outer minimisation built on top.
-Uniform marginals of equal size dispatch to an assignment solver, and scipy
-is imported only then.
+A cell enters by Dantzig's rule (the most negative reduced cost); after a run
+of degenerate pivots Bland's rule takes over until flow moves again, which
+rules out cycling. A caller that solves several problems with the same
+marginals can hand every call one basis list: each call starts from the
+basis left there, feasible because the polytope does not depend on the cost,
+and leaves its own optimal basis behind. The returned plan is recomputed from
+its support by ``tree_flows``, so its bits depend only on the vertex, not on
+the pivots that reached it. Uniform marginals of equal size dispatch to an
+assignment solver, and scipy is imported only then.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-__all__ = ["transportation_simplex", "is_uniform_equal"]
+__all__ = ["transportation_simplex", "is_uniform_equal", "tree_flows"]
 
 # Marginals count as uniform when every weight is within this of 1/m.
 UNIFORM_TOL = 1e-12
@@ -20,6 +29,9 @@ UNIFORM_TOL = 1e-12
 REDUCED_COST_TOL = 1e-11
 # The two marginal masses may differ by this, relative to max(1, sum a).
 MASS_TOL = 1e-9
+# Bland's rule takes over after this many pivots in a row that move no flow,
+# per node of the basis tree, and hands back at the next pivot that does.
+DEGENERATE_RUN_PER_NODE = 1
 
 
 def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -27,6 +39,50 @@ def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
         return False
     u = 1.0 / a.size
     return bool(np.all(np.abs(np.concatenate([a, b]) - u) <= UNIFORM_TOL))
+
+
+def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
+    """The plan supported on ``cells`` that meets the marginals, or None when
+    the cells hold a cycle.
+
+    Nodes are the rows 0..m-1, then the columns m..m+k-1. Leaf elimination
+    takes the lowest-index node with one cell left, gives that cell the node's
+    residual mass and subtracts it at the cell's other end, until no cell is
+    left. On a forest the flows are unique and their bits depend only on the
+    set of cells. A negative flow means the cells support no vertex.
+    """
+    m, k = a.size, b.size
+    res = np.concatenate([a, b]).tolist()
+    ends = [(i, m + j) for i, j in cells]
+    # Per node, its cells left and the sum of their indices, which at a leaf
+    # is the index of its one cell.
+    degree, id_sum = [0] * (m + k), [0] * (m + k)
+    for e, (x, y) in enumerate(ends):
+        degree[x] += 1
+        degree[y] += 1
+        id_sum[x] += e
+        id_sum[y] += e
+    leaves = [x for x, d in enumerate(degree) if d == 1]  # sorted, so a heap
+    flows, left = [0.0] * len(ends), len(ends)
+    while leaves:
+        x = heapq.heappop(leaves)
+        if degree[x] != 1:  # its last cell went with the other end
+            continue
+        e = id_sum[x]
+        y = ends[e][0] + ends[e][1] - x
+        flows[e] = res[x]
+        res[y] -= res[x]
+        degree[x] = 0
+        degree[y] -= 1
+        id_sum[y] -= e
+        left -= 1
+        if degree[y] == 1:
+            heapq.heappush(leaves, y)
+    if left:
+        return None
+    P = np.zeros((m, k))
+    P.flat[[i * k + j for i, j in cells]] = flows
+    return P
 
 
 def _assignment_plan(cost: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -68,20 +124,29 @@ def transportation_simplex(
     cost: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
+    basis: list[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Exact minimiser of ``sum(C * P)`` with prescribed marginals.
 
-    Primal transportation simplex with Bland's rule on both the entering cell
-    (first negative reduced cost in row-major order) and the leaving cell
-    (first among ratio-test ties), which precludes cycling under degeneracy.
-    The result is always a basic solution, i.e. a vertex of the polytope,
-    found within 40 m k + 200 pivots. A non-finite cost entry is rejected.
+    Primal transportation simplex. The entering cell has the most negative
+    reduced cost (Dantzig's rule); among the cells that reach zero first, the
+    lowest (row, column) leaves. After ``DEGENERATE_RUN_PER_NODE * (m + k)``
+    pivots in a row that move no flow, the first improving cell in row-major
+    order enters instead (Bland's rule) until a pivot moves flow again.
+    Bland's rule cannot cycle, and each pivot that moves flow lowers the
+    cost, so the method terminates; 40 m k + 200 pivots are a backstop. A
+    non-finite cost entry is rejected.
+
+    ``basis``, when given, is a list of cells that the call starts from if it
+    is not empty (northwest corner otherwise) and replaces with its final
+    basis; a basis found for the same marginals is always feasible. The
+    result is ``tree_flows`` on the cells of the final basis that carry flow,
+    a vertex whose bits do not depend on the start or the pivot path.
 
     The basis is a spanning tree on the rows 0..m-1 and the columns
-    m..m+k-1, rooted at the row of ``basis[0]`` where u = 0. A dual potential
-    follows its unique tree path from the root, so a pivot recomputes only
-    the subtree that the leaving cell cuts off (all of them when the root
-    moves), and one numpy expression prices every cell.
+    m..m+k-1, rooted at row 0 where u = 0. A dual potential follows its
+    unique tree path from the root, so a pivot recomputes only the subtree
+    that the leaving cell cuts off, and one numpy expression prices every cell.
     """
     cost = np.asarray(cost, dtype=float)
     a = np.asarray(a, dtype=float).ravel()
@@ -100,14 +165,20 @@ def transportation_simplex(
     if k == 1:
         return a.reshape(m, 1).copy()
 
-    P, basis = _northwest_corner(a, b)
+    if basis:
+        start = tree_flows(a, b, basis)
+        if start is None or len(basis) != m + k - 1:
+            raise ValueError("warm-start basis is not a spanning tree")
+        # Leaf elimination may leave round-off below zero on degenerate cells.
+        P, cells = np.maximum(start, 0.0).tolist(), list(basis)
+    else:
+        P, cells = _northwest_corner(a, b)
     # edge[x][y] = c_ij between row node i and column node m + j, either way round.
     edge = [[0.0] * m + row for row in cost.tolist()] + cost.T.tolist()
     red_tol = REDUCED_COST_TOL * (1.0 + float(np.max(np.abs(cost))))
-    nonbasic = np.ones((m, k), dtype=bool)
+    basic = np.array([i * k + j for i, j in cells])  # row-major index of cells[n]
     adj: list[list[int]] = [[] for _ in range(m + k)]
-    for i, j in basis:
-        nonbasic[i, j] = False
+    for i, j in cells:
         adj[i].append(m + j)
         adj[m + j].append(i)
     pot, parent, depth = [0.0] * (m + k), [-1] * (m + k), [0] * (m + k)
@@ -121,29 +192,31 @@ def transportation_simplex(
         stack, placed = [top], 0
         while stack and placed < m + k:
             x = stack.pop()
+            above, below, cx, px = parent[x], depth[x] + 1, edge[x], pot[x]
             for y in adj[x]:
-                if y != parent[x]:
-                    parent[y], depth[y] = x, depth[x] + 1
-                    pot[y] = edge[x][y] - pot[x]
+                if y != above:
+                    parent[y], depth[y], pot[y] = x, below, cx[y] - px
                     stack.append(y)
                     placed += 1
         return placed
 
-    root = -1
+    if hang(0) != m + k - 1:
+        raise RuntimeError("basis is not a spanning tree; internal error")
+    degenerate, bland_after = 0, DEGENERATE_RUN_PER_NODE * (m + k)
     for _ in range(40 * m * k + 200):
-        if basis[0][0] != root:
-            root = basis[0][0]
-            pot[root], parent[root], depth[root] = 0.0, -1, 0
-            if hang(root) != m + k - 1:
-                raise RuntimeError("basis is not a spanning tree; internal error")
-        u, v = np.array(pot[:m]), np.array(pot[m:])
-
-        reduced = cost - u[:, None] - v[None, :]
-        improving = (reduced < -red_tol) & nonbasic
-        first = int(improving.argmax())  # the first True cell, row-major
-        if not improving.flat[first]:
-            return np.array(P)
-        ei, ej = divmod(first, k)
+        reduced = cost - np.array(pot[:m])[:, None]
+        reduced -= np.array(pot[m:])
+        reduced.flat[basic] = 0.0
+        if degenerate < bland_after:
+            enter = int(reduced.argmin())
+        else:
+            enter = int((reduced < -red_tol).argmax())  # the first improving cell
+        if not reduced.flat[enter] < -red_tol:
+            if basis is not None:
+                basis[:] = cells
+            # A cell holding only a round-off flow can come out just below zero.
+            return np.maximum(tree_flows(a, b, [(i, j) for i, j in cells if P[i][j] > 0.0]), 0.0)
+        ei, ej = divmod(enter, k)
 
         # The tree path from column ej to row ei, through their lowest common
         # ancestor, closes the cycle of the entering cell.
@@ -158,21 +231,23 @@ def transportation_simplex(
                 y = parent[y]
         cycle = [(ei, ej)] + up + down[::-1]
 
-        flows = [P[i][j] for i, j in cycle[1::2]]
-        theta = min(flows)
-        pos = 2 * flows.index(theta) + 1  # Bland: first minimiser leaves, at exactly 0
-        li, lj = cycle[pos]
-        for idx, (i, j) in enumerate(cycle):
-            P[i][j] += theta if idx % 2 == 0 else -theta
-        basis.remove((li, lj))
-        basis.append((ei, ej))
-        nonbasic[li, lj], nonbasic[ei, ej] = True, False
+        theta, li, lj = min((P[i][j], i, j) for i, j in cycle[1::2])
+        if theta > 0.0:
+            degenerate = 0
+            for i, j in cycle[::2]:
+                P[i][j] += theta
+            for i, j in cycle[1::2]:
+                P[i][j] -= theta
+        else:
+            degenerate += 1
+        slot = cells.index((li, lj))
+        cells[slot], basic[slot] = (ei, ej), enter
         adj[li].remove(m + lj)
         adj[m + lj].remove(li)
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
         # Hang the cut-off subtree below the entering cell's other end.
-        q, p = (m + ej, ei) if pos <= len(up) else (ei, m + ej)
+        q, p = (m + ej, ei) if cycle.index((li, lj)) <= len(up) else (ei, m + ej)
         parent[q], depth[q], pot[q] = p, depth[p] + 1, edge[p][q] - pot[p]
         hang(q)
 

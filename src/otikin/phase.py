@@ -32,6 +32,9 @@ __all__ = [
     "curve_d_derivative",
 ]
 
+# A time may overshoot either end of a horizon T by HORIZON_TOL * T.
+HORIZON_TOL = 1e-12
+
 
 def _as_vector(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
@@ -164,7 +167,7 @@ def spline_from_endpoints(src: PhaseState, dst: PhaseState, T: float) -> CubicSp
 
 def spline_eval(s: CubicSpline, t: float) -> PhaseState:
     """State (alpha(t), alpha'(t)) of the spline, for t in [0, T]."""
-    if not (-1e-12 * s.horizon <= t <= s.horizon * (1.0 + 1e-12)):
+    if not (-HORIZON_TOL * s.horizon <= t <= s.horizon * (1.0 + HORIZON_TOL)):
         raise ValueError(f"time {t} outside spline horizon [0, {s.horizon}]")
     return PhaseState(s.position(t), s.velocity(t))
 

@@ -8,7 +8,8 @@ comes from the transportation simplex. The time-optimised costs swap the two
 infima: with s = 1/T, the squared discrepancy is the infimum over s >= 0 of
 OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
 3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
-branch-and-bound over s that calls the transportation simplex as a black box,
+branch-and-bound over s that calls the transportation simplex, each call
+warm-started from the last one's optimal basis (all share their marginals),
 and a brute-force vertex oracle cross-checks global minima on small instances.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import is_uniform_equal, transportation_simplex
+from .lp import is_uniform_equal, transportation_simplex, tree_flows
 from .measures import (
     Coupling,
     DiscreteMeasure,
@@ -51,6 +52,11 @@ REGIME_FIXED_T = "fixed_T"
 # Relative tolerance of the horizon search: intervals within
 # COST_TOL * (1 + |best|) of the best value found are not split further.
 COST_TOL = 1e-10
+# The oracle counts a spanning tree as a vertex when no flow on it is below
+# -VERTEX_CLIP (the flows are then clipped to zero), and reports every vertex
+# within ORACLE_TIE_TOL * (1 + |best|) of the least cost.
+VERTEX_CLIP = 1e-12
+ORACLE_TIE_TOL = 1e-9
 _REGIME_OF_TAG = {
     "zero": REGIME_EQUAL_POSITIONS,
     "finite": REGIME_FINITE_T,
@@ -194,6 +200,9 @@ def _solve_time_optimised(
     best = np.inf  # least time-optimised cost over every plan seen
     winner = None  # least final cost; the first found wins among equal costs
     lp_solves = 0
+    # Every LP below has these marginals, so each starts from the last one's
+    # optimal basis.
+    basis: list[tuple[int, int]] = []
 
     def consider(P: np.ndarray) -> PlanMoments:
         nonlocal best, winner
@@ -208,7 +217,7 @@ def _solve_time_optimised(
     def lp(cost: np.ndarray) -> PlanMoments:
         nonlocal lp_solves
         lp_solves += 1
-        return consider(transportation_simplex(cost, mu.weights, nu.weights))
+        return consider(transportation_simplex(cost, mu.weights, nu.weights, basis=basis))
 
     def corner(u: float, s: float) -> PlanMoments:
         return lp(12.0 * u * pm.A - 12.0 * s * pm.B + base)
@@ -292,65 +301,22 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray):
     """All vertices of the transportation polytope via spanning-tree bases.
 
     Basic solutions are supported on spanning trees of the complete bipartite
-    graph; the flow on a tree is unique and the tree is a vertex iff the flow
-    is nonnegative. Duplicate vertices from degenerate trees are filtered out.
+    graph; the flow on a tree is unique (``tree_flows``) and the tree is a
+    vertex iff the flow is nonnegative. Duplicate vertices from degenerate trees are filtered out.
     """
     m, k = a.size, b.size
     edges = [(i, j) for i in range(m) for j in range(k)]
-    n_nodes = m + k
     seen: set[bytes] = set()
-    for tree in itertools.combinations(edges, n_nodes - 1):
-        # connectivity check via union-find
-        parent = list(range(n_nodes))
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        acyclic = True
-        for (i, j) in tree:
-            ru, rv = find(i), find(m + j)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if not acyclic:
+    for tree in itertools.combinations(edges, m + k - 1):
+        P = tree_flows(a, b, tree)
+        if P is None or float(P.min()) < -VERTEX_CLIP:
             continue
-        # unique flow on the tree by leaf elimination
-        P = np.zeros((m, k))
-        deg: dict[int, list[tuple[int, int]]] = {u: [] for u in range(n_nodes)}
-        for (i, j) in tree:
-            deg[i].append((i, j))
-            deg[m + j].append((i, j))
-        res = np.concatenate([a.astype(float), b.astype(float)])
-        remaining = set(tree)
-        ok = True
-        while remaining:
-            leaf = None
-            for u in range(n_nodes):
-                cells = [c for c in deg[u] if c in remaining]
-                if len(cells) == 1:
-                    leaf = (u, cells[0])
-                    break
-            if leaf is None:
-                ok = False
-                break
-            u, (i, j) = leaf
-            flow = res[u]
-            P[i, j] = flow
-            res[u] = 0.0
-            other = m + j if u == i else i
-            res[other] -= flow
-            remaining.discard((i, j))
-        if not ok or float(P.min()) < -1e-12:
-            continue
-        key = np.round(np.clip(P, 0.0, None), 12).tobytes()
+        P = np.clip(P, 0.0, None)
+        key = np.round(P, 12).tobytes()
         if key in seen:
             continue
         seen.add(key)
-        yield np.clip(P, 0.0, None)
+        yield P
 
 
 def brute_force_oracle(
@@ -363,8 +329,9 @@ def brute_force_oracle(
     The time-optimised cost is an infimum of linear functions of the plan,
     hence concave; its minimum over the polytope is attained at a vertex, so
     enumerating vertices is exhaustive. All optimal vertices within a relative
-    tie tolerance of 1e-9 are reported in ``optima``. Instances are enumerated
-    up to ``cap`` atoms per side when uniform, else ``cap`` atoms in total.
+    tie tolerance of ``ORACLE_TIE_TOL`` are reported in ``optima``. Instances
+    are enumerated up to ``cap`` atoms per side when uniform, else ``cap``
+    atoms in total.
     """
     pm = PairMoments(mu, nu)
     uniform = is_uniform_equal(mu.weights, nu.weights)
@@ -385,7 +352,7 @@ def brute_force_oracle(
         m = pm.of(P)
         evaluated.append((cost_c(m), P, optimal_time_plan(m)))
     best_value = min(e[0] for e in evaluated)
-    tie_tol = 1e-9 * (1.0 + abs(best_value))
+    tie_tol = ORACLE_TIE_TOL * (1.0 + abs(best_value))
     ties = [e for e in evaluated if e[0] <= best_value + tie_tol]
     optima = tuple((e[1].copy(), e[0], e[2]) for e in ties)
     value, P_best, tag = ties[0]

@@ -182,7 +182,7 @@ class TestExitCodes:
         ],
     )
     def test_simplex_runtime_error_exits_4(self, tmp_path, capsys, monkeypatch, argv):
-        def fail(cost, a, b):
+        def fail(cost, a, b, basis=None):
             raise RuntimeError("transportation simplex exceeded its pivot budget")
 
         monkeypatch.setattr(otikin.solver, "transportation_simplex", fail)
