@@ -31,6 +31,7 @@ from .dynamics import (
     vlasov_integrate,
 )
 from .measures import load_measure, measure_to_csv
+from .phase import OptimalTime
 from .solver import (
     SolveResult,
     brute_force_oracle,
@@ -75,20 +76,20 @@ def canonical_json(obj) -> str:
     return json.dumps(obj)
 
 
+def _time_to_json(tag: OptimalTime) -> float | str | None:
+    """A horizon tag as JSON: its value when finite, "inf", or null for zero."""
+    if tag.is_finite:
+        return float(tag.value)
+    return "inf" if tag.kind == "infinite" else None
+
+
 def result_to_json(res: SolveResult) -> dict:
-    tag = res.optimal_time
-    if tag.kind == "finite":
-        T_repr: float | str | None = float(tag.value)
-    elif tag.kind == "infinite":
-        T_repr = "inf"
-    else:
-        T_repr = None
     P = res.plan.P
     entries = [[i, j, float(P[i, j])] for i, j in res.plan.support()]
     return {
         "cost_sq": float(res.cost_sq),
         "regime": res.regime,
-        "T": T_repr,
+        "T": _time_to_json(res.optimal_time),
         "plan": entries,
         "iterations": int(res.iterations),
     }
@@ -236,10 +237,7 @@ def cmd_oracle(args) -> int:
         return EXIT_SOLVER
     payload = result_to_json(res)
     payload["n_optimal_vertices"] = len(res.optima)
-    payload["optimal_times"] = [
-        (t.value if t.is_finite else ("inf" if t.kind == "infinite" else None))
-        for _, _, t in res.optima
-    ]
+    payload["optimal_times"] = [_time_to_json(t) for _, _, t in res.optima]
     _write_text(args.out, canonical_json(payload) + "\n")
     return EXIT_OK
 

@@ -389,8 +389,6 @@ def _simpson(values: np.ndarray, dt: float) -> float:
                 + 2.0 * np.sum(values[2:-1:2])
             )
         )
-    elif n == 1:
-        total += 0.5 * dt * float(values[0] + values[1])
     return total
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lp import transportation_simplex
 from .phase import PhaseState
 
 __all__ = [
@@ -36,8 +37,7 @@ __all__ = [
     "check_coupling",
     "w2_sq",
     "pushforward_free_transport",
-    "match_weighted_point_sets",
-    "group_by_position",
+    "coincident_blocks",
 ]
 
 WEIGHT_SUM_TOL = 1e-6
@@ -348,8 +348,6 @@ def check_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, P: np.ndarray) -> C
 
 def w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact squared 2-Wasserstein distance with cost |x-y|^2 + |v-w|^2."""
-    from .lp import transportation_simplex
-
     pm = PairMoments(mu, nu)
     cost = pm.A + pm.D
     P = transportation_simplex(cost, mu.weights, nu.weights)
@@ -367,61 +365,33 @@ def pushforward_free_transport(mu: DiscreteMeasure, T: float) -> DiscreteMeasure
     )
 
 
-def _lex_order(points: np.ndarray) -> np.ndarray:
-    return np.lexsort(points.T[::-1])
-
-
-def match_weighted_point_sets(
+def coincident_blocks(
     pts_a: np.ndarray,
     w_a: np.ndarray,
     pts_b: np.ndarray,
     w_b: np.ndarray,
     tol: float,
-) -> list[tuple[int, int]] | None:
-    """Greedy matching of two weighted point sets within per-coordinate ``tol``.
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Split two weighted point sets into blocks that carry the same mass.
 
-    Points are visited in lexicographic order (deterministic tie-breaking);
-    each point of the first set is matched to the first unused point of the
-    second set within tolerance and with equal weight within max(tol, 1e-9).
-    Returns index pairs, or None if the sets do not coincide.
+    Points coincide when every coordinate is within ``tol``; the points of the
+    first set that coincide with the same points of the second set form one
+    block with them. The two sets are the same measure iff every point lies in
+    exactly one block and each block carries equal mass on both sides, within
+    max(tol, MARGINAL_TOL). Returns the ``(rows, cols)`` index arrays of each
+    block, both ascending, or None if the measures differ.
     """
-    pts_a = np.atleast_2d(pts_a)
-    pts_b = np.atleast_2d(pts_b)
-    if pts_a.shape[0] != pts_b.shape[0] or pts_a.shape[1] != pts_b.shape[1]:
+    close = np.all(np.abs(pts_a[:, None, :] - pts_b[None, :, :]) <= tol, axis=2)
+    if not close.any(axis=1).all():  # settled before the costlier np.unique
         return None
-    order_a = _lex_order(pts_a)
-    order_b = list(_lex_order(pts_b))
-    w_tol = max(tol, 1e-9)
-    pairs: list[tuple[int, int]] = []
-    used = set()
-    for ia in order_a:
-        found = None
-        for ib in order_b:
-            if ib in used:
-                continue
-            if float(np.max(np.abs(pts_a[ia] - pts_b[ib]))) <= tol and (
-                abs(float(w_a[ia]) - float(w_b[ib])) <= w_tol
-            ):
-                found = ib
-                break
-        if found is None:
+    patterns, inverse = np.unique(close, axis=0, return_inverse=True)
+    if np.any(patterns.sum(axis=0) != 1):
+        return None
+    w_tol = max(tol, MARGINAL_TOL)
+    blocks = []
+    for b, pattern in enumerate(patterns):
+        rows, cols = np.flatnonzero(inverse == b), np.flatnonzero(pattern)
+        if abs(float(w_a[rows].sum()) - float(w_b[cols].sum())) > w_tol:
             return None
-        used.add(found)
-        pairs.append((int(ia), int(found)))
-    return pairs
-
-
-def group_by_position(mu: DiscreteMeasure, tol: float) -> list[tuple[np.ndarray, list[int]]]:
-    """Cluster atom indices by coincident positions (within ``tol``), in lex order."""
-    order = _lex_order(mu.positions)
-    groups: list[tuple[np.ndarray, list[int]]] = []
-    for i in order:
-        placed = False
-        for site, members in groups:
-            if float(np.max(np.abs(mu.positions[i] - site))) <= tol:
-                members.append(int(i))
-                placed = True
-                break
-        if not placed:
-            groups.append((mu.positions[i].copy(), [int(i)]))
-    return groups
+        blocks.append((rows, cols))
+    return blocks

@@ -26,8 +26,7 @@ from .measures import (
     DiscreteMeasure,
     PairMoments,
     PlanMoments,
-    group_by_position,
-    match_weighted_point_sets,
+    coincident_blocks,
 )
 from .phase import OptimalTime
 
@@ -57,6 +56,12 @@ COST_TOL = 1e-10
 # within ORACLE_TIE_TOL * (1 + |best|) of the least cost.
 VERTEX_CLIP = 1e-12
 ORACLE_TIE_TOL = 1e-9
+# Positions coincide when every coordinate agrees within
+# POSITION_TOL * (1 + the largest coordinate of either measure).
+POSITION_TOL = 1e-12
+# Drift detection: phase points coincide within DRIFT_TOL per coordinate, and
+# speeds up to DRIFT_TOL count as rest.
+DRIFT_TOL = 1e-8
 _REGIME_OF_TAG = {
     "zero": REGIME_EQUAL_POSITIONS,
     "finite": REGIME_FINITE_T,
@@ -140,31 +145,24 @@ def _position_tol(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         np.max(np.abs(mu.positions), initial=0.0)
         + np.max(np.abs(nu.positions), initial=0.0)
     )
-    return 1e-12 * (1.0 + scale)
+    return POSITION_TOL * (1.0 + scale)
 
 
 def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure, pm: PairMoments):
     """D-minimising coupling supported on coincident spatial sites, if feasible.
 
-    Feasible iff the spatial marginals coincide as weighted point sets; the
-    velocity transport within each site is an independent OT problem with cost
-    |w - v|^2, solved by the same simplex backend.
+    Feasible iff the spatial marginals are the same measure, which
+    ``coincident_blocks`` decides on the positions; each of its blocks is then
+    an independent velocity OT problem with cost |w - v|^2, solved by the same
+    simplex backend with rows and columns in ascending index order.
     """
-    tol = _position_tol(mu, nu)
-    groups_mu = group_by_position(mu, tol)
-    groups_nu = group_by_position(nu, tol)
-    if len(groups_mu) != len(groups_nu):
-        return None
-    sites_mu = np.asarray([g[0] for g in groups_mu])
-    sites_nu = np.asarray([g[0] for g in groups_nu])
-    mass_mu = np.asarray([float(mu.weights[g[1]].sum()) for g in groups_mu])
-    mass_nu = np.asarray([float(nu.weights[g[1]].sum()) for g in groups_nu])
-    pairs = match_weighted_point_sets(sites_mu, mass_mu, sites_nu, mass_nu, tol)
-    if pairs is None:
+    blocks = coincident_blocks(
+        mu.positions, mu.weights, nu.positions, nu.weights, _position_tol(mu, nu)
+    )
+    if blocks is None:
         return None
     P = np.zeros((mu.size, nu.size))
-    for ia, ib in pairs:
-        rows, cols = groups_mu[ia][1], groups_nu[ib][1]
+    for rows, cols in blocks:
         block = np.ix_(rows, cols)
         P[block] = transportation_simplex(pm.D[block], mu.weights[rows], nu.weights[cols])
     return Coupling(P, mu, nu)
@@ -378,33 +376,28 @@ class FreeTransportMatch:
         return self.T is not None or self.both_rest
 
 
-def detect_free_transport(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    tol: float = 1e-8,
-) -> FreeTransportMatch:
+def detect_free_transport(mu: DiscreteMeasure, nu: DiscreteMeasure) -> FreeTransportMatch:
     """Detect whether the target is a drift image of the source.
 
-    Candidate times come from displacement ratios of matched atoms (the drift
-    condition is affine in T); each candidate is verified by weighted
-    point-set matching of the full phase clouds. When the drift image exists
-    and the velocity marginal is not concentrated at zero, the time is unique.
+    Candidate times come from displacement ratios of the fastest source atom
+    to the target atoms with its velocity (the drift condition is affine in
+    T); each candidate is verified by comparing the drift image with the
+    target as measures on phase space (``coincident_blocks`` within
+    ``DRIFT_TOL``), so atoms split or merged at one phase point still match.
+    When the drift image exists and the velocity marginal is not concentrated
+    at zero, the time is unique.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     vmax_mu = float(np.max(np.linalg.norm(mu.velocities, axis=1)))
     vmax_nu = float(np.max(np.linalg.norm(nu.velocities, axis=1)))
-    if vmax_mu <= tol and vmax_nu <= tol:
+    if vmax_mu <= DRIFT_TOL and vmax_nu <= DRIFT_TOL:
         return FreeTransportMatch(both_rest=True)
 
     def phase_match(T: float) -> bool:
-        img_x = mu.positions + T * mu.velocities
-        pts_a = np.hstack([img_x, mu.velocities])
+        pts_a = np.hstack([mu.positions + T * mu.velocities, mu.velocities])
         pts_b = np.hstack([nu.positions, nu.velocities])
-        return (
-            match_weighted_point_sets(pts_a, mu.weights, pts_b, nu.weights, tol)
-            is not None
-        )
+        return coincident_blocks(pts_a, mu.weights, pts_b, nu.weights, DRIFT_TOL) is not None
 
     # Anchor on the fastest source atom; any valid drift time must map it onto
     # some target atom with (nearly) the same velocity.
@@ -412,12 +405,12 @@ def detect_free_transport(
     v = mu.velocities[i_star]
     speed_sq = float(np.dot(v, v))
     candidates = [0.0]
-    if speed_sq > tol * tol:
+    if speed_sq > DRIFT_TOL * DRIFT_TOL:
         for j in range(nu.size):
-            if float(np.max(np.abs(nu.velocities[j] - v))) > tol * (1.0 + vmax_mu):
+            if float(np.max(np.abs(nu.velocities[j] - v))) > DRIFT_TOL * (1.0 + vmax_mu):
                 continue
             T = float(np.dot(nu.positions[j] - mu.positions[i_star], v)) / speed_sq
-            if T >= -tol:
+            if T >= -DRIFT_TOL:
                 candidates.append(max(T, 0.0))
     for T in sorted(set(candidates)):
         if phase_match(T):

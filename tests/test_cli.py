@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import otikin
 import otikin.solver
 from otikin.cli import build_parser, canonical_json, main
 from otikin.measures import measure_from_csv, measure_to_json
@@ -334,6 +337,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # a deleted helper must not leave a stale entry in a module's __all__
+    for info in pkgutil.iter_modules(otikin.__path__):
+        module = importlib.import_module(f"otikin.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
 
 
 def test_canonical_json_fixed_formatting():

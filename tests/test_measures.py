@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from otikin.measures import (
     DiscreteMeasure,
     PairMoments,
     check_coupling,
-    match_weighted_point_sets,
+    coincident_blocks,
     measure_from_csv,
     measure_from_json,
     measure_to_csv,
@@ -260,8 +262,22 @@ def test_point_set_matcher():
     pts = rng.normal(size=(5, 2))
     w = np.full(5, 0.2)
     perm = rng.permutation(5)
-    pairs = match_weighted_point_sets(pts, w, pts[perm], w, 1e-9)
-    assert pairs is not None
-    for ia, ib in pairs:
-        assert np.allclose(pts[ia], pts[perm][ib])
-    assert match_weighted_point_sets(pts, w, pts + 0.5, w, 1e-9) is None
+    blocks = coincident_blocks(pts, w, pts[perm], w, 1e-9)
+    assert blocks is not None
+    for rows, cols in blocks:
+        for ia, ib in itertools.product(rows, cols):
+            assert np.allclose(pts[ia], pts[perm][ib])
+    assert coincident_blocks(pts, w, pts + 0.5, w, 1e-9) is None
+    # atoms at one point count by their total mass, in either set
+    pts = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+    merged = np.array([[2.0, 0.0], [0.0, 1.0]])
+    blocks = coincident_blocks(pts, np.array([0.25, 0.25, 0.5]), merged, np.array([0.5, 0.5]), 1e-9)
+    assert sorted((r.tolist(), c.tolist()) for r, c in blocks) == [([0, 1], [1]), ([2], [0])]
+    assert coincident_blocks(merged, np.array([0.5, 0.5]), pts, np.array([0.25, 0.25, 0.5]), 1e-9)
+    # unequal mass on one block, or a point of either set left out
+    assert coincident_blocks(pts, np.array([0.2, 0.2, 0.6]), merged, np.array([0.5, 0.5]), 1e-9) is None
+    assert coincident_blocks(pts[:2], np.array([0.5, 0.5]), merged, np.array([0.5, 0.5]), 1e-9) is None
+    assert coincident_blocks(merged, np.array([0.5, 0.5]), pts[:2], np.array([0.5, 0.5]), 1e-9) is None
+    # masses balance, but the point at 0 joins two blocks and the one at 10 none
+    a, b = np.array([[-1.0], [1.0]]), np.array([[0.0], [10.0], [2.0]])
+    assert coincident_blocks(a, np.array([0.25, 0.75]), b, np.array([0.25, 0.25, 0.5]), 1.0) is None

@@ -29,6 +29,7 @@ from otikin.solver import (
 )
 from otikin.measures import PlanMoments
 from otikin.verification import _oracle_sweep
+from test_lp import reference_lp_value
 
 
 def moments(A, B, C, D):
@@ -159,6 +160,39 @@ class TestTimeOptimisedSolve:
         # monotone velocity matching: (-1 -> 0, 1 -> 2) costs (1 + 1)/2
         assert res.cost_sq == pytest.approx(1.0)
 
+    def test_equal_positions_regime_on_several_sites(self):
+        # three shared sites with unequal atom counts per site and per side:
+        # the cost is the sum of the per-site velocity transport values
+        rng = np.random.default_rng(3)
+        sites = np.array([[0.0, 0.0], [1.0, -0.5], [-2.0, 1.5]])
+        mass = np.array([0.5, 0.3, 0.2])
+
+        def cloud(counts, order):
+            X, V, w = [], [], []
+            for site in order:
+                split = rng.uniform(0.5, 1.5, size=counts[site])
+                X += [sites[site]] * counts[site]
+                V.append(rng.normal(size=(counts[site], 2)))
+                w.append(mass[site] * split / split.sum())
+            return np.asarray(X), np.vstack(V), np.concatenate(w)
+
+        X, V, w = cloud((3, 1, 2), (0, 1, 2))
+        Y, U, u = cloud((1, 2, 3), (2, 0, 1))
+        ref = 0.0
+        for site in sites:
+            a, b = np.all(X == site, axis=1), np.all(Y == site, axis=1)
+            cost = np.sum((U[b][None, :, :] - V[a][:, None, :]) ** 2, axis=2)
+            ref += reference_lp_value(cost, w[a], u[b])
+        res = solve_d(DiscreteMeasure(X, V, w), DiscreteMeasure(Y, U, u))
+        assert res.regime == "equal_positions"
+        assert res.cost_sq == pytest.approx(ref, rel=1e-12)
+        # 1e-6 of mass moved from the first site of nu to its second
+        u_shifted = u.copy()
+        u_shifted[np.flatnonzero(np.all(Y == sites[0], axis=1))[0]] -= 1e-6
+        u_shifted[np.flatnonzero(np.all(Y == sites[1], axis=1))[0]] += 1e-6
+        res = solve_d(DiscreteMeasure(X, V, w), DiscreteMeasure(Y, U, u_shifted))
+        assert res.regime != "equal_positions"
+
     def test_upper_bound_solver_examples(self):
         mu, nu = free_transport_pair(T=1.1)
         assert solve_tilde_d(mu, nu).cost_sq <= 1e-10
@@ -260,6 +294,16 @@ class TestFreeTransportDetection:
         mu, _ = free_transport_pair(T=0.0)
         det = detect_free_transport(mu, mu)
         assert det.T == pytest.approx(0.0, abs=1e-12)
+
+    def test_drift_image_with_merged_atoms(self):
+        # nu is mu's drift image at T = 0.7 with mu's two atoms at (0, 1)
+        # merged into one: the same measure, though not the same atom list
+        mu = DiscreteMeasure([[0.0], [0.0], [1.0]], [[1.0], [1.0], [0.5]], [0.25, 0.25, 0.5])
+        nu = DiscreteMeasure([[0.7], [1.35]], [[1.0], [0.5]], [0.5, 0.5])
+        res = solve_d(mu, nu)
+        assert res.cost_sq <= 1e-10
+        assert res.optimal_time.value == pytest.approx(0.7, abs=1e-12)
+        assert detect_free_transport(mu, nu).T == pytest.approx(0.7, abs=1e-12)
 
     def test_generic_pair_rejected(self):
         mu, nu = generic_positive_instance()
