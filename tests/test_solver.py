@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,70 @@ class TestOracle:
         mu, nu = random_uniform_instance(rng, 9, 1)
         with pytest.raises(ValueError):
             brute_force_oracle(mu, nu)
+
+
+def _tree_pair(rng, m, k, integer):
+    """Random pair on the tree path: positive marginals, small integers over
+    their total (degenerate trees, repeated vertices) when ``integer``."""
+    if integer:
+        a = rng.integers(1, 4, size=m).astype(float)
+        b = rng.integers(1, 4, size=k).astype(float)
+        gap = a.sum() - b.sum()
+        if gap > 0:
+            b[0] += gap
+        else:
+            a[0] -= gap
+    else:
+        a, b = rng.uniform(0.5, 1.5, size=m), rng.uniform(0.5, 1.5, size=k)
+    return (
+        DiscreteMeasure(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)), a / a.sum()),
+        DiscreteMeasure(rng.normal(size=(k, 2)), rng.normal(size=(k, 2)), b / b.sum()),
+    )
+
+
+def oracle_pin_instances():
+    """Uniform pairs for m = 1..6 (permutation path), tree-path pairs with
+    m + k <= 8, a third of them with integer marginals, and three with ties or
+    a position-preserving vertex."""
+    rng = np.random.default_rng(8)
+    pairs = [nonunique_two_atom_instance()]
+    for m in range(1, 7):
+        pairs.append(random_uniform_instance(rng, m, 1 + m % 3))
+    sizes = [(1, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 4),
+             (4, 3), (2, 6), (3, 5), (5, 3), (4, 4), (1, 7)]
+    for i, (m, k) in enumerate(sizes):
+        pairs.append(_tree_pair(rng, m, k, integer=i % 3 == 0))
+    # the tie pair with its first target atom split in two: tree vertices tie
+    mu, nu = nonunique_two_atom_instance()
+    split = [0, 0, 1]
+    pairs.append((mu, DiscreteMeasure(nu.positions[split], nu.velocities[split], [0.2, 0.3, 0.5])))
+    # the same sites on both sides: one vertex keeps every position (A = 0)
+    mu, _ = random_uniform_instance(rng, 3, 2)
+    nu = DiscreteMeasure(mu.positions[::-1], rng.normal(size=(3, 2)), mu.weights)
+    pairs.append((mu, nu))
+    return pairs
+
+
+def _time_key(t):
+    return f"{t.kind}:{'' if t.value is None else t.value.hex()}"
+
+
+# SHA-256 of every oracle result on ``oracle_pin_instances``: cost, vertex
+# count, regime, horizon and plan bytes, then every tied optimum in order.
+ORACLE_PIN = "3bd370cdaffb683e695a89978072b962b275146d7bbc8af0c9bff3834e12a2f2"
+
+
+def test_oracle_bytes_pinned():
+    h = hashlib.sha256()
+    for mu, nu in oracle_pin_instances():
+        res = brute_force_oracle(mu, nu)
+        head = (res.cost_sq.hex(), res.iterations, res.regime, _time_key(res.optimal_time))
+        h.update(repr(head).encode())
+        h.update(res.plan.P.tobytes())
+        for P, cost, t in res.optima:
+            h.update(P.tobytes())
+            h.update(repr((cost.hex(), _time_key(t))).encode())
+    assert h.hexdigest() == ORACLE_PIN
 
 
 class TestFreeTransportDetection:
