@@ -377,7 +377,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if r.ok else "FAIL"
         if not r.ok:
             failures += 1
-        print(f"{status} {r.name}: {r.detail}")
+        print(f"{status} {r.seconds:.3f}s {r.name}: {r.detail}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,22 @@ __all__ = [
     "coincident_blocks",
 ]
 
+# Parsed weight sums within this of 1 are renormalised, larger gaps rejected.
 WEIGHT_SUM_TOL = 1e-6
+# A constructed measure's weights must sum to 1 within this.
+UNIT_MASS_TOL = 1e-10
+# Plan row and column sums must match the marginals within this.
 MARGINAL_TOL = 1e-9
+# Plan entries down to -NEGATIVE_MASS_TOL are rounding and are clipped to zero.
+NEGATIVE_MASS_TOL = 1e-12
 # Plan cells with less mass than this are outside the plan's support.
 SUPPORT_TOL = 1e-15
+# Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative.
+MOMENT_NEG_TOL = 1e-12
+# |B| may exceed sqrt(A C) by CAUCHY_SCHWARZ_TOL * (1 + sqrt(A C)).
+CAUCHY_SCHWARZ_TOL = 1e-9
+# A plan with A <= POSITION_PRESERVING_TOL * (1 + pos_scale_sq) keeps positions.
+POSITION_PRESERVING_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class DiscreteMeasure:
             raise ValueError("atom coordinates must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-10:
+        if abs(float(w.sum()) - 1.0) > UNIT_MASS_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
 
     @property
@@ -102,7 +115,7 @@ def validate_measure(raw) -> DiscreteMeasure:
 
     ``raw`` is either a dict with keys ``dim`` and ``points`` (each point a
     dict with ``x``, ``v``, ``w``) or a triple of arrays. Weight sums within
-    1e-6 of 1 are renormalised; larger deviations are rejected.
+    ``WEIGHT_SUM_TOL`` of 1 are renormalised; larger deviations are rejected.
     """
     if isinstance(raw, dict):
         dim = int(raw["dim"])
@@ -210,8 +223,9 @@ def load_measure(path: str, fmt: str = "json") -> DiscreteMeasure:
 class Coupling:
     """Dense m x k transport plan between two measures.
 
-    Entries are clipped to zero from above -1e-12; row sums must match the
-    source weights and column sums the target weights within 1e-9.
+    Entries down to -``NEGATIVE_MASS_TOL`` are clipped to zero; row sums must
+    match the source weights and column sums the target weights within
+    ``MARGINAL_TOL``.
     """
 
     P: np.ndarray
@@ -225,7 +239,7 @@ class Coupling:
                 f"plan shape {P.shape} does not match marginals "
                 f"({self.source.size}, {self.target.size})"
             )
-        if float(P.min(initial=0.0)) < -1e-12:
+        if float(P.min(initial=0.0)) < -NEGATIVE_MASS_TOL:
             raise ValueError(f"plan has negative mass {P.min()}")
         P = np.clip(P, 0.0, None)
         object.__setattr__(self, "P", P)
@@ -237,7 +251,7 @@ class Coupling:
             )
 
     def support(self) -> list[tuple[int, int]]:
-        """Row-major ``(i, j)`` cells of the plan with mass at least 1e-15."""
+        """Row-major ``(i, j)`` cells of the plan with mass at least ``SUPPORT_TOL``."""
         return [(int(i), int(j)) for i, j in np.argwhere(self.P >= SUPPORT_TOL)]
 
 
@@ -258,16 +272,16 @@ class PlanMoments:
     pos_scale_sq: float = 0.0
 
     def __post_init__(self):
-        if min(self.A, self.C, self.D) < -1e-12:
+        if min(self.A, self.C, self.D) < -MOMENT_NEG_TOL:
             raise ValueError("moments A, C, D must be nonnegative")
-        cs = np.sqrt(max(self.A, 0.0) * max(self.C, 0.0))
-        if abs(self.B) > cs + 1e-9 * (1.0 + cs):
+        cs = math.sqrt(max(self.A, 0.0) * max(self.C, 0.0))
+        if abs(self.B) > cs + CAUCHY_SCHWARZ_TOL * (1.0 + cs):
             raise ValueError(f"|B|={abs(self.B)} violates Cauchy-Schwarz bound {cs}")
 
     @property
     def eps_A(self) -> float:
         """Threshold under which the coupling is treated as position-preserving."""
-        return 1e-14 * (1.0 + self.pos_scale_sq)
+        return POSITION_PRESERVING_TOL * (1.0 + self.pos_scale_sq)
 
 
 def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
@@ -311,17 +325,29 @@ class PairMoments:
         """Pointwise large-horizon cost 3 |v+w|^2 + |w-v|^2."""
         return 3.0 * self.C + self.D
 
+    def _sums(self, plans: np.ndarray) -> list[np.ndarray]:
+        """P-weighted sums of A, B, C, D over the last two axes of ``plans``.
+
+        One plan and a stack of plans reduce each plan's cells in the same
+        order, so a plan's moments have the same bits either way.
+        """
+        if plans.shape[-2:] != self.A.shape:
+            raise ValueError("coupling does not match the given measures")
+        return [np.sum(plans * M, axis=(-2, -1)) for M in (self.A, self.B, self.C, self.D)]
+
     def of(self, P: np.ndarray) -> PlanMoments:
         """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D."""
-        if P.shape != self.A.shape:
+        if P.ndim != 2:
             raise ValueError("coupling does not match the given measures")
-        return PlanMoments(
-            A=float(np.sum(P * self.A)),
-            B=float(np.sum(P * self.B)),
-            C=float(np.sum(P * self.C)),
-            D=float(np.sum(P * self.D)),
-            pos_scale_sq=self.pos_scale_sq,
-        )
+        A, B, C, D = (float(s) for s in self._sums(P))
+        return PlanMoments(A, B, C, D, self.pos_scale_sq)
+
+    def of_each(self, plans: np.ndarray) -> list[PlanMoments]:
+        """Moments of every plan in a (V, m, k) stack, in stack order."""
+        if plans.ndim != 3:
+            raise ValueError("expected a stack of plan matrices")
+        sums = (s.tolist() for s in self._sums(plans))
+        return [PlanMoments(A, B, C, D, self.pos_scale_sq) for A, B, C, D in zip(*sums)]
 
 
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:

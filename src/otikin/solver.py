@@ -10,7 +10,9 @@ OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
 3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
 branch-and-bound over s that calls the transportation simplex, each call
 warm-started from the last one's optimal basis (all share their marginals),
-and a brute-force vertex oracle cross-checks global minima on small instances.
+and a brute-force vertex oracle cross-checks global minima on small instances:
+it stacks every vertex plan, takes all their moments in four reductions, and
+builds plans and horizons only for the tied optima.
 """
 
 from __future__ import annotations
@@ -288,23 +290,28 @@ def solve_tilde_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     return _solve_time_optimised(mu, nu, cost_tilde_c)
 
 
-def _vertex_plans_uniform(m: int):
-    for perm in itertools.permutations(range(m)):
-        P = np.zeros((m, m))
-        P[np.arange(m), perm] = 1.0 / m
-        yield P
+def _vertex_plans_uniform(m: int) -> np.ndarray:
+    """The m! permutation plans of mass 1/m per cell, stacked (m!, m, m) in
+    ``itertools.permutations`` order."""
+    perms = np.array(list(itertools.permutations(range(m))))
+    plans = np.zeros((len(perms), m, m))
+    plans[np.arange(len(perms))[:, None], np.arange(m), perms] = 1.0 / m
+    return plans
 
 
-def _vertex_plans_trees(a: np.ndarray, b: np.ndarray):
-    """All vertices of the transportation polytope via spanning-tree bases.
+def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All vertices of the transportation polytope via spanning-tree bases,
+    stacked (V, m, k) in the order their first tree is enumerated.
 
     Basic solutions are supported on spanning trees of the complete bipartite
     graph; the flow on a tree is unique (``tree_flows``) and the tree is a
-    vertex iff the flow is nonnegative. Duplicate vertices from degenerate trees are filtered out.
+    vertex iff the flow is nonnegative. Duplicate vertices from degenerate
+    trees are filtered out.
     """
     m, k = a.size, b.size
     edges = [(i, j) for i in range(m) for j in range(k)]
     seen: set[bytes] = set()
+    vertices = []
     for tree in itertools.combinations(edges, m + k - 1):
         P = tree_flows(a, b, tree)
         if P is None or float(P.min()) < -VERTEX_CLIP:
@@ -314,7 +321,8 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray):
         if key in seen:
             continue
         seen.add(key)
-        yield P
+        vertices.append(P)
+    return np.stack(vertices)
 
 
 def brute_force_oracle(
@@ -326,40 +334,42 @@ def brute_force_oracle(
 
     The time-optimised cost is an infimum of linear functions of the plan,
     hence concave; its minimum over the polytope is attained at a vertex, so
-    enumerating vertices is exhaustive. All optimal vertices within a relative
-    tie tolerance of ``ORACLE_TIE_TOL`` are reported in ``optima``. Instances
-    are enumerated up to ``cap`` atoms per side when uniform, else ``cap``
-    atoms in total.
+    enumerating vertices is exhaustive. The vertices are evaluated as one
+    (V, m, k) stack: ``PairMoments.of_each`` gives every vertex its validated
+    moments in four reductions, and each gets its ``cost_c``. All optimal
+    vertices within a relative tie tolerance of ``ORACLE_TIE_TOL`` are
+    reported in ``optima``, in enumeration order; only these get a copied
+    plan and an optimal horizon. Instances are enumerated up to ``cap`` atoms
+    per side when uniform, else ``cap`` atoms in total.
     """
     pm = PairMoments(mu, nu)
     uniform = is_uniform_equal(mu.weights, nu.weights)
     if uniform and mu.size <= cap:
-        vertices = _vertex_plans_uniform(mu.size)
+        plans = _vertex_plans_uniform(mu.size)
     elif mu.size + nu.size <= cap:
-        vertices = _vertex_plans_trees(mu.weights, nu.weights)
+        plans = _vertex_plans_trees(mu.weights, nu.weights)
     else:
         raise ValueError(
             f"instance too large for the oracle "
             f"(m={mu.size}, k={nu.size}, cap={cap})"
         )
 
-    evaluated = []
-    count = 0
-    for P in vertices:
-        count += 1
-        m = pm.of(P)
-        evaluated.append((cost_c(m), P, optimal_time_plan(m)))
-    best_value = min(e[0] for e in evaluated)
+    moments = pm.of_each(plans)
+    costs = [cost_c(m) for m in moments]
+    best_value = min(costs)
     tie_tol = ORACLE_TIE_TOL * (1.0 + abs(best_value))
-    ties = [e for e in evaluated if e[0] <= best_value + tie_tol]
-    optima = tuple((e[1].copy(), e[0], e[2]) for e in ties)
-    value, P_best, tag = ties[0]
+    optima = tuple(
+        (plans[v].copy(), value, optimal_time_plan(moments[v]))
+        for v, value in enumerate(costs)
+        if value <= best_value + tie_tol
+    )
+    P_best, _, tag = optima[0]
     return SolveResult(
         cost_sq=max(best_value, 0.0),
         optimal_time=tag,
         regime=_REGIME_OF_TAG[tag.kind],
         plan=Coupling(P_best, mu, nu),
-        iterations=count,
+        iterations=len(plans),
         optima=optima,
     )
 

@@ -8,7 +8,8 @@ these checks into suites; the test bench runs all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check, set by ``run_checks``
 
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:
@@ -558,10 +560,10 @@ SUITES = {
 def run_checks(checks, seed: int = 42) -> list[CheckResult]:
     results = []
     for fn in checks:
+        start = time.perf_counter()
         try:
-            results.append(fn(seed=seed))
+            result = fn(seed=seed)
         except Exception as exc:  # surfaced as a failing check, not a crash
-            results.append(
-                CheckResult(name=fn.__name__, ok=False, detail=f"error: {exc}")
-            )
+            result = CheckResult(name=fn.__name__, ok=False, detail=f"error: {exc}")
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -324,6 +324,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
+        checks = out.splitlines()[:-1]
+        assert checks and all(re.match(r"PASS \d+\.\d{3}s [\w-]+: ", line) for line in checks)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from otikin.measures import (
     Coupling,
     DiscreteMeasure,
+    PairMoments,
     plan_moments,
     product_coupling,
 )
@@ -19,6 +21,8 @@ from otikin.scenarios import (
     random_uniform_instance,
 )
 from otikin.solver import (
+    _vertex_plans_trees,
+    _vertex_plans_uniform,
     brute_force_oracle,
     cost_c,
     cost_tilde_c,
@@ -284,6 +288,36 @@ class TestOracle:
         mu, nu = random_uniform_instance(rng, 9, 1)
         with pytest.raises(ValueError):
             brute_force_oracle(mu, nu)
+
+    def test_uniform_counts_every_permutation(self):
+        rng = np.random.default_rng(11)
+        for m in range(1, 7):
+            mu, nu = random_uniform_instance(rng, m, 2)
+            assert brute_force_oracle(mu, nu).iterations == math.factorial(m)
+
+
+def _moment_fields(m):
+    return (m.A, m.B, m.C, m.D, m.pos_scale_sq)
+
+
+@pytest.mark.parametrize("path", ["uniform", "tree"])
+def test_stacked_moments_equal_single_plan_moments(path):
+    # every field bit for bit, not approximately: the oracle's moments come
+    # from the stacked form and every other plan's from the single-plan one
+    rng = np.random.default_rng(12)
+    if path == "uniform":
+        mu, nu = random_uniform_instance(rng, 5, 3)
+        plans = _vertex_plans_uniform(5)
+    else:
+        mu, nu = _tree_pair(rng, 3, 4, integer=False)
+        plans = _vertex_plans_trees(mu.weights, nu.weights)
+    pm = PairMoments(mu, nu)
+    stacked = pm.of_each(plans)
+    single = [pm.of(P) for P in plans]
+    assert len(stacked) == len(plans) > 1
+    assert [_moment_fields(m) for m in stacked] == [_moment_fields(m) for m in single]
+    with pytest.raises(ValueError):
+        pm.of_each(plans[:, :-1, :])
 
 
 def _tree_pair(rng, m, k, integer):
