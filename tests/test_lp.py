@@ -198,7 +198,7 @@ def test_vertex_matches_enumeration():
         m = int(rng.integers(2, 5))
         k = int(rng.integers(2, 8 - m))
         cost, a, b = generic_problem(rng, m, k)
-        vertices = list(_vertex_plans_trees(a, b))
+        vertices = _vertex_plans_trees(a, b)
         values = [float(np.sum(cost * V)) for V in vertices]
         best = vertices[int(np.argmin(values))]
         P = transportation_simplex(cost, a, b)
