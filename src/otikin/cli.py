@@ -6,16 +6,19 @@ cost between two measure files), ``oracle`` (brute-force vertex enumeration),
 run with trajectory export), ``probe`` (derivative / time-ratio ladders), and
 ``verify`` (packaged verification suites).
 
-Exit codes: 2 usage or missing file, 3 malformed measure data, 4 solver
-failure (an input the solver rejects, or a ``RuntimeError`` of the simplex),
-5 verification failure. JSON outputs are byte-deterministic: floats are
-written with 17 significant digits and keys in fixed order.
+Exit codes: 2 usage error, unreadable input file or unwritable output, 3
+malformed measure data, 4 solver failure (an input the solver rejects, or a
+``RuntimeError`` of the simplex), 5 verification failure. Single arguments are
+checked by argparse as it parses them, before any file is read; ``main`` maps
+a handler's failure to its exit code. JSON outputs are byte-deterministic:
+floats are written with 17 significant digits and keys in fixed order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -96,12 +99,13 @@ def result_to_json(res: SolveResult) -> dict:
 
 
 def _load(path: str, fmt: str):
-    if not Path(path).exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    """Read a measure file: exit 2 if it cannot be read, 3 if it does not parse."""
     try:
         return load_measure(path, fmt)
-    except (ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:
+        print(f"error: cannot read measure file: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: malformed measure file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_MEASURE)
 
@@ -126,6 +130,35 @@ def _force_from_arg(spec: str) -> ForceField:
     return ForceField.from_tag(spec)
 
 
+def _arg_type(convert, valid, expected: str):
+    """An argparse ``type=``: convert the string, then reject invalid values."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+def _is_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+_finite = _arg_type(float, math.isfinite, "a finite number")
+_positive = _arg_type(float, _is_positive, "a positive finite number")
+_count = _arg_type(int, lambda n: n >= 1, "an integer of at least 1")
+_offsets = _arg_type(
+    lambda text: [float(h) for h in text.split(",") if h.strip()],
+    lambda hs: bool(hs) and all(map(_is_positive, hs)),
+    "a comma-separated list of positive finite offsets",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otikin",
@@ -145,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "discrepancy", parents=[common_measures], help="transport cost between measures"
     )
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--T", type=float, help="fixed horizon")
+    mode.add_argument("--T", type=_positive, help="fixed horizon")
     mode.add_argument(
         "--optimize-T", action="store_true", help="time-optimised envelope cost"
     )
@@ -157,14 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common_measures], help="brute-force vertex enumeration"
     )
-    p.add_argument("--cap", type=int, default=8, help="enumeration size cap")
+    p.add_argument("--cap", type=_count, default=8, help="enumeration size cap")
     p.add_argument("--out", required=True, help="result JSON path")
 
     p = sub.add_parser(
         "interpolate", parents=[common_measures], help="spline interpolation frames"
     )
-    p.add_argument("--T", type=float, required=True, help="horizon")
-    p.add_argument("--steps", type=int, required=True, help="number of frames minus one")
+    p.add_argument("--T", type=_positive, required=True, help="horizon")
+    p.add_argument("--steps", type=_count, required=True, help="number of frames minus one")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="particle Vlasov integration")
@@ -177,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="force tag: free | harmonic | damped:<g> | @poly.json",
     )
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--stride", type=int, default=1, help="write every k-th frame")
+    p.add_argument("--t0", type=_finite, required=True)
+    p.add_argument("--t1", type=_finite, required=True)
+    p.add_argument("--dt", type=_positive, required=True)
+    p.add_argument("--stride", type=_count, default=1, help="write every k-th frame")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("probe", help="derivative / optimal-time ratio ladders")
@@ -192,9 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="harmonic-single",
         choices=("harmonic-single", "harmonic-ensemble", "opposite-pair"),
     )
-    p.add_argument("--time", type=float, default=0.3, help="probe time")
+    p.add_argument("--time", type=_finite, default=0.3, help="probe time")
     p.add_argument(
-        "--h", default="0.2,0.1,0.05,0.025", help="comma-separated offset ladder"
+        "--h",
+        type=_offsets,
+        default="0.2,0.1,0.05,0.025",
+        help="comma-separated offset ladder",
     )
     p.add_argument("--out", required=True, help="output CSV path")
 
@@ -207,19 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_discrepancy(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
-    try:
-        if args.T is not None:
-            if not (np.isfinite(args.T) and args.T > 0):
-                print("error: --T must be positive and finite", file=sys.stderr)
-                return EXIT_USAGE
-            res = solve_fixed_T(mu, nu, args.T)
-        elif args.optimize_T:
-            res = solve_d(mu, nu)
-        else:
-            res = solve_tilde_d(mu, nu)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.T is not None:
+        res = solve_fixed_T(mu, nu, args.T)
+    elif args.optimize_T:
+        res = solve_d(mu, nu)
+    else:
+        res = solve_tilde_d(mu, nu)
     _write_text(args.out, canonical_json(result_to_json(res)) + "\n")
     return EXIT_OK
 
@@ -227,14 +256,7 @@ def cmd_discrepancy(args) -> int:
 def cmd_oracle(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
-    if args.cap < 1:
-        print("error: --cap must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        res = brute_force_oracle(mu, nu, cap=args.cap)
-    except ValueError as exc:
-        print(f"error: oracle failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    res = brute_force_oracle(mu, nu, cap=args.cap)
     payload = result_to_json(res)
     payload["n_optimal_vertices"] = len(res.optima)
     payload["optimal_times"] = [_time_to_json(t) for _, _, t in res.optima]
@@ -245,18 +267,8 @@ def cmd_oracle(args) -> int:
 def cmd_interpolate(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
-    if not (np.isfinite(args.T) and args.T > 0):
-        print("error: --T must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
-    if args.steps < 1:
-        print("error: --steps must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        res = solve_fixed_T(mu, nu, args.T)
-        ens = build_dynamical_plan(mu, nu, res.plan, args.T)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    res = solve_fixed_T(mu, nu, args.T)
+    ens = build_dynamical_plan(mu, nu, res.plan, args.T)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     times = [args.T * k / args.steps for k in range(args.steps + 1)]
@@ -274,30 +286,17 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    mu = _load(args.mu, args.format)
-    if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
-        print("error: --t0 and --t1 must be finite", file=sys.stderr)
-        return EXIT_USAGE
     if not args.t1 > args.t0:
         print("error: --t1 must exceed --t0", file=sys.stderr)
         return EXIT_USAGE
-    if not (np.isfinite(args.dt) and args.dt > 0):
-        print("error: --dt must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
-    if args.stride < 1:
-        print("error: --stride must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         force = _force_from_arg(args.force)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: bad force specification: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        traj = vlasov_integrate(mu, force, args.t0, args.t1, args.dt)
-        action = path_action(traj)
-    except ValueError as exc:
-        print(f"error: integration failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    mu = _load(args.mu, args.format)
+    traj = vlasov_integrate(mu, force, args.t0, args.t1, args.dt)
+    action = path_action(traj)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     frame_files = []
@@ -330,42 +329,19 @@ def cmd_probe(args) -> int:
         "harmonic-ensemble": lambda: scenarios.harmonic_ensemble(seed=args.seed),
         "opposite-pair": scenarios.opposite_pair,
     }
-    if not np.isfinite(args.time):
-        print("error: --time must be finite", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        h_list = [float(h) for h in args.h.split(",") if h.strip()]
-    except ValueError:
-        h_list = []
-    if not h_list or not all(np.isfinite(h) and h > 0 for h in h_list):
-        print(
-            f"error: --h must list positive finite offsets, got {args.h!r}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     traj = builders[args.scenario]()
-    try:
-        if args.suite == "metric-derivative":
-            pts = metric_derivative_probe(traj, args.time, h_list)
-            lines = ["h,ratio_tilde,ratio_d,force_norm"]
-            for p in pts:
-                lines.append(
-                    ",".join(
-                        _fmt_float(x)
-                        for x in (p.h, p.ratio_tilde, p.ratio_d, p.force_norm)
-                    )
-                )
-        else:
-            probe = optimal_time_ratio_probe(traj, args.time, h_list)
-            lines = ["h,tag,T_ratio"]
-            for h, kind, ratio in probe.entries:
-                lines.append(
-                    f"{_fmt_float(h)},{kind},"
-                    + (_fmt_float(ratio) if ratio is not None else "")
-                )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.suite == "metric-derivative":
+        lines = ["h,ratio_tilde,ratio_d,force_norm"]
+        for p in metric_derivative_probe(traj, args.time, args.h):
+            lines.append(
+                ",".join(_fmt_float(x) for x in (p.h, p.ratio_tilde, p.ratio_d, p.force_norm))
+            )
+    else:
+        lines = ["h,tag,T_ratio"]
+        for h, kind, ratio in optimal_time_ratio_probe(traj, args.time, args.h).entries:
+            lines.append(
+                f"{_fmt_float(h)},{kind}," + (_fmt_float(ratio) if ratio is not None else "")
+            )
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -383,8 +359,10 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse has reported
+        return exc.code
     handler = {
         "discrepancy": cmd_discrepancy,
         "oracle": cmd_oracle,
@@ -393,7 +371,14 @@ def main(argv=None) -> int:
         "probe": cmd_probe,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main() -> None:

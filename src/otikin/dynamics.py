@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Coupling, DiscreteMeasure
-from .phase import HORIZON_TOL, CubicSpline, spline_action, spline_from_endpoints
+from .measures import MARGINAL_TOL, Coupling, DiscreteMeasure
+from .phase import HORIZON_TOL, TIME_GRID_TOL, CubicSpline, spline_action, spline_from_endpoints
 from .solver import solve_d, solve_fixed_T
 
 __all__ = [
@@ -53,9 +53,9 @@ class SplineEnsemble:
         object.__setattr__(self, "masses", masses)
         if masses.size != len(self.splines):
             raise ValueError("one mass per spline required")
-        if abs(float(masses.sum()) - 1.0) > 1e-9:
+        if abs(float(masses.sum()) - 1.0) > MARGINAL_TOL:
             raise ValueError("spline masses must sum to 1")
-        if any(abs(s.horizon - self.horizon) > 1e-12 * self.horizon for s in self.splines):
+        if any(abs(s.horizon - self.horizon) > HORIZON_TOL * self.horizon for s in self.splines):
             raise ValueError("all splines must share the ensemble horizon")
 
     def action(self) -> float:
@@ -98,6 +98,9 @@ def interpolate_at(e: SplineEnsemble, t: float) -> DiscreteMeasure:
 
 # Phase separation at or below which two connectors count as meeting.
 SEPARATION_TOL = 1e-9
+# Two splines share a start (or end) state when their positions and their
+# velocities each agree within STATE_EQUAL_TOL * (1 + largest |coordinate|).
+STATE_EQUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,11 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     ``min_separation`` is the infimum over t in (0, T) of the phase separation
     ``sqrt(|dx(t)|^2 + |dv(t)|^2)``, which equals its minimum over [0, T],
     taken over the spline pairs whose start states differ and whose end states
-    differ (states equal within 1e-12 relative count as equal); it is ``inf``
-    when no pair qualifies. ``violated`` is ``min_separation <= 1e-9``. For
-    ensembles built from an optimal (cyclically monotone) coupling the minimum
-    is strictly positive; a reported violation certifies non-optimality.
+    differ (states equal within ``STATE_EQUAL_TOL`` relative count as equal);
+    it is ``inf`` when no pair qualifies. ``violated`` is ``min_separation <=
+    SEPARATION_TOL``. For ensembles built from an optimal (cyclically
+    monotone) coupling the minimum is strictly positive; a reported violation
+    certifies non-optimality.
 
     Pairs sharing one endpoint state are skipped because they cannot meet
     inside (0, T): their difference is t^2 (a + b t), or (T - t)^2 times a
@@ -136,7 +140,7 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
 
     def same(a: np.ndarray) -> np.ndarray:
         gap = np.max(np.abs(a[first] - a[second]), axis=1)
-        return gap <= 1e-12 * (1.0 + np.max(np.abs(a[first]), axis=1))
+        return gap <= STATE_EQUAL_TOL * (1.0 + np.max(np.abs(a[first]), axis=1))
 
     keep = ~((same(coef[:, 0]) & same(coef[:, 1])) | (same(x_end) & same(v_end)))
     first, second = first[keep], second[keep]
@@ -282,7 +286,7 @@ class Trajectory:
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
         span = max(1.0, float(abs(self.times[-1])))
-        if abs(float(self.times[idx]) - t) > 1e-9 * span:
+        if abs(float(self.times[idx]) - t) > TIME_GRID_TOL * span:
             raise ValueError(f"time {t} is not on the trajectory grid")
         return idx
 
@@ -319,7 +323,7 @@ def vlasov_integrate(
     if dt >= span:
         raise ValueError(f"dt={dt} must be smaller than the window {span}")
     n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+    if abs(n_steps * dt - span) > TIME_GRID_TOL * max(1.0, span):
         raise ValueError(f"dt={dt} does not divide the window [{t0}, {t1}]")
 
     m, n = mu0.size, mu0.dim
@@ -395,7 +399,7 @@ def _simpson(values: np.ndarray, dt: float) -> float:
 def _uniform_dt(traj: Trajectory) -> float:
     steps = np.diff(traj.times)
     dt = float(steps[0])
-    if float(np.max(np.abs(steps - dt))) > 1e-9 * dt:
+    if float(np.max(np.abs(steps - dt))) > TIME_GRID_TOL * dt:
         raise ValueError("action quadrature requires a uniform time grid")
     return dt
 

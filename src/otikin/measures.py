@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import transportation_simplex
-from .phase import PhaseState
+from .phase import POSITION_TOL, PhaseState
 
 __all__ = [
     "DiscreteMeasure",
@@ -55,8 +55,6 @@ SUPPORT_TOL = 1e-15
 MOMENT_NEG_TOL = 1e-12
 # |B| may exceed sqrt(A C) by CAUCHY_SCHWARZ_TOL * (1 + sqrt(A C)).
 CAUCHY_SCHWARZ_TOL = 1e-9
-# A plan with A <= POSITION_PRESERVING_TOL * (1 + pos_scale_sq) keeps positions.
-POSITION_PRESERVING_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,6 @@ class DiscreteMeasure:
     def velocity_norm_sq(self) -> float:
         """Mass-weighted squared velocity norm."""
         return float(np.sum(self.weights * np.sum(self.velocities**2, axis=1)))
-
-    def position_norm_sq(self) -> float:
-        return float(np.sum(self.weights * np.sum(self.positions**2, axis=1)))
 
     def mean_velocity(self) -> np.ndarray:
         """Total momentum (mass-weighted mean of v)."""
@@ -261,15 +256,15 @@ class PlanMoments:
 
     A = mean squared position gap, B = mean inner product of gap with velocity
     sum, C = mean squared velocity sum, D = mean squared velocity difference.
-    ``pos_scale_sq`` (second position moments of the marginals) is carried
-    only to set the branch guard for the division by A.
+    A plan with A <= ``eps_A`` keeps positions: it is the branch guard for
+    the division by A.
     """
 
     A: float
     B: float
     C: float
     D: float
-    pos_scale_sq: float = 0.0
+    eps_A: float = 0.0
 
     def __post_init__(self):
         if min(self.A, self.C, self.D) < -MOMENT_NEG_TOL:
@@ -277,11 +272,6 @@ class PlanMoments:
         cs = math.sqrt(max(self.A, 0.0) * max(self.C, 0.0))
         if abs(self.B) > cs + CAUCHY_SCHWARZ_TOL * (1.0 + cs):
             raise ValueError(f"|B|={abs(self.B)} violates Cauchy-Schwarz bound {cs}")
-
-    @property
-    def eps_A(self) -> float:
-        """Threshold under which the coupling is treated as position-preserving."""
-        return POSITION_PRESERVING_TOL * (1.0 + self.pos_scale_sq)
 
 
 def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
@@ -298,6 +288,11 @@ class PairMoments:
     matrices are A = |gap|^2, B = gap . vsum, C = |vsum|^2 and D = |vdiff|^2.
     Every pointwise cost and the moments of every plan are linear in them.
     Coordinates whose squares overflow raise ``ValueError``.
+
+    Positions coincide when every coordinate agrees within ``position_tol``,
+    POSITION_TOL * (1 + the largest coordinate of either measure). A plan that
+    moves mass only between coincident positions has A <= ``eps_A`` =
+    dim * position_tol^2, so its moments count it as position-preserving.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -311,8 +306,13 @@ class PairMoments:
             self.B = np.sum(gap * vsum, axis=2)
             self.C = np.sum(vsum * vsum, axis=2)
             self.D = np.sum(vdiff * vdiff, axis=2)
-            self.pos_scale_sq = mu.position_norm_sq() + nu.position_norm_sq()
-        moments = (self.A, self.B, self.C, self.D, self.pos_scale_sq)
+            scale = float(
+                np.max(np.abs(mu.positions), initial=0.0)
+                + np.max(np.abs(nu.positions), initial=0.0)
+            )
+            self.position_tol = POSITION_TOL * (1.0 + scale)
+            self.eps_A = mu.dim * self.position_tol * self.position_tol
+        moments = (self.A, self.B, self.C, self.D, self.eps_A)
         if not all(np.all(np.isfinite(M)) for M in moments):
             raise ValueError("pairwise moments overflow; coordinates are too large")
 
@@ -340,14 +340,14 @@ class PairMoments:
         if P.ndim != 2:
             raise ValueError("coupling does not match the given measures")
         A, B, C, D = (float(s) for s in self._sums(P))
-        return PlanMoments(A, B, C, D, self.pos_scale_sq)
+        return PlanMoments(A, B, C, D, self.eps_A)
 
     def of_each(self, plans: np.ndarray) -> list[PlanMoments]:
         """Moments of every plan in a (V, m, k) stack, in stack order."""
         if plans.ndim != 3:
             raise ValueError("expected a stack of plan matrices")
         sums = (s.tolist() for s in self._sums(plans))
-        return [PlanMoments(A, B, C, D, self.pos_scale_sq) for A, B, C, D in zip(*sums)]
+        return [PlanMoments(A, B, C, D, self.eps_A) for A, B, C, D in zip(*sums)]
 
 
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:

@@ -34,6 +34,11 @@ __all__ = [
 
 # A time may overshoot either end of a horizon T by HORIZON_TOL * T.
 HORIZON_TOL = 1e-12
+# Two positions coincide within POSITION_TOL * (1 + their scale); see _eps_x.
+POSITION_TOL = 1e-12
+# A requested time matches a grid time within TIME_GRID_TOL times the grid's
+# scale (its span, or its step when steps are compared).
+TIME_GRID_TOL = 1e-9
 
 
 def _as_vector(a) -> np.ndarray:
@@ -73,7 +78,7 @@ class PhaseState:
 # closed-form discrepancies is discontinuous, so the decision must be
 # deterministic and scale-aware.
 def _eps_x(x: np.ndarray, y: np.ndarray) -> float:
-    return 1e-12 * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y)))
+    return POSITION_TOL * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def curve_d_derivative(
         raise ValueError("offsets must be positive")
     times = np.asarray([float(s[0]) for s in samples])
     span = max(abs(t), abs(t + max(h_list)), 1.0)
-    tol = 1e-9 * span
+    tol = TIME_GRID_TOL * span
 
     def state_at(target: float) -> PhaseState:
         idx = int(np.argmin(np.abs(times - target)))

@@ -90,53 +90,49 @@ def factor2_trajectory(eps: float, dt: float) -> Trajectory:
     return vlasov_integrate(mu0, ForceField(_force, tag="factor2"), 0.0, t1, dt)
 
 
-def harmonic_single(t1: float = 1.0, dt: float = 1.0 / 160.0) -> Trajectory:
+def _harmonic_run(mu0: DiscreteMeasure) -> Trajectory:
+    """RK4 run of a cloud under F = -x on [0, 1] with dt = 1/160."""
+    return vlasov_integrate(mu0, ForceField.harmonic(), 0.0, 1.0, 1.0 / 160.0)
+
+
+def harmonic_single() -> Trajectory:
     """Unit-amplitude oscillator: single particle from (1, 0) under F = -x."""
-    mu0 = DiscreteMeasure([[1.0]], [[0.0]], [1.0])
-    return vlasov_integrate(mu0, ForceField.harmonic(), 0.0, t1, dt)
+    return _harmonic_run(DiscreteMeasure([[1.0]], [[0.0]], [1.0]))
 
 
-def harmonic_ensemble(
-    m: int = 32,
-    n: int = 1,
-    seed: int = 42,
-    t1: float = 1.0,
-    dt: float = 1.0 / 160.0,
-) -> Trajectory:
-    """Gaussian particle cloud under the harmonic force."""
+def harmonic_ensemble(seed: int = 42) -> Trajectory:
+    """Gaussian cloud of 32 particles on the line under the harmonic force."""
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(m, n))
-    V = rng.normal(size=(m, n))
-    mu0 = DiscreteMeasure(X, V, np.full(m, 1.0 / m))
-    return vlasov_integrate(mu0, ForceField.harmonic(), 0.0, t1, dt)
+    X = rng.normal(size=(32, 1))
+    V = rng.normal(size=(32, 1))
+    return _harmonic_run(DiscreteMeasure(X, V, np.full(32, 1.0 / 32)))
 
 
-def opposite_pair(t1: float = 1.0, dt: float = 1.0 / 160.0) -> Trajectory:
+def opposite_pair() -> Trajectory:
     """Two mirror-image particles; total momentum vanishes at all times."""
-    mu0 = DiscreteMeasure([[1.0], [-1.0]], [[0.0], [0.0]], [0.5, 0.5])
-    return vlasov_integrate(mu0, ForceField.harmonic(), 0.0, t1, dt)
+    return _harmonic_run(DiscreteMeasure([[1.0], [-1.0]], [[0.0], [0.0]], [0.5, 0.5]))
 
 
-def free_transport_pair(T: float = 0.7, seed: int = 7, m: int = 5, n: int = 2):
-    """Random cloud and its drift image; discrepancy zero with unique time T."""
+def free_transport_pair(T: float = 0.7, seed: int = 7):
+    """Random 5-atom planar cloud and its drift image; discrepancy zero with unique time T."""
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(m, n))
-    V = rng.normal(size=(m, n))
-    w = rng.uniform(0.5, 1.5, size=m)
+    X = rng.normal(size=(5, 2))
+    V = rng.normal(size=(5, 2))
+    w = rng.uniform(0.5, 1.5, size=5)
     mu = DiscreteMeasure(X, V, w / w.sum())
     return mu, pushforward_free_transport(mu, T)
 
 
-def generic_positive_instance(seed: int = 2024, m: int = 4, n: int = 2):
-    """Fixed random pair that is far from every zero-discrepancy class."""
-    rng = np.random.default_rng(seed)
+def generic_positive_instance():
+    """Fixed random 4-atom planar pair that is far from every zero-discrepancy class."""
+    rng = np.random.default_rng(2024)
     mu = DiscreteMeasure(
-        rng.normal(size=(m, n)), rng.normal(size=(m, n)), np.full(m, 1.0 / m)
+        rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), np.full(4, 1.0 / 4)
     )
     nu = DiscreteMeasure(
-        rng.normal(size=(m, n)) + 1.0,
-        rng.normal(size=(m, n)) - 0.5,
-        np.full(m, 1.0 / m),
+        rng.normal(size=(4, 2)) + 1.0,
+        rng.normal(size=(4, 2)) - 0.5,
+        np.full(4, 1.0 / 4),
     )
     return mu, nu
 
@@ -152,8 +148,8 @@ def random_uniform_instance(rng: np.random.Generator, m: int, n: int):
     return mu, nu
 
 
-def crossing_ensemble(T: float = 1.0) -> SplineEnsemble:
-    """Two-spline ensemble engineered to collide in phase at the mid time.
+def crossing_ensemble() -> SplineEnsemble:
+    """Two-spline ensemble on [0, 1] engineered to collide in phase at t = 1/2.
 
     The first connector runs from (0, 1) to (1, 0). The second starts at
     (1, -1) and is chosen as the cubic through the first connector's mid-time
@@ -161,16 +157,15 @@ def crossing_ensemble(T: float = 1.0) -> SplineEnsemble:
     polynomial to the full horizon forces an interior meeting with equal
     position and velocity, so the pair cannot come from an optimal coupling.
     """
-    s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), T)
-    t_mid = 0.5 * T
-    meet = PhaseState(s1.position(t_mid), s1.velocity(t_mid))
-    half = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, t_mid)
+    s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), 1.0)
+    meet = PhaseState(s1.position(0.5), s1.velocity(0.5))
+    half = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, 0.5)
     # Polynomial extension of the half-horizon cubic out to the full horizon.
-    dst2 = PhaseState(half.position(T), half.velocity(T))
-    s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, T)
+    dst2 = PhaseState(half.position(1.0), half.velocity(1.0))
+    s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, 1.0)
     return SplineEnsemble(
         splines=(s1, s2),
         masses=np.array([0.5, 0.5]),
-        horizon=T,
+        horizon=1.0,
         pair_indices=((0, 0), (1, 1)),
     )

@@ -58,9 +58,6 @@ COST_TOL = 1e-10
 # within ORACLE_TIE_TOL * (1 + |best|) of the least cost.
 VERTEX_CLIP = 1e-12
 ORACLE_TIE_TOL = 1e-9
-# Positions coincide when every coordinate agrees within
-# POSITION_TOL * (1 + the largest coordinate of either measure).
-POSITION_TOL = 1e-12
 # Drift detection: phase points coincide within DRIFT_TOL per coordinate, and
 # speeds up to DRIFT_TOL count as rest.
 DRIFT_TOL = 1e-8
@@ -142,24 +139,18 @@ def solve_fixed_T(mu: DiscreteMeasure, nu: DiscreteMeasure, T: float) -> SolveRe
     )
 
 
-def _position_tol(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    scale = float(
-        np.max(np.abs(mu.positions), initial=0.0)
-        + np.max(np.abs(nu.positions), initial=0.0)
-    )
-    return POSITION_TOL * (1.0 + scale)
-
-
 def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure, pm: PairMoments):
     """D-minimising coupling supported on coincident spatial sites, if feasible.
 
     Feasible iff the spatial marginals are the same measure, which
-    ``coincident_blocks`` decides on the positions; each of its blocks is then
-    an independent velocity OT problem with cost |w - v|^2, solved by the same
-    simplex backend with rows and columns in ascending index order.
+    ``coincident_blocks`` decides on the positions within ``pm.position_tol``
+    (so the candidate's moments count it as position-preserving); each of its
+    blocks is then an independent velocity OT problem with cost |w - v|^2,
+    solved by the same simplex backend with rows and columns in ascending
+    index order.
     """
     blocks = coincident_blocks(
-        mu.positions, mu.weights, nu.positions, nu.weights, _position_tol(mu, nu)
+        mu.positions, mu.weights, nu.positions, nu.weights, pm.position_tol
     )
     if blocks is None:
         return None

@@ -77,19 +77,38 @@ class TestParsing:
 
 
 class TestExitCodes:
-    def test_missing_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
+    def test_missing_file_exits_2(self, tmp_path, name):
         with pytest.raises(SystemExit) as exc:
-            main(["discrepancy", "--mu", str(tmp_path / "nope.json"), "--nu", TIE_NU,
+            main(["discrepancy", "--mu", str(tmp_path / name), "--nu", TIE_NU,
                   "--optimize-T", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
 
-    def test_malformed_measure_exits_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 1, "points": [{"x": [0.0], "v": [0.0], "w": -1.0}]}',
+            '{"dim": 1e999, "points": [{"x": [0.0], "v": [0.0], "w": 1.0}]}',
+        ],
+        ids=["negative-weight", "overflowing-dim"],
+    )
+    def test_malformed_measure_exits_3(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"dim": 1, "points": [{"x": [0.0], "v": [0.0], "w": -1.0}]}')
+        bad.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["discrepancy", "--mu", str(bad), "--nu", TIE_NU,
                   "--optimize-T", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        code = main(["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--T", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_parser_exits_are_returned(self, capsys):
+        assert main(["--help"]) == 0
+        assert main([]) == 2
 
     def test_oracle_too_large_exits_4(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -135,12 +154,16 @@ class TestExitCodes:
             ["simulate", "--mu", U5_MU, "--force", "free",
              "--t0", "1", "--t1", "0", "--dt", "0.1"],
             ["oracle", "--mu", U5_MU, "--nu", U5_NU, "--cap", "-1"],
+            ["simulate", "--mu", U5_MU, "--force", "@{dict_file}",
+             "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
         array_file = tmp_path / "array.json"
         array_file.write_text("[1, 2]")
-        argv = [a.format(array_file=array_file) for a in argv]
+        dict_file = tmp_path / "dict.json"
+        dict_file.write_text('{"kind": "poly", "coeffs": {"a": 1}}')
+        argv = [a.format(array_file=array_file, dict_file=dict_file) for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()

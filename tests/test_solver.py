@@ -11,7 +11,7 @@ from otikin.measures import (
     plan_moments,
     product_coupling,
 )
-from otikin.phase import tilde_dT_sq
+from otikin.phase import POSITION_TOL, PhaseState, d_sq, tilde_d_sq, tilde_dT_sq
 from otikin.scenarios import (
     circle_measure,
     circle_shift_coupling_moments,
@@ -39,7 +39,7 @@ from test_lp import reference_lp_value
 
 
 def moments(A, B, C, D):
-    return PlanMoments(A=A, B=B, C=C, D=D, pos_scale_sq=1.0)
+    return PlanMoments(A=A, B=B, C=C, D=D, eps_A=2e-14)
 
 
 class TestPlanCosts:
@@ -199,6 +199,35 @@ class TestTimeOptimisedSolve:
         res = solve_d(DiscreteMeasure(X, V, w), DiscreteMeasure(Y, U, u_shifted))
         assert res.regime != "equal_positions"
 
+    @pytest.mark.parametrize("x", [0.0, 1e3, -1e3])
+    @pytest.mark.parametrize("gap", [-2.0, -0.5, 0.5, 2.0])
+    def test_one_position_rule_on_dirac_pairs(self, x, gap):
+        # a gap of half or twice the position tolerance: the solvers, the
+        # oracle and the pointwise closed forms must take the same branch
+        y = x + gap * POSITION_TOL * (1.0 + 2.0 * abs(x))
+        src, dst = PhaseState([x], [1.0]), PhaseState([y], [1.0])
+        mu = DiscreteMeasure([[x]], [[1.0]], [1.0])
+        nu = DiscreteMeasure([[y]], [[1.0]], [1.0])
+        res = solve_d(mu, nu)
+        assert res.cost_sq == pytest.approx(d_sq(src, dst), abs=1e-9)
+        assert (res.regime == "equal_positions") == (abs(gap) < 1.0)
+        assert brute_force_oracle(mu, nu).cost_sq == pytest.approx(d_sq(src, dst), abs=1e-9)
+        assert solve_tilde_d(mu, nu).cost_sq == pytest.approx(tilde_d_sq(src, dst), abs=1e-9)
+
+    def test_positions_within_tolerance_stay_equal_positions(self):
+        rng = np.random.default_rng(5)
+        X = 3.0 * rng.normal(size=(3, 2))
+        V = rng.normal(size=(3, 2))
+        tol = POSITION_TOL * (1.0 + 2.0 * float(np.max(np.abs(X))))
+        Y = X + 0.4 * tol * rng.choice([-1.0, 1.0], size=X.shape)
+        U = V + 0.1 * rng.normal(size=V.shape)
+        mu = DiscreteMeasure(X, V, np.full(3, 1.0 / 3.0))
+        nu = DiscreteMeasure(Y, U, np.full(3, 1.0 / 3.0))
+        res = solve_d(mu, nu)
+        assert res.regime == "equal_positions"
+        assert res.cost_sq == pytest.approx(float(np.mean(np.sum((U - V) ** 2, axis=1))))
+        assert brute_force_oracle(mu, nu).cost_sq == pytest.approx(res.cost_sq, abs=1e-12)
+
     def test_upper_bound_solver_examples(self):
         mu, nu = free_transport_pair(T=1.1)
         assert solve_tilde_d(mu, nu).cost_sq <= 1e-10
@@ -297,7 +326,7 @@ class TestOracle:
 
 
 def _moment_fields(m):
-    return (m.A, m.B, m.C, m.D, m.pos_scale_sq)
+    return (m.A, m.B, m.C, m.D, m.eps_A)
 
 
 @pytest.mark.parametrize("path", ["uniform", "tree"])
