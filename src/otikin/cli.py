@@ -10,7 +10,8 @@ Exit codes: 2 usage error, unreadable input file or unwritable output, 3
 malformed measure data, 4 solver failure (an input the solver rejects, or a
 ``RuntimeError`` of the simplex), 5 verification failure. Single arguments are
 checked by argparse as it parses them, before any file is read; ``main`` maps
-a handler's failure to its exit code. JSON outputs are byte-deterministic:
+a solver failure to its exit code, while ``_load`` and ``_write_text`` are
+the boundaries for input and output files. JSON outputs are byte-deterministic:
 floats are written with 17 significant digits and keys in fixed order.
 """
 
@@ -111,9 +112,14 @@ def _load(path: str, fmt: str):
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write an output file and its missing parents: exit 2 if that fails."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _force_from_arg(spec: str) -> ForceField:
@@ -270,7 +276,6 @@ def cmd_interpolate(args) -> int:
     res = solve_fixed_T(mu, nu, args.T)
     ens = build_dynamical_plan(mu, nu, res.plan, args.T)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     times = [args.T * k / args.steps for k in range(args.steps + 1)]
     for k, t in enumerate(times):
         frame = interpolate_at(ens, t)
@@ -298,7 +303,6 @@ def cmd_simulate(args) -> int:
     traj = vlasov_integrate(mu, force, args.t0, args.t1, args.dt)
     action = path_action(traj)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     frame_files = []
     frame_times = []
     indices = list(range(0, traj.n_times, args.stride))
@@ -376,9 +380,6 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def console_main() -> None:

@@ -47,8 +47,9 @@ WEIGHT_SUM_TOL = 1e-6
 UNIT_MASS_TOL = 1e-10
 # Plan row and column sums must match the marginals within this.
 MARGINAL_TOL = 1e-9
-# Plan entries down to -NEGATIVE_MASS_TOL are rounding and are clipped to zero.
-NEGATIVE_MASS_TOL = 1e-12
+# Plan mass up to MASS_ROUNDING_TOL is rounding: negative entries are clipped
+# to zero, and a plan that moves no more between distinct positions keeps them.
+MASS_ROUNDING_TOL = 1e-12
 # Plan cells with less mass than this are outside the plan's support.
 SUPPORT_TOL = 1e-15
 # Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative.
@@ -218,7 +219,7 @@ def load_measure(path: str, fmt: str = "json") -> DiscreteMeasure:
 class Coupling:
     """Dense m x k transport plan between two measures.
 
-    Entries down to -``NEGATIVE_MASS_TOL`` are clipped to zero; row sums must
+    Entries down to -``MASS_ROUNDING_TOL`` are clipped to zero; row sums must
     match the source weights and column sums the target weights within
     ``MARGINAL_TOL``.
     """
@@ -234,7 +235,7 @@ class Coupling:
                 f"plan shape {P.shape} does not match marginals "
                 f"({self.source.size}, {self.target.size})"
             )
-        if float(P.min(initial=0.0)) < -NEGATIVE_MASS_TOL:
+        if float(P.min(initial=0.0)) < -MASS_ROUNDING_TOL:
             raise ValueError(f"plan has negative mass {P.min()}")
         P = np.clip(P, 0.0, None)
         object.__setattr__(self, "P", P)
@@ -256,15 +257,16 @@ class PlanMoments:
 
     A = mean squared position gap, B = mean inner product of gap with velocity
     sum, C = mean squared velocity sum, D = mean squared velocity difference.
-    A plan with A <= ``eps_A`` keeps positions: it is the branch guard for
-    the division by A.
+    ``keeps_positions`` says the plan moves no more than rounding mass between
+    distinct positions: the costs then take their A = 0 branch. A plan that
+    does not keep positions has A > 0, which guards the division by A.
     """
 
     A: float
     B: float
     C: float
     D: float
-    eps_A: float = 0.0
+    keeps_positions: bool
 
     def __post_init__(self):
         if min(self.A, self.C, self.D) < -MOMENT_NEG_TOL:
@@ -289,10 +291,12 @@ class PairMoments:
     Every pointwise cost and the moments of every plan are linear in them.
     Coordinates whose squares overflow raise ``ValueError``.
 
-    Positions coincide when every coordinate agrees within ``position_tol``,
-    POSITION_TOL * (1 + the largest coordinate of either measure). A plan that
-    moves mass only between coincident positions has A <= ``eps_A`` =
-    dim * position_tol^2, so its moments count it as position-preserving.
+    Positions coincide when their Euclidean gap is within ``position_tol``,
+    POSITION_TOL * (1 + the largest position norm of each measure), the rule
+    of ``phase.d_sq`` applied to the whole pair; ``coincident_blocks`` takes
+    it. ``distinct`` is 1 on the cells between distinct positions and 0
+    elsewhere; a plan keeps positions when it puts at most
+    ``MASS_ROUNDING_TOL`` of mass on them.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -306,13 +310,14 @@ class PairMoments:
             self.B = np.sum(gap * vsum, axis=2)
             self.C = np.sum(vsum * vsum, axis=2)
             self.D = np.sum(vdiff * vdiff, axis=2)
-            scale = float(
-                np.max(np.abs(mu.positions), initial=0.0)
-                + np.max(np.abs(nu.positions), initial=0.0)
+            scale = sum(
+                float(np.sqrt(np.max(np.sum(x * x, axis=1), initial=0.0)))
+                for x in (mu.positions, nu.positions)
             )
             self.position_tol = POSITION_TOL * (1.0 + scale)
-            self.eps_A = mu.dim * self.position_tol * self.position_tol
-        moments = (self.A, self.B, self.C, self.D, self.eps_A)
+            tol_sq = self.position_tol * self.position_tol
+            self.distinct = (self.A > tol_sq).astype(float)
+        moments = (self.A, self.B, self.C, self.D)
         if not all(np.all(np.isfinite(M)) for M in moments):
             raise ValueError("pairwise moments overflow; coordinates are too large")
 
@@ -326,28 +331,32 @@ class PairMoments:
         return 3.0 * self.C + self.D
 
     def _sums(self, plans: np.ndarray) -> list[np.ndarray]:
-        """P-weighted sums of A, B, C, D over the last two axes of ``plans``.
+        """P-weighted sums of A, B, C, D and ``distinct`` over the last two axes.
 
         One plan and a stack of plans reduce each plan's cells in the same
         order, so a plan's moments have the same bits either way.
         """
         if plans.shape[-2:] != self.A.shape:
             raise ValueError("coupling does not match the given measures")
-        return [np.sum(plans * M, axis=(-2, -1)) for M in (self.A, self.B, self.C, self.D)]
+        matrices = (self.A, self.B, self.C, self.D, self.distinct)
+        return [np.sum(plans * M, axis=(-2, -1)) for M in matrices]
 
     def of(self, P: np.ndarray) -> PlanMoments:
         """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D."""
         if P.ndim != 2:
             raise ValueError("coupling does not match the given measures")
-        A, B, C, D = (float(s) for s in self._sums(P))
-        return PlanMoments(A, B, C, D, self.eps_A)
+        A, B, C, D, moved = (float(s) for s in self._sums(P))
+        return PlanMoments(A, B, C, D, moved <= MASS_ROUNDING_TOL)
 
     def of_each(self, plans: np.ndarray) -> list[PlanMoments]:
         """Moments of every plan in a (V, m, k) stack, in stack order."""
         if plans.ndim != 3:
             raise ValueError("expected a stack of plan matrices")
         sums = (s.tolist() for s in self._sums(plans))
-        return [PlanMoments(A, B, C, D, self.eps_A) for A, B, C, D in zip(*sums)]
+        return [
+            PlanMoments(A, B, C, D, moved <= MASS_ROUNDING_TOL)
+            for A, B, C, D, moved in zip(*sums)
+        ]
 
 
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:
@@ -400,14 +409,16 @@ def coincident_blocks(
 ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Split two weighted point sets into blocks that carry the same mass.
 
-    Points coincide when every coordinate is within ``tol``; the points of the
-    first set that coincide with the same points of the second set form one
-    block with them. The two sets are the same measure iff every point lies in
-    exactly one block and each block carries equal mass on both sides, within
-    max(tol, MARGINAL_TOL). Returns the ``(rows, cols)`` index arrays of each
+    Points coincide when their Euclidean distance is within ``tol``; the
+    points of the first set that coincide with the same points of the second
+    set form one block with them. The two sets are the same measure iff every
+    point lies in exactly one block and each block carries equal mass on both
+    sides, within max(tol, MARGINAL_TOL). Returns the ``(rows, cols)`` index arrays of each
     block, both ascending, or None if the measures differ.
     """
-    close = np.all(np.abs(pts_a[:, None, :] - pts_b[None, :, :]) <= tol, axis=2)
+    with np.errstate(over="ignore"):
+        gap = pts_b[None, :, :] - pts_a[:, None, :]
+        close = np.sum(gap * gap, axis=2) <= tol * tol
     if not close.any(axis=1).all():  # settled before the costlier np.unique
         return None
     patterns, inverse = np.unique(close, axis=0, return_inverse=True)

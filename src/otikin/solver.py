@@ -58,7 +58,7 @@ COST_TOL = 1e-10
 # within ORACLE_TIE_TOL * (1 + |best|) of the least cost.
 VERTEX_CLIP = 1e-12
 ORACLE_TIE_TOL = 1e-9
-# Drift detection: phase points coincide within DRIFT_TOL per coordinate, and
+# Drift detection: phase points coincide within a Euclidean DRIFT_TOL, and
 # speeds up to DRIFT_TOL count as rest.
 DRIFT_TOL = 1e-8
 _REGIME_OF_TAG = {
@@ -79,25 +79,25 @@ def cost_tilde_c_T(m: PlanMoments, T: float) -> float:
 def cost_tilde_c(m: PlanMoments) -> float:
     """Infimum over T > 0 of the fixed-horizon cost.
 
-    3 C - 3 (B_+)^2 / A + D when A is positive, else 3 C + D (the infimum is
-    then the large-T limit, or T-independent when A = 0 exactly).
+    3 C - 3 (B_+)^2 / A + D when the plan moves positions (then A > 0), else
+    3 C + D (the large-T limit, T-independent when A = 0 exactly).
     """
-    if m.A > m.eps_A:
+    if not m.keeps_positions:
         clipped = max(m.B, 0.0)
         return 3.0 * m.C - 3.0 * clipped * clipped / m.A + m.D
     return 3.0 * m.C + m.D
 
 
 def cost_c(m: PlanMoments) -> float:
-    """Envelope plan cost: same as ``cost_tilde_c`` for A > 0, else D."""
-    if m.A > m.eps_A:
+    """Envelope plan cost: ``cost_tilde_c`` if the plan moves positions, else D."""
+    if not m.keeps_positions:
         return cost_tilde_c(m)
     return m.D
 
 
 def optimal_time_plan(m: PlanMoments) -> OptimalTime:
     """Horizon minimising the fixed-horizon cost of a coupling: 2A/B, 0, or inf."""
-    if m.A <= m.eps_A:
+    if m.keeps_positions:
         return OptimalTime.zero()
     if m.B > 0.0:
         return OptimalTime.finite(2.0 * m.A / m.B)

@@ -100,10 +100,18 @@ class TestExitCodes:
                   "--optimize-T", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        code = main(["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--T", "1",
-                     "--out", str(tmp_path)])
-        assert code == 2
+    @pytest.mark.parametrize("command", ["discrepancy", "interpolate"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        # a directory as an output file, or a file as an output directory
+        out = tmp_path / "taken"
+        if command == "interpolate":
+            out.write_text("")
+        else:
+            out.mkdir()
+        argv = [command, "--mu", U5_MU, "--nu", U5_NU, "--T", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--steps", "2"] if command == "interpolate" else []))
+        assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_parser_exits_are_returned(self, capsys):

@@ -39,7 +39,7 @@ from test_lp import reference_lp_value
 
 
 def moments(A, B, C, D):
-    return PlanMoments(A=A, B=B, C=C, D=D, eps_A=2e-14)
+    return PlanMoments(A=A, B=B, C=C, D=D, keeps_positions=A == 0.0)
 
 
 class TestPlanCosts:
@@ -142,6 +142,18 @@ class TestFixedHorizonSolve:
         assert res.cost_sq == pytest.approx(total, rel=1e-12)
 
 
+def _within_tolerance_pair():
+    """Three atoms per side, each target 0.4 position tolerances from its source."""
+    rng = np.random.default_rng(5)
+    X = 3.0 * rng.normal(size=(3, 2))
+    V = rng.normal(size=(3, 2))
+    tol = POSITION_TOL * (1.0 + 2.0 * float(np.max(np.linalg.norm(X, axis=1))))
+    Y = X + 0.4 * tol * rng.choice([-1.0, 1.0], size=X.shape)
+    U = V + 0.1 * rng.normal(size=V.shape)
+    w = np.full(3, 1.0 / 3.0)
+    return DiscreteMeasure(X, V, w), DiscreteMeasure(Y, U, w)
+
+
 class TestTimeOptimisedSolve:
     def test_free_transport_pair(self):
         # T = 1e-3 puts the optimum at s = 1/T = 1000, past the first tail
@@ -199,34 +211,52 @@ class TestTimeOptimisedSolve:
         res = solve_d(DiscreteMeasure(X, V, w), DiscreteMeasure(Y, U, u_shifted))
         assert res.regime != "equal_positions"
 
+    @pytest.mark.parametrize("direction", [[1.0], [0.6, 0.8]], ids=["1d", "2d"])
     @pytest.mark.parametrize("x", [0.0, 1e3, -1e3])
-    @pytest.mark.parametrize("gap", [-2.0, -0.5, 0.5, 2.0])
-    def test_one_position_rule_on_dirac_pairs(self, x, gap):
-        # a gap of half or twice the position tolerance: the solvers, the
-        # oracle and the pointwise closed forms must take the same branch
-        y = x + gap * POSITION_TOL * (1.0 + 2.0 * abs(x))
-        src, dst = PhaseState([x], [1.0]), PhaseState([y], [1.0])
-        mu = DiscreteMeasure([[x]], [[1.0]], [1.0])
-        nu = DiscreteMeasure([[y]], [[1.0]], [1.0])
+    @pytest.mark.parametrize("gap", [-2.0, -0.5, 0.5, 1.2, 2.0])
+    def test_one_position_rule_on_dirac_pairs(self, direction, x, gap):
+        # a Euclidean gap of a multiple of the position tolerance: the solvers,
+        # the oracle and the pointwise closed forms must take the same branch
+        # (in 2-d a gap of 1.2 keeps each coordinate within the tolerance)
+        e = np.asarray(direction)
+        xs = x * e
+        ys = xs + gap * POSITION_TOL * (1.0 + 2.0 * abs(x)) * e
+        src, dst = PhaseState(xs, e), PhaseState(ys, e)
+        mu = DiscreteMeasure([xs], [e], [1.0])
+        nu = DiscreteMeasure([ys], [e], [1.0])
         res = solve_d(mu, nu)
         assert res.cost_sq == pytest.approx(d_sq(src, dst), abs=1e-9)
         assert (res.regime == "equal_positions") == (abs(gap) < 1.0)
         assert brute_force_oracle(mu, nu).cost_sq == pytest.approx(d_sq(src, dst), abs=1e-9)
         assert solve_tilde_d(mu, nu).cost_sq == pytest.approx(tilde_d_sq(src, dst), abs=1e-9)
 
-    def test_positions_within_tolerance_stay_equal_positions(self):
-        rng = np.random.default_rng(5)
-        X = 3.0 * rng.normal(size=(3, 2))
-        V = rng.normal(size=(3, 2))
-        tol = POSITION_TOL * (1.0 + 2.0 * float(np.max(np.abs(X))))
-        Y = X + 0.4 * tol * rng.choice([-1.0, 1.0], size=X.shape)
-        U = V + 0.1 * rng.normal(size=V.shape)
-        mu = DiscreteMeasure(X, V, np.full(3, 1.0 / 3.0))
-        nu = DiscreteMeasure(Y, U, np.full(3, 1.0 / 3.0))
+    @pytest.mark.parametrize(
+        "mu, nu, equal_positions, cost",
+        [
+            pytest.param(*_within_tolerance_pair(), True, None, id="within-tolerance"),
+            # a vertex puts 0.2 - (0.3 - 0.1), about 3e-17 of mass, on the cell
+            # from 0 to 1: that rounding must not make it move positions
+            pytest.param(
+                DiscreteMeasure([[0.0], [0.0], [1.0]], [[1.0]] * 3, [0.2, 0.1, 0.7]),
+                DiscreteMeasure([[0.0], [1.0]], [[1.0]] * 2, [0.3, 0.7]),
+                True, 0.0, id="rounding-mass",
+            ),
+            # half the mass moved 1e-4 is no rounding, though A = 5e-9 is small
+            # against the largest pairwise A, 1e4
+            pytest.param(
+                DiscreteMeasure([[0.0], [100.0]], [[1.0], [0.0]], [0.5, 0.5]),
+                DiscreteMeasure([[-1e-4], [100.0]], [[1.0], [0.0]], [0.5, 0.5]),
+                False, 4.0, id="small-gap",
+            ),
+        ],
+    )
+    def test_position_rule_on_weighted_pairs(self, mu, nu, equal_positions, cost):
+        if cost is None:  # coincident sites: each atom keeps its partner
+            cost = float(np.mean(np.sum((nu.velocities - mu.velocities) ** 2, axis=1)))
         res = solve_d(mu, nu)
-        assert res.regime == "equal_positions"
-        assert res.cost_sq == pytest.approx(float(np.mean(np.sum((U - V) ** 2, axis=1))))
-        assert brute_force_oracle(mu, nu).cost_sq == pytest.approx(res.cost_sq, abs=1e-12)
+        assert (res.regime == "equal_positions") == equal_positions
+        assert res.cost_sq == pytest.approx(cost, rel=1e-12, abs=1e-12)
+        assert brute_force_oracle(mu, nu).cost_sq == pytest.approx(cost, rel=1e-12, abs=1e-12)
 
     def test_upper_bound_solver_examples(self):
         mu, nu = free_transport_pair(T=1.1)
@@ -326,7 +356,7 @@ class TestOracle:
 
 
 def _moment_fields(m):
-    return (m.A, m.B, m.C, m.D, m.eps_A)
+    return (m.A, m.B, m.C, m.D, m.keeps_positions)
 
 
 @pytest.mark.parametrize("path", ["uniform", "tree"])
