@@ -58,7 +58,6 @@ from .dynamics import (
     metric_derivative_probe,
     moment_report,
     monge_mather_check,
-    optimal_time_ratio_probe,
     path_action,
     reparametrize,
     spline_forcing,

@@ -30,7 +30,6 @@ from .dynamics import (
     build_dynamical_plan,
     interpolate_at,
     metric_derivative_probe,
-    optimal_time_ratio_probe,
     path_action,
     vlasov_integrate,
 )
@@ -50,6 +49,9 @@ EXIT_USAGE = 2
 EXIT_BAD_MEASURE = 3
 EXIT_SOLVER = 4
 EXIT_VERIFY = 5
+# Frame file names hold 4 digits in interpolate and 6 in simulate.
+MAX_STEPS = 9999
+MAX_SIM_STEPS = 999999
 
 
 def _fmt_float(x: float) -> str:
@@ -122,6 +124,11 @@ def _write_text(path: str, text: str) -> None:
         raise SystemExit(EXIT_USAGE)
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _force_from_arg(spec: str) -> ForceField:
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
@@ -158,6 +165,7 @@ def _is_positive(x: float) -> bool:
 _finite = _arg_type(float, math.isfinite, "a finite number")
 _positive = _arg_type(float, _is_positive, "a positive finite number")
 _count = _arg_type(int, lambda n: n >= 1, "an integer of at least 1")
+_steps = _arg_type(int, lambda n: 1 <= n <= MAX_STEPS, f"an integer from 1 to {MAX_STEPS}")
 _offsets = _arg_type(
     lambda text: [float(h) for h in text.split(",") if h.strip()],
     lambda hs: bool(hs) and all(map(_is_positive, hs)),
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interpolate", parents=[common_measures], help="spline interpolation frames"
     )
     p.add_argument("--T", type=_positive, required=True, help="horizon")
-    p.add_argument("--steps", type=_count, required=True, help="number of frames minus one")
+    p.add_argument("--steps", type=_steps, required=True, help="number of frames minus one")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="particle Vlasov integration")
@@ -270,58 +278,50 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _write_frames(outdir: str, frames, **fields) -> None:
+    """Write (file name, measure) frames as CSV, then a manifest of ``fields`` and the names."""
+    names = []
+    for name, measure in frames:
+        _write_text(str(Path(outdir) / name), measure_to_csv(measure))
+        names.append(name)
+    manifest = canonical_json({**fields, "frames": names})
+    _write_text(str(Path(outdir) / "manifest.json"), manifest + "\n")
+
+
 def cmd_interpolate(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
     res = solve_fixed_T(mu, nu, args.T)
     ens = build_dynamical_plan(mu, nu, res.plan, args.T)
-    outdir = Path(args.out)
     times = [args.T * k / args.steps for k in range(args.steps + 1)]
-    for k, t in enumerate(times):
-        frame = interpolate_at(ens, t)
-        _write_text(str(outdir / f"frame_{k:04d}.csv"), measure_to_csv(frame))
-    manifest = {
-        "times": times,
-        "horizon": float(args.T),
-        "cost_sq": float(res.cost_sq),
-        "frames": [f"frame_{k:04d}.csv" for k in range(args.steps + 1)],
-    }
-    _write_text(str(outdir / "manifest.json"), canonical_json(manifest) + "\n")
+    frames = ((f"frame_{k:04d}.csv", interpolate_at(ens, t)) for k, t in enumerate(times))
+    _write_frames(args.out, frames, times=times, horizon=float(args.T), cost_sq=float(res.cost_sq))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if not args.t1 > args.t0:
-        print("error: --t1 must exceed --t0", file=sys.stderr)
-        return EXIT_USAGE
+    if not 0 < (args.t1 - args.t0) / args.dt < MAX_SIM_STEPS + 0.5:
+        return _usage_error(f"--t1 must exceed --t0 by at most {MAX_SIM_STEPS} steps of --dt")
     try:
         force = _force_from_arg(args.force)
     except (ValueError, TypeError, OSError, KeyError) as exc:
-        print(f"error: bad force specification: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"bad force specification: {exc}")
     mu = _load(args.mu, args.format)
+    try:  # a poly force whose width is not the measure's dimension fails here
+        force.evaluate(args.t0, mu.positions, mu.velocities)
+    except ValueError as exc:
+        return _usage_error(f"bad force specification: {exc}")
     traj = vlasov_integrate(mu, force, args.t0, args.t1, args.dt)
     action = path_action(traj)
-    outdir = Path(args.out)
-    frame_files = []
-    frame_times = []
     indices = list(range(0, traj.n_times, args.stride))
     if indices[-1] != traj.n_times - 1:
         indices.append(traj.n_times - 1)
-    for k in indices:
-        t = float(traj.times[k])
-        name = f"state_{k:06d}.csv"
-        _write_text(str(outdir / name), measure_to_csv(traj.measure_at(t)))
-        frame_files.append(name)
-        frame_times.append(t)
-    manifest = {
-        "times": frame_times,
-        "dt": float(args.dt),
-        "force": traj.force_tag,
-        "action": float(action),
-        "frames": frame_files,
-    }
-    _write_text(str(outdir / "manifest.json"), canonical_json(manifest) + "\n")
+    times = [float(traj.times[k]) for k in indices]
+    frames = ((f"state_{k:06d}.csv", traj.measure_at(t)) for k, t in zip(indices, times))
+    _write_frames(
+        args.out, frames, times=times, dt=float(args.dt), force=traj.force_tag,
+        action=float(action),
+    )
     return EXIT_OK
 
 
@@ -333,19 +333,18 @@ def cmd_probe(args) -> int:
         "harmonic-ensemble": lambda: scenarios.harmonic_ensemble(seed=args.seed),
         "opposite-pair": scenarios.opposite_pair,
     }
-    traj = builders[args.scenario]()
+    points = metric_derivative_probe(builders[args.scenario](), args.time, args.h)
     if args.suite == "metric-derivative":
-        lines = ["h,ratio_tilde,ratio_d,force_norm"]
-        for p in metric_derivative_probe(traj, args.time, args.h):
-            lines.append(
-                ",".join(_fmt_float(x) for x in (p.h, p.ratio_tilde, p.ratio_d, p.force_norm))
-            )
+        lines = ["h,ratio_tilde,ratio_d,force_norm"] + [
+            ",".join(_fmt_float(x) for x in (p.h, p.ratio_tilde, p.ratio_d, p.force_norm))
+            for p in points
+        ]
     else:
         lines = ["h,tag,T_ratio"]
-        for h, kind, ratio in optimal_time_ratio_probe(traj, args.time, args.h).entries:
-            lines.append(
-                f"{_fmt_float(h)},{kind}," + (_fmt_float(ratio) if ratio is not None else "")
-            )
+        for p in points:
+            tag = p.optimal_time
+            ratio = _fmt_float(tag.value / p.h) if tag.is_finite else ""
+            lines.append(f"{_fmt_float(p.h)},{tag.kind},{ratio}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

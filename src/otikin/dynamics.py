@@ -4,7 +4,7 @@ Atomic initial data makes pushforward along characteristics an exact solution
 concept, so the integrator is Lagrangian: each atom follows dx/dt = v,
 dv/dt = F(t, x, v) under classical RK4 with a fixed step. Trajectories record
 the force samples used, which feed the action functional, the moment checks,
-and the derivative/time-ratio probes.
+and the derivative probe.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MARGINAL_TOL, Coupling, DiscreteMeasure
-from .phase import HORIZON_TOL, TIME_GRID_TOL, CubicSpline, spline_action, spline_from_endpoints
+from .phase import (
+    HORIZON_TOL, TIME_GRID_TOL, CubicSpline, OptimalTime, spline_action, spline_from_endpoints
+)
 from .solver import solve_d, solve_fixed_T
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "MongeMatherReport",
     "MomentReport",
     "DerivativeProbePoint",
-    "TimeRatioProbe",
     "build_dynamical_plan",
     "interpolate_at",
     "monge_mather_check",
@@ -33,7 +34,6 @@ __all__ = [
     "path_action",
     "moment_report",
     "metric_derivative_probe",
-    "optimal_time_ratio_probe",
     "reparametrize",
 ]
 
@@ -219,6 +219,10 @@ class ForceField:
         C = np.atleast_2d(np.asarray(coeffs, dtype=float))
 
         def _eval(t, X, V):
+            if C.shape[1] != X.shape[1]:
+                raise ValueError(
+                    f"poly force has width {C.shape[1]}, particles have dimension {X.shape[1]}"
+                )
             f = np.zeros(C.shape[1])
             for k in range(C.shape[0] - 1, -1, -1):
                 f = f * t + C[k]
@@ -476,6 +480,7 @@ class DerivativeProbePoint:
     ratio_tilde: float
     ratio_d: float
     force_norm: float
+    optimal_time: OptimalTime
 
 
 def metric_derivative_probe(
@@ -488,7 +493,9 @@ def metric_derivative_probe(
     ``ratio_tilde`` uses the exact fixed-horizon transport at horizon h (the
     ratios are defined through the optimal coupling, not the along-trajectory
     pairing); ``ratio_d`` uses the time-optimised solver. Along force-driven
-    trajectories both approach the force norm as h decreases.
+    trajectories both approach the force norm as h decreases. ``optimal_time``
+    is the time-optimised solve's horizon tag; where it is finite, its value
+    over h approaches 1 along a curve.
     """
     force_norm = traj.force_norm_at(t)
     mu_t = traj.measure_at(t)
@@ -505,48 +512,10 @@ def metric_derivative_probe(
                 ratio_tilde=float(np.sqrt(max(fixed.cost_sq, 0.0)) / h),
                 ratio_d=float(np.sqrt(max(full.cost_sq, 0.0)) / h),
                 force_norm=force_norm,
+                optimal_time=full.optimal_time,
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class TimeRatioProbe:
-    """Optimal-time ratios at one probe time, with the motion context.
-
-    ``entries`` holds (h, tag, T_ratio) with T_ratio = None when the optimal
-    time is not finite; ``mean_velocity`` and ``velocity_norm`` report whether
-    the spatial marginal is actually moving.
-    """
-
-    t: float
-    entries: list
-    mean_velocity: np.ndarray
-    velocity_norm: float
-
-
-def optimal_time_ratio_probe(
-    traj: Trajectory,
-    t: float,
-    h_list,
-) -> TimeRatioProbe:
-    """Ratio of the transport-optimal horizon to the physical offset h."""
-    mu_t = traj.measure_at(t)
-    entries = []
-    for h in h_list:
-        if h <= 0:
-            raise ValueError("probe offsets must be positive")
-        mu_th = traj.measure_at(t + h)
-        res = solve_d(mu_t, mu_th)
-        tag = res.optimal_time
-        ratio = tag.value / h if tag.is_finite else None
-        entries.append((float(h), tag.kind, ratio))
-    return TimeRatioProbe(
-        t=float(t),
-        entries=entries,
-        mean_velocity=mu_t.mean_velocity(),
-        velocity_norm=float(np.sqrt(mu_t.velocity_norm_sq())),
-    )
 
 
 def reparametrize(traj: Trajectory, lambda_fn) -> Trajectory:

@@ -75,6 +75,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if X.shape != V.shape:
             raise ValueError(f"position/velocity shapes differ: {X.shape} vs {V.shape}")
+        if X.shape[1] < 1:
+            raise ValueError("phase states must have dimension >= 1")
         if X.shape[0] != w.size:
             raise ValueError("number of weights does not match number of atoms")
         if w.size == 0:

@@ -19,7 +19,6 @@ from .dynamics import (
     metric_derivative_probe,
     moment_report,
     monge_mather_check,
-    optimal_time_ratio_probe,
     path_action,
     reparametrize,
     spline_forcing,
@@ -341,21 +340,21 @@ def check_time_ratios(seed: int = 42) -> CheckResult:
     ]
     for name, traj, times in scenarios:
         for t in times:
-            probe = optimal_time_ratio_probe(traj, t, H_LADDER)
             ratios = []
-            for h, kind, ratio in probe.entries:
-                if kind != "finite":
+            for p in metric_derivative_probe(traj, t, H_LADDER):
+                tag = p.optimal_time
+                if not tag.is_finite:
                     ok = False
-                    details.append(f"{name}@t={t}: non-finite tag {kind} at h={h}")
+                    details.append(f"{name}@t={t}: non-finite tag {tag.kind} at h={p.h}")
                     break
-                ratios.append((h, ratio))
+                ratios.append((p.h, tag.value / p.h))
             else:
                 errs = [abs(r - 1.0) for _, r in ratios]
                 decreasing = all(e0 > e1 for e0, e1 in zip(errs, errs[1:]))
                 final_ok = errs[-1] < 0.05
                 ok = ok and decreasing and final_ok
                 line = f"{name}@t={t}: |T/h-1| {['%.2e' % e for e in errs]}"
-                if name == "single" and float(np.linalg.norm(probe.mean_velocity)) > 1e-9:
+                if name == "single" and np.linalg.norm(traj.measure_at(t).mean_velocity()) > 1e-9:
                     second = [abs(r - 1.0) / h for h, r in ratios]
                     second_dec = all(s0 > s1 for s0, s1 in zip(second, second[1:]))
                     ok = ok and second_dec
@@ -513,12 +512,11 @@ def check_reparametrization(seed: int = 42) -> CheckResult:
     # ratio (which optimises the horizon) doubles; the fixed-horizon ratio
     # does not and is not asserted here.
     deriv_ratio = scaled.ratio_d / base.ratio_d
-    probe = optimal_time_ratio_probe(fast, s, (h_fine,))
-    _, kind, t_ratio = probe.entries[0]
+    tag = scaled.optimal_time
+    t_ratio = tag.value / h_fine if tag.is_finite else float("nan")
     ok = (
         abs(force_ratio - 2.0) <= 0.1
         and abs(deriv_ratio - 2.0) <= 0.1
-        and kind == "finite"
         and abs(t_ratio - 2.0) <= 0.1
     )
     return _result(

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -46,6 +47,18 @@ PINNED = {
     ("two_plan_tie", "oracle"): '{"cost_sq":30,"regime":"finite_T","T":1,"plan":[[0,0,0.5],[1,1,0.5]],'
     '"n_optimal_vertices":2,"optimal_times":[1,2]}',
 }
+# SHA-256 of every probe CSV (three scenarios, both suites, default --time
+# and --h), and of every file written by interpolate and simulate runs.
+PROBE_PIN = "9bffcf28066363d36ddaa56b770e3c234a712580d3f310e6600d3c95eae927fe"
+FRAMES_PIN = "24a1dc8cb47e14ba26e2eb13f3152b79754a2f6c2ec4a1b6fcab28fe89876c32"
+
+
+def _digest_files(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class TestParsing:
@@ -89,8 +102,9 @@ class TestExitCodes:
         [
             '{"dim": 1, "points": [{"x": [0.0], "v": [0.0], "w": -1.0}]}',
             '{"dim": 1e999, "points": [{"x": [0.0], "v": [0.0], "w": 1.0}]}',
+            '{"dim": 0, "points": [{"x": [], "v": [], "w": 1.0}]}',
         ],
-        ids=["negative-weight", "overflowing-dim"],
+        ids=["negative-weight", "overflowing-dim", "zero-dim"],
     )
     def test_malformed_measure_exits_3(self, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -164,6 +178,12 @@ class TestExitCodes:
             ["oracle", "--mu", U5_MU, "--nu", U5_NU, "--cap", "-1"],
             ["simulate", "--mu", U5_MU, "--force", "@{dict_file}",
              "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+            # three force coefficients for the two-dimensional measure
+            ["simulate", "--mu", U5_MU, "--force", "@{wide_file}",
+             "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+            ["interpolate", "--mu", U5_MU, "--nu", U5_NU, "--T", "1", "--steps", "100000000000"],
+            ["simulate", "--mu", U5_MU, "--force", "harmonic",
+             "--t0", "0", "--t1", "1", "--dt", "1e-15"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
@@ -171,7 +191,12 @@ class TestExitCodes:
         array_file.write_text("[1, 2]")
         dict_file = tmp_path / "dict.json"
         dict_file.write_text('{"kind": "poly", "coeffs": {"a": 1}}')
-        argv = [a.format(array_file=array_file, dict_file=dict_file) for a in argv]
+        wide_file = tmp_path / "wide.json"
+        wide_file.write_text('{"kind": "poly", "coeffs": [[1, 2, 3]]}')
+        argv = [
+            a.format(array_file=array_file, dict_file=dict_file, wide_file=wide_file)
+            for a in argv
+        ]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
@@ -324,6 +349,16 @@ class TestInterpolateSimulate:
                      "--out", str(tmp_path / "sim")])
         assert code == 4
 
+    def test_frame_bytes_pinned(self, tmp_path):
+        for pair in ("two_plan_tie", "uniform5"):
+            assert main(["interpolate", "--mu", str(DATA / f"{pair}_mu.json"),
+                         "--nu", str(DATA / f"{pair}_nu.json"), "--T", "1.3",
+                         "--steps", "7", "--out", str(tmp_path / pair)]) == 0
+        assert main(["simulate", "--mu", U5_MU, "--force", "harmonic",
+                     "--t0", "0", "--t1", "1", "--dt", "0.01", "--stride", "7",
+                     "--out", str(tmp_path / "simulate")]) == 0
+        assert _digest_files(tmp_path) == FRAMES_PIN
+
 
 class TestProbe:
     def test_metric_derivative_csv(self, tmp_path):
@@ -347,6 +382,14 @@ class TestProbe:
             h, kind, ratio = row.split(",")
             assert kind == "finite"
             assert abs(float(ratio) - 1.0) < 0.01
+
+    def test_probe_bytes_pinned(self, tmp_path):
+        for scenario in ("harmonic-single", "harmonic-ensemble", "opposite-pair"):
+            for suite in ("metric-derivative", "t-ratio"):
+                out = tmp_path / f"{scenario}_{suite}.csv"
+                assert main(["probe", "--suite", suite, "--scenario", scenario,
+                             "--out", str(out)]) == 0
+        assert _digest_files(tmp_path) == PROBE_PIN
 
 
 class TestVerify:

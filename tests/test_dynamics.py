@@ -9,7 +9,6 @@ from otikin.dynamics import (
     metric_derivative_probe,
     moment_report,
     monge_mather_check,
-    optimal_time_ratio_probe,
     path_action,
     reparametrize,
     spline_forcing,
@@ -355,10 +354,9 @@ class TestProbes:
         rng = np.random.default_rng(7)
         mu0, _ = random_uniform_instance(rng, 3, 2)
         traj = vlasov_integrate(mu0, ForceField.free(), 0.0, 1.0, 0.025)
-        probe = optimal_time_ratio_probe(traj, 0.2, (0.2, 0.1, 0.05))
-        for _, kind, ratio in probe.entries:
-            assert kind == "finite"
-            assert ratio == pytest.approx(1.0, abs=1e-6)
+        for p in metric_derivative_probe(traj, 0.2, (0.2, 0.1, 0.05)):
+            assert p.optimal_time.kind == "finite"
+            assert p.optimal_time.value / p.h == pytest.approx(1.0, abs=1e-6)
 
     def test_probe_requires_grid_alignment(self):
         traj = harmonic_single()
