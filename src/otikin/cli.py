@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -173,8 +174,25 @@ _offsets = _arg_type(
 )
 
 
+# argparse's own pattern for a negative number has no exponent, so it takes
+# "-1e-1" for an option. This one also reads exponents, and comma-separated
+# lists such as an --h ladder.
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+_NEGATIVE_NUMBERS = re.compile(rf"^-{_NUMBER}(,\s*-?{_NUMBER})*$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a negative number, in exponent form
+    too, as a value rather than as an option; ``add_subparsers`` builds the
+    subcommand parsers with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBERS
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="otikin",
         description="Kinetic optimal transport with a minimal-acceleration cost.",
     )

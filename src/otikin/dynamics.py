@@ -111,6 +111,34 @@ class MongeMatherReport:
     offending_time: float | None
 
 
+def _real_roots_by_degree(coef: np.ndarray):
+    """Real parts of the roots of each row's polynomial, grouped by degree.
+
+    Row c holds ascending coefficients; its degree is that of
+    ``np.polynomial.polynomial.polyroots(c)`` after exactly-zero leading
+    coefficients are trimmed. Yields ``(degree, rows, roots)`` for every degree
+    d >= 1 that occurs, with ``roots`` of shape (len(rows), d) holding the bits
+    and the order ``polyroots`` gives each row: degree 1 is -c0 / c1, and a
+    higher degree solves the stack of its companion matrices in one
+    ``np.linalg.eigvals`` call (the same LAPACK routine for each matrix).
+    """
+    nonzero = coef != 0.0
+    last = coef.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    degrees = np.where(nonzero.any(axis=1), last, 0)
+    for d in np.unique(degrees[degrees > 0]):
+        rows = np.flatnonzero(degrees == d)
+        c = coef[rows, : d + 1]
+        if d == 1:
+            yield 1, rows, (-c[:, 0] / c[:, 1])[:, None]
+            continue
+        companion = np.zeros((rows.size, d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots = np.linalg.eigvals(companion)
+        roots.sort(axis=1)
+        yield int(d), rows, roots.real
+
+
 def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     """Interior injectivity of an ensemble: distinct-endpoint splines never meet.
 
@@ -153,19 +181,19 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     q = p * (T ** np.arange(4.0))[:, None]
     dq = q[:, 1:] * np.array([1.0, 2.0, 3.0])[:, None]
     ddq = dq[:, 1:] * np.array([1.0, 2.0])[:, None]
+    # Coefficient a + b gathers the terms of each group in ascending a.
+    first_terms = np.sum(q[:, :, None] * dq[:, None, :], axis=3)
+    second_terms = np.sum(dq[:, :, None] * ddq[:, None, :], axis=3) / T**2
     half_df = np.zeros((len(p), 6))
     for a in range(4):
-        for b in range(3):
-            half_df[:, a + b] += np.sum(q[:, a] * dq[:, b], axis=1)
+        half_df[:, a : a + 3] += first_terms[:, a]
     for a in range(3):
-        for b in range(2):
-            half_df[:, a + b] += np.sum(dq[:, a] * ddq[:, b], axis=1) / T**2
+        half_df[:, a : a + 2] += second_terms[:, a]
     # Candidate times per pair: 0, 1 and up to five roots; unused slots stay 0.
     tau = np.zeros((len(p), 7))
     tau[:, 1] = 1.0
-    for r, c in enumerate(half_df):
-        roots = np.polynomial.polynomial.polyroots(c).real
-        tau[r, 2 : 2 + roots.size] = roots
+    for degree, rows, roots in _real_roots_by_degree(half_df):
+        tau[rows, 2 : 2 + degree] = roots
     t = np.clip(tau, 0.0, 1.0)[:, :, None] * T
     pos = ((p[:, None, 3] * t + p[:, None, 2]) * t + p[:, None, 1]) * t + p[:, None, 0]
     vel = (3.0 * p[:, None, 3] * t + 2.0 * p[:, None, 2]) * t + p[:, None, 1]

@@ -350,15 +350,25 @@ class PairMoments:
         A, B, C, D, moved = (float(s) for s in self._sums(P))
         return PlanMoments(A, B, C, D, moved <= MASS_ROUNDING_TOL)
 
-    def of_each(self, plans: np.ndarray) -> list[PlanMoments]:
-        """Moments of every plan in a (V, m, k) stack, in stack order."""
+    def of_each(self, plans: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Moments of every plan in a (V, m, k) stack as five (V,) arrays.
+
+        Returns ``A, B, C, D, keeps_positions``; entry v holds the bits ``of``
+        gives plan v. The arrays are checked as ``PlanMoments`` checks one
+        plan, and the first plan it would reject raises its ``ValueError``.
+        """
         if plans.ndim != 3:
             raise ValueError("expected a stack of plan matrices")
-        sums = (s.tolist() for s in self._sums(plans))
-        return [
-            PlanMoments(A, B, C, D, moved <= MASS_ROUNDING_TOL)
-            for A, B, C, D, moved in zip(*sums)
-        ]
+        A, B, C, D, moved = self._sums(plans)
+        keeps = moved <= MASS_ROUNDING_TOL
+        cs = np.sqrt(np.maximum(A, 0.0) * np.maximum(C, 0.0))
+        bad = (np.minimum(np.minimum(A, C), D) < -MOMENT_NEG_TOL) | (
+            np.abs(B) > cs + CAUCHY_SCHWARZ_TOL * (1.0 + cs)
+        )
+        if bad.any():
+            v = int(np.argmax(bad))  # its PlanMoments raises the error
+            PlanMoments(float(A[v]), float(B[v]), float(C[v]), float(D[v]), bool(keeps[v]))
+        return A, B, C, D, keeps
 
 
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:

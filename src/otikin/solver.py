@@ -9,10 +9,12 @@ infima: with s = 1/T, the squared discrepancy is the infimum over s >= 0 of
 OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
 3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
 branch-and-bound over s that calls the transportation simplex, each call
-warm-started from the last one's optimal basis (all share their marginals),
-and a brute-force vertex oracle cross-checks global minima on small instances:
-it stacks every vertex plan, takes all their moments in four reductions, and
-builds plans and horizons only for the tied optima.
+warm-started from the last one's optimal basis (all share their marginals);
+a search evaluates each vertex once, remembering its moments by the plan's
+exact bytes. A brute-force vertex oracle cross-checks global minima on small
+instances: it stacks every vertex plan, takes all their moments as arrays,
+validates them and evaluates their envelope costs elementwise, and builds
+``PlanMoments``, plans and horizons only for the tied optima.
 """
 
 from __future__ import annotations
@@ -76,15 +78,21 @@ def cost_tilde_c_T(m: PlanMoments, T: float) -> float:
     return 12.0 * m.A / T**2 - 12.0 * m.B / T + 3.0 * m.C + m.D
 
 
+def _moving_cost(A, B, C, D):
+    """3 C - 3 (B_+)^2 / A + D, the time-optimised cost of plans that move
+    positions (A > 0); elementwise on moment arrays."""
+    clipped = np.maximum(B, 0.0)
+    return 3.0 * C - 3.0 * clipped * clipped / A + D
+
+
 def cost_tilde_c(m: PlanMoments) -> float:
     """Infimum over T > 0 of the fixed-horizon cost.
 
-    3 C - 3 (B_+)^2 / A + D when the plan moves positions (then A > 0), else
-    3 C + D (the large-T limit, T-independent when A = 0 exactly).
+    ``_moving_cost`` when the plan moves positions (then A > 0), else 3 C + D
+    (the large-T limit, T-independent when A = 0 exactly).
     """
     if not m.keeps_positions:
-        clipped = max(m.B, 0.0)
-        return 3.0 * m.C - 3.0 * clipped * clipped / m.A + m.D
+        return float(_moving_cost(m.A, m.B, m.C, m.D))
     return 3.0 * m.C + m.D
 
 
@@ -195,14 +203,22 @@ def _solve_time_optimised(
     # optimal basis.
     basis: list[tuple[int, int]] = []
 
+    # Moments of every plan seen, by its exact bytes. Plans come from
+    # ``tree_flows``, so an LP that returns a vertex seen before returns the
+    # same bytes, and that plan's costs are already counted.
+    seen: dict[bytes, PlanMoments] = {}
+
     def consider(P: np.ndarray) -> PlanMoments:
         nonlocal best, winner
-        plan = Coupling(P, mu, nu)
-        m = pm.of(plan.P)
-        best = min(best, cost_tilde_c(m))
-        value = final_cost(m)
-        if winner is None or value < winner[0]:
-            winner = (value, plan, m)
+        key = P.tobytes()
+        m = seen.get(key)
+        if m is None:
+            plan = Coupling(P, mu, nu)
+            m = seen[key] = pm.of(plan.P)
+            best = min(best, cost_tilde_c(m))
+            value = final_cost(m)
+            if winner is None or value < winner[0]:
+                winner = (value, plan, m)
         return m
 
     def lp(cost: np.ndarray) -> PlanMoments:
@@ -326,8 +342,8 @@ def brute_force_oracle(
     The time-optimised cost is an infimum of linear functions of the plan,
     hence concave; its minimum over the polytope is attained at a vertex, so
     enumerating vertices is exhaustive. The vertices are evaluated as one
-    (V, m, k) stack: ``PairMoments.of_each`` gives every vertex its validated
-    moments in four reductions, and each gets its ``cost_c``. All optimal
+    (V, m, k) stack: ``PairMoments.of_each`` gives the validated moments of
+    all of them as arrays, and ``cost_c`` is evaluated elementwise. All optimal
     vertices within a relative tie tolerance of ``ORACLE_TIE_TOL`` are
     reported in ``optima``, in enumeration order; only these get a copied
     plan and an optimal horizon. Instances are enumerated up to ``cap`` atoms
@@ -345,15 +361,17 @@ def brute_force_oracle(
             f"(m={mu.size}, k={nu.size}, cap={cap})"
         )
 
-    moments = pm.of_each(plans)
-    costs = [cost_c(m) for m in moments]
-    best_value = min(costs)
+    A, B, C, D, keeps = pm.of_each(plans)
+    # cost_c of every vertex: D where it keeps positions, else _moving_cost.
+    costs = D.copy()
+    moves = ~keeps
+    costs[moves] = _moving_cost(A[moves], B[moves], C[moves], D[moves])
+    best_value = float(costs.min())
     tie_tol = ORACLE_TIE_TOL * (1.0 + abs(best_value))
-    optima = tuple(
-        (plans[v].copy(), value, optimal_time_plan(moments[v]))
-        for v, value in enumerate(costs)
-        if value <= best_value + tie_tol
-    )
+    optima = []
+    for v in np.flatnonzero(costs <= best_value + tie_tol):
+        m = PlanMoments(float(A[v]), float(B[v]), float(C[v]), float(D[v]), bool(keeps[v]))
+        optima.append((plans[v].copy(), float(costs[v]), optimal_time_plan(m)))
     P_best, _, tag = optima[0]
     return SolveResult(
         cost_sq=max(best_value, 0.0),
@@ -361,7 +379,7 @@ def brute_force_oracle(
         regime=_REGIME_OF_TAG[tag.kind],
         plan=Coupling(P_best, mu, nu),
         iterations=len(plans),
-        optima=optima,
+        optima=tuple(optima),
     )
 
 

@@ -80,6 +80,23 @@ class TestParsing:
             build_parser().parse_args(["discrepancy", "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_negative_numbers_are_values(self, capsys):
+        args = build_parser().parse_args(
+            ["simulate", "--mu", "a.json", "--force", "free", "--t0", "-1e-1",
+             "--t1", "-2.5E-2", "--dt", "0.005", "--out", "dir/"]
+        )
+        assert (args.t0, args.t1) == (-0.1, -0.025)
+        args = build_parser().parse_args(
+            ["probe", "--suite", "t-ratio", "--time", "-.5e+1", "--out", "p.csv"]
+        )
+        assert args.time == -5.0
+        # a ladder that starts with a negative offset reaches its converter
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["probe", "--suite", "t-ratio", "--h", "-1e-1,0.2", "--out", "p.csv"]
+            )
+        assert "expected a comma-separated list" in capsys.readouterr().err
+
     def test_simulate_command(self):
         args = build_parser().parse_args(
             ["simulate", "--mu", "a.json", "--force", "harmonic",
@@ -184,6 +201,9 @@ class TestExitCodes:
             ["interpolate", "--mu", U5_MU, "--nu", U5_NU, "--T", "1", "--steps", "100000000000"],
             ["simulate", "--mu", U5_MU, "--force", "harmonic",
              "--t0", "0", "--t1", "1", "--dt", "1e-15"],
+            # an unknown option where a number belongs
+            ["simulate", "--mu", U5_MU, "--force", "free",
+             "--t0", "-x", "--t1", "0.5", "--dt", "0.1"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
@@ -348,6 +368,13 @@ class TestInterpolateSimulate:
                      "--t0", "0", "--t1", "0.5", "--dt", "0.7",
                      "--out", str(tmp_path / "sim")])
         assert code == 4
+
+    def test_negative_t0_in_exponent_form(self, tmp_path):
+        # "--t0 -1e-1" is the value -0.1, as in "--t0=-1e-1"
+        argv = ["simulate", "--mu", U5_MU, "--force", "harmonic", "--t1", "0.5", "--dt", "0.05"]
+        assert main(argv + ["--t0", "-1e-1", "--out", str(tmp_path / "spaced")]) == 0
+        assert main(argv + ["--t0=-1e-1", "--out", str(tmp_path / "joined")]) == 0
+        assert _digest_files(tmp_path / "spaced") == _digest_files(tmp_path / "joined")
 
     def test_frame_bytes_pinned(self, tmp_path):
         for pair in ("two_plan_tie", "uniform5"):

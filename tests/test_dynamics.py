@@ -1,9 +1,13 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from otikin.dynamics import (
     ForceField,
     SplineEnsemble,
+    _real_roots_by_degree,
     build_dynamical_plan,
     interpolate_at,
     metric_derivative_probe,
@@ -20,14 +24,14 @@ from otikin.measures import (
     product_coupling,
     pushforward_free_transport,
 )
-from otikin.phase import PhaseState, spline_from_endpoints, tilde_dT_sq
+from otikin.phase import CubicSpline, PhaseState, spline_from_endpoints, tilde_dT_sq
 from otikin.scenarios import (
     crossing_ensemble,
     harmonic_single,
     nonunique_two_atom_instance,
     random_uniform_instance,
 )
-from otikin.solver import solve_d, solve_fixed_T
+from otikin.solver import brute_force_oracle, solve_d, solve_fixed_T
 
 
 def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
@@ -222,6 +226,111 @@ class TestMongeMather:
             assert rep.min_separation <= dense * (1.0 + 1e-12)
             assert rep.min_separation == pytest.approx(dense, rel=1e-9)
             checked += 1
+
+
+def polyroots_min_separation(si, sj) -> tuple[float, int]:
+    """Least phase separation of two splines over [0, T] from the real roots
+    of f', f = |dx|^2 + |dv|^2 built coordinate by coordinate in unscaled
+    time, one ``polyroots`` call for the pair; also the number of roots."""
+    P = np.polynomial.polynomial
+    T = si.horizon
+    p = np.array([si.a0 - sj.a0, si.a1 - sj.a1, si.a2 - sj.a2, si.a3 - sj.a3])
+    f = np.zeros(1)
+    for c in p.T:
+        f = P.polyadd(f, P.polyadd(P.polymul(c, c), P.polymul(P.polyder(c), P.polyder(c))))
+    roots = P.polyroots(P.polyder(f)).real
+    t = np.concatenate([[0.0, T], np.clip(roots, 0.0, T)])
+    sep = np.sqrt(sum(P.polyval(t, c) ** 2 + P.polyval(t, P.polyder(c)) ** 2 for c in p.T))
+    return float(np.min(sep)), roots.size
+
+
+def degree_class_ensemble(T: float = 1.5) -> SplineEnsemble:
+    """Five splines on [0, T]: a base and four that add to it a constant, a
+    linear, a quadratic and a cubic term. The differences of the pairs are
+    constant (a translation of both endpoints), linear, quadratic or cubic,
+    and half of f' then has degree 0, 1, 3 or 5. Every coefficient is dyadic,
+    so the differences and their zero coefficients are exact."""
+    base = np.array([[0.0, 0.0], [-1.0, 2.0], [1.0, 0.5], [0.5, -0.25]])  # a0..a3
+    added = [
+        [[2.0, 0.0]],
+        [[0.0, 1.0], [1.0, -1.0]],
+        [[-1.0, 0.5], [0.5, 0.0], [1.0, 1.0]],
+        [[0.5, -1.0], [0.0, 0.5], [-0.5, 0.25], [1.0, -0.5]],
+    ]
+    coefs = [base] + [base + np.pad(np.array(d), ((0, 4 - len(d)), (0, 0))) for d in added]
+    splines = tuple(CubicSpline(a3=c[3], a2=c[2], a1=c[1], a0=c[0], horizon=T) for c in coefs)
+    return SplineEnsemble(splines=splines, masses=np.full(5, 0.2), horizon=T)
+
+
+def test_every_degree_class_of_the_injectivity_roots():
+    e = degree_class_ensemble()
+    references, degrees = [], set()
+    for i, j in itertools.combinations(range(5), 2):
+        ref, n_roots = polyroots_min_separation(e.splines[i], e.splines[j])
+        degrees.add(n_roots)
+        references.append(ref)
+        pair = SplineEnsemble(
+            splines=(e.splines[i], e.splines[j]), masses=np.full(2, 0.5), horizon=e.horizon
+        )
+        assert monge_mather_check(pair).min_separation == pytest.approx(ref, rel=1e-12)
+    assert degrees == {0, 1, 3, 5}
+    # the constant pair: the separation |(2, 0)| at every time
+    assert references[0] == 2.0
+    assert min(references) < 2.0
+    rep = monge_mather_check(e)
+    assert not rep.violated
+    assert rep.min_separation == pytest.approx(min(references), rel=1e-12)
+    dense = dense_min_separation(e)
+    assert rep.min_separation <= dense * (1.0 + 1e-12)
+    assert rep.min_separation == pytest.approx(dense, rel=1e-9)
+
+
+def test_stacked_roots_equal_polyroots_bit_for_bit():
+    # rows of every trimmed degree 0..5, real and complex roots, and a zero row
+    rng = np.random.default_rng(13)
+    coef = rng.normal(size=(61, 6))
+    for r in range(60):
+        coef[r, 6 - r % 6 :] = 0.0
+    coef[60] = 0.0
+    found = {}
+    for degree, rows, roots in _real_roots_by_degree(coef):
+        assert roots.shape == (rows.size, degree)
+        found.update(zip(rows.tolist(), roots))
+    for r, c in enumerate(coef):
+        reference = np.polynomial.polynomial.polyroots(c).real
+        if reference.size == 0:
+            assert r not in found
+        else:
+            assert found[r].tobytes() == reference.tobytes()
+
+
+def injectivity_pin_ensembles():
+    """The ensembles of a certification sweep: for 40 seeded uniform pairs the
+    fixed-horizon plan at T = 1 and, when its horizon is finite, the oracle's
+    plan at that horizon; then the crossing ensemble."""
+    rng = np.random.default_rng(31)
+    ensembles = []
+    for i in range(40):
+        mu, nu = random_uniform_instance(rng, 2 + i % 5, 1 + i % 3)
+        ensembles.append(build_dynamical_plan(mu, nu, solve_fixed_T(mu, nu, 1.0).plan, 1.0))
+        orc = brute_force_oracle(mu, nu)
+        if orc.optimal_time.is_finite:
+            ensembles.append(build_dynamical_plan(mu, nu, orc.plan, orc.optimal_time.value))
+    ensembles.append(crossing_ensemble())
+    return ensembles
+
+
+# SHA-256 of every ``monge_mather_check`` report on ``injectivity_pin_ensembles``.
+INJECTIVITY_PIN = "b067de8de70f757cd776c6be50f03e12a84be0b31e56c993bed02b4f9b4ddb34"
+
+
+def test_injectivity_reports_pinned():
+    h = hashlib.sha256()
+    for e in injectivity_pin_ensembles():
+        rep = monge_mather_check(e)
+        t = None if rep.offending_time is None else rep.offending_time.hex()
+        h.update(repr((rep.min_separation.hex(), rep.violated, rep.offending_pair, t)).encode())
+    assert h.hexdigest() == INJECTIVITY_PIN
 
 
 class TestVlasov:

@@ -359,6 +359,10 @@ def _moment_fields(m):
     return (m.A, m.B, m.C, m.D, m.keeps_positions)
 
 
+def _bits(fields):
+    return tuple(f.hex() if isinstance(f, float) else f for f in fields)
+
+
 @pytest.mark.parametrize("path", ["uniform", "tree"])
 def test_stacked_moments_equal_single_plan_moments(path):
     # every field bit for bit, not approximately: the oracle's moments come
@@ -373,10 +377,39 @@ def test_stacked_moments_equal_single_plan_moments(path):
     pm = PairMoments(mu, nu)
     stacked = pm.of_each(plans)
     single = [pm.of(P) for P in plans]
-    assert len(stacked) == len(plans) > 1
-    assert [_moment_fields(m) for m in stacked] == [_moment_fields(m) for m in single]
+    assert len(stacked[0]) == len(plans) > 1
+    assert [_bits(a[v].item() for a in stacked) for v in range(len(plans))] == [
+        _bits(_moment_fields(m)) for m in single
+    ]
     with pytest.raises(ValueError):
         pm.of_each(plans[:, :-1, :])
+
+
+@pytest.mark.parametrize(
+    "w, t, error, other",
+    [(3, -1.0, "must be nonnegative", (1, -1.0)), (1, -1.0, "Cauchy-Schwarz", (3, -1.0))],
+    ids=["negative-moment", "cauchy-schwarz"],
+)
+def test_stacked_oracle_rejects_bad_moments(monkeypatch, w, t, error, other):
+    # (1 - t) P_0 + t P_w keeps the marginals of two vertices; with t < 0 some
+    # of its entries are negative
+    rng = np.random.default_rng(8)
+    mu, nu = random_uniform_instance(rng, 3, 1)
+    vertices = _vertex_plans_uniform(3)
+
+    def extrapolate(w, t):
+        return (1.0 - t) * vertices[0] + t * vertices[w]
+
+    bad = extrapolate(w, t)
+    assert bad.min() < 0.0
+    with pytest.raises(ValueError, match=error) as single:
+        PairMoments(mu, nu).of(bad)
+    # a second bad plan, of the other kind, comes later: the first one raises
+    stack = np.concatenate([vertices[:4], [bad], vertices[4:], [extrapolate(*other)]])
+    monkeypatch.setattr("otikin.solver._vertex_plans_uniform", lambda m: stack)
+    with pytest.raises(ValueError) as stacked:
+        brute_force_oracle(mu, nu)
+    assert str(stacked.value) == str(single.value)
 
 
 def _tree_pair(rng, m, k, integer):
@@ -441,6 +474,39 @@ def test_oracle_bytes_pinned():
             h.update(P.tobytes())
             h.update(repr((cost.hex(), _time_key(t))).encode())
     assert h.hexdigest() == ORACLE_PIN
+
+
+def solve_pin_instances():
+    """Uniform pairs for m = 2..6 (assignment path), non-uniform 6 x 5 and
+    3 x 4 pairs (simplex path), an equal-positions pair and the two-plan tie."""
+    rng = np.random.default_rng(21)
+    pairs = [nonunique_two_atom_instance()]
+    for m in range(2, 7):
+        for n in (1, 2):
+            pairs.append(random_uniform_instance(rng, m, n))
+    for _ in range(4):
+        pairs.append(_tree_pair(rng, 6, 5, integer=False))
+        pairs.append(_tree_pair(rng, 3, 4, integer=False))
+    mu, _ = random_uniform_instance(rng, 4, 2)
+    nu = DiscreteMeasure(mu.positions[[2, 0, 3, 1]], rng.normal(size=(4, 2)), mu.weights)
+    pairs.append((mu, nu))
+    return pairs
+
+
+# SHA-256 of every ``solve_d`` and ``solve_tilde_d`` result on
+# ``solve_pin_instances``: cost, horizon, regime, LP solves and plan bytes.
+SOLVE_PIN = "e0d8f02a044a53499fa82a94900ea1cc2c8767fb3b3c3d69382e4597af3a40de"
+
+
+def test_solve_bytes_pinned():
+    h = hashlib.sha256()
+    for mu, nu in solve_pin_instances():
+        for solve in (solve_d, solve_tilde_d):
+            res = solve(mu, nu)
+            head = (res.cost_sq.hex(), _time_key(res.optimal_time), res.regime, res.iterations)
+            h.update(repr(head).encode())
+            h.update(res.plan.P.tobytes())
+    assert h.hexdigest() == SOLVE_PIN
 
 
 class TestFreeTransportDetection:
