@@ -10,13 +10,9 @@ from .phase import (
     CubicSpline,
     OptimalTime,
     PhaseState,
-    classify_zero,
-    curve_d_derivative,
     d_sq,
-    free_transport,
     optimal_time_point,
     spline_action,
-    spline_eval,
     spline_from_endpoints,
     tilde_d_sq,
     tilde_dT_sq,
@@ -26,7 +22,6 @@ from .measures import (
     DiscreteMeasure,
     PairMoments,
     PlanMoments,
-    check_coupling,
     measure_from_csv,
     measure_from_json,
     measure_to_csv,

@@ -11,8 +11,10 @@ malformed measure data, 4 solver failure (an input the solver rejects, or a
 ``RuntimeError`` of the simplex), 5 verification failure. Single arguments are
 checked by argparse as it parses them, before any file is read; ``main`` maps
 a solver failure to its exit code, while ``_load`` and ``_write_text`` are
-the boundaries for input and output files. JSON outputs are byte-deterministic:
-floats are written with 17 significant digits and keys in fixed order.
+the boundaries for input and output files. ``probe`` looks up its times on the
+scenario grid before it solves, so an off-grid ``--time`` is a usage error.
+JSON outputs are byte-deterministic: floats are written with 17 significant
+digits and keys in fixed order.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .dynamics import (
     path_action,
     vlasov_integrate,
 )
+from . import scenarios
 from .measures import load_measure, measure_to_csv
 from .phase import OptimalTime
 from .solver import (
@@ -344,14 +347,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    from . import scenarios
-
     builders = {
         "harmonic-single": scenarios.harmonic_single,
         "harmonic-ensemble": lambda: scenarios.harmonic_ensemble(seed=args.seed),
         "opposite-pair": scenarios.opposite_pair,
     }
-    points = metric_derivative_probe(builders[args.scenario](), args.time, args.h)
+    traj = builders[args.scenario]()
+    try:  # the probe looks up these times on the grid; a miss is a bad --time
+        for t in [args.time] + [args.time + h for h in args.h]:
+            traj.index_of(t)
+    except ValueError as exc:
+        return _usage_error(f"--time and every --time + h must be grid times: {exc}")
+    points = metric_derivative_probe(traj, args.time, args.h)
     if args.suite == "metric-derivative":
         lines = ["h,ratio_tilde,ratio_d,force_norm"] + [
             ",".join(_fmt_float(x) for x in (p.h, p.ratio_tilde, p.ratio_d, p.force_norm))

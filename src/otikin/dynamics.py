@@ -40,13 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplineEnsemble:
-    """Mass-weighted family of cubic connectors sharing one horizon."""
+    """Mass-weighted family of cubic connectors sharing one horizon.
+
+    Built from a coupling, spline k connects the k-th cell of the plan's
+    ``support()``.
+    """
 
     splines: tuple[CubicSpline, ...]
     masses: np.ndarray
     horizon: float
-    # Endpoint atom indices (i, j) per spline when built from a coupling.
-    pair_indices: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float).ravel()
@@ -83,7 +85,6 @@ def build_dynamical_plan(
         splines=tuple(spline_from_endpoints(mu.atom(i), nu.atom(j), T) for i, j in pairs),
         masses=masses / masses.sum(),
         horizon=float(T),
-        pair_indices=tuple(pairs),
     )
 
 
@@ -328,12 +329,17 @@ class Trajectory:
             self.states[k, :, 0, :], self.states[k, :, 1, :], self.weights.copy()
         )
 
+    def norm_sq(self, values: np.ndarray) -> np.ndarray:
+        """Mass-weighted squared norm sum_i w_i |values_i|^2 of per-particle values.
+
+        ``values`` holds one (m, n) block per particle set, e.g. ``forces`` or
+        ``states[:, :, 1, :]`` for every grid time; the last two axes reduce.
+        """
+        return np.sum(self.weights * np.sum(values**2, axis=-1), axis=-1)
+
     def force_norm_at(self, t: float) -> float:
         """Mass-weighted L2 norm of the recorded force at a grid time."""
-        k = self.index_of(t)
-        return float(
-            np.sqrt(np.sum(self.weights * np.sum(self.forces[k] ** 2, axis=1)))
-        )
+        return float(np.sqrt(self.norm_sq(self.forces[self.index_of(t)])))
 
 
 def vlasov_integrate(
@@ -445,8 +451,7 @@ def path_action(traj: Trajectory) -> float:
         raise ValueError("trajectory carries no force samples")
     dt = _uniform_dt(traj)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms_sq = np.sum(traj.weights[None, :] * np.sum(traj.forces**2, axis=2), axis=1)
-        action = float(traj.times[-1] - traj.times[0]) * _simpson(norms_sq, dt)
+        action = float(traj.times[-1] - traj.times[0]) * _simpson(traj.norm_sq(traj.forces), dt)
     if not np.isfinite(action):
         raise ValueError("path action overflows; forces are too large")
     return action
@@ -476,10 +481,9 @@ def moment_report(traj: Trajectory) -> MomentReport:
     10 dt^2 (1 + bound scale). Report-only; no exception on violation.
     """
     dt = _uniform_dt(traj)
-    w = traj.weights
-    v_norm = np.sqrt(np.sum(w[None, :] * np.sum(traj.states[:, :, 1, :] ** 2, axis=2), axis=1))
-    x_norm = np.sqrt(np.sum(w[None, :] * np.sum(traj.states[:, :, 0, :] ** 2, axis=2), axis=1))
-    f_norm = np.sqrt(np.sum(w[None, :] * np.sum(traj.forces**2, axis=2), axis=1))
+    v_norm = np.sqrt(traj.norm_sq(traj.states[:, :, 1, :]))
+    x_norm = np.sqrt(traj.norm_sq(traj.states[:, :, 0, :]))
+    f_norm = np.sqrt(traj.norm_sq(traj.forces))
 
     def cumtrapz(y):
         out = np.zeros_like(y)

@@ -26,7 +26,6 @@ __all__ = [
     "Coupling",
     "PlanMoments",
     "PairMoments",
-    "CouplingReport",
     "validate_measure",
     "measure_from_json",
     "measure_to_json",
@@ -35,7 +34,6 @@ __all__ = [
     "load_measure",
     "product_coupling",
     "plan_moments",
-    "check_coupling",
     "w2_sq",
     "pushforward_free_transport",
     "coincident_blocks",
@@ -374,23 +372,6 @@ class PairMoments:
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:
     """Exact weighted sums of the four pairwise cost ingredients."""
     return PairMoments(mu, nu).of(plan.P)
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    max_marginal_violation: float
-    min_entry: float
-
-
-def check_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, P: np.ndarray) -> CouplingReport:
-    """Report the worst marginal violation and the smallest entry of a matrix."""
-    P = np.asarray(P, dtype=float)
-    row_err = float(np.max(np.abs(P.sum(axis=1) - mu.weights)))
-    col_err = float(np.max(np.abs(P.sum(axis=0) - nu.weights)))
-    return CouplingReport(
-        max_marginal_violation=max(row_err, col_err),
-        min_entry=float(P.min()),
-    )
 
 
 def w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

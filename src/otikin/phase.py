@@ -3,8 +3,10 @@
 A phase state is a pair (x, v) of position and velocity in R^n. The module
 provides the cubic connector that minimises the time-weighted squared
 acceleration between two states, the induced fixed-horizon discrepancy and its
-time-optimised variants, free transport, and a one-sided derivative estimator
-for curves of states.
+time-optimised variants, and the tolerances shared by the measure-level code.
+Free transport, zero-discrepancy detection and derivatives along curves act on
+measures: see ``measures.pushforward_free_transport``,
+``solver.detect_free_transport`` and ``dynamics.metric_derivative_probe``.
 
 All functions are pure; inputs are never mutated.
 """
@@ -19,17 +21,12 @@ __all__ = [
     "PhaseState",
     "CubicSpline",
     "OptimalTime",
-    "ZeroClassification",
     "spline_from_endpoints",
-    "spline_eval",
     "spline_action",
     "tilde_dT_sq",
     "optimal_time_point",
     "tilde_d_sq",
     "d_sq",
-    "free_transport",
-    "classify_zero",
-    "curve_d_derivative",
 ]
 
 # A time may overshoot either end of a horizon T by HORIZON_TOL * T.
@@ -170,13 +167,6 @@ def spline_from_endpoints(src: PhaseState, dst: PhaseState, T: float) -> CubicSp
     return CubicSpline(a3=a3, a2=a2, a1=v.copy(), a0=x.copy(), horizon=T)
 
 
-def spline_eval(s: CubicSpline, t: float) -> PhaseState:
-    """State (alpha(t), alpha'(t)) of the spline, for t in [0, T]."""
-    if not (-HORIZON_TOL * s.horizon <= t <= s.horizon * (1.0 + HORIZON_TOL)):
-        raise ValueError(f"time {t} outside spline horizon [0, {s.horizon}]")
-    return PhaseState(s.position(t), s.velocity(t))
-
-
 def spline_action(s: CubicSpline) -> float:
     """Closed form of ``T * integral_0^T |alpha''(t)|^2 dt``.
 
@@ -252,94 +242,3 @@ def d_sq(src: PhaseState, dst: PhaseState) -> float:
         dv = dst.v - src.v
         return float(np.dot(dv, dv))
     return tilde_d_sq(src, dst)
-
-
-def free_transport(s: PhaseState, T: float) -> PhaseState:
-    """Drift map (x, v) -> (x + T v, v); the zero-cost motion for T >= 0."""
-    if T < 0:
-        raise ValueError(f"free transport requires T >= 0, got {T}")
-    return PhaseState(s.x + float(T) * s.v, s.v.copy())
-
-
-@dataclass(frozen=True)
-class ZeroClassification:
-    """Outcome of the zero-discrepancy classification for a pair of states.
-
-    kind is one of "free_transport" (with the transport time), "both_rest"
-    (distinct positions, both velocities below tolerance), or "positive"
-    (with the squared discrepancy).
-    """
-
-    kind: str
-    T: float | None = None
-    value: float | None = None
-
-
-def classify_zero(src: PhaseState, dst: PhaseState, tol: float) -> ZeroClassification:
-    """Decide whether the pair lies in one of the zero-discrepancy classes.
-
-    The candidate transport time comes from the closed form
-    T = (y-x).v / |v|^2 (the drift condition is affine in T, so no root
-    finding is needed) and is then verified coordinate-wise within ``tol``.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if src.dim != dst.dim:
-        raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
-    gap = dst.x - src.x
-    speed_sq = float(np.dot(src.v, src.v))
-    if speed_sq > tol * tol:
-        T = float(np.dot(gap, src.v)) / speed_sq
-        T = max(T, 0.0)
-        img = free_transport(src, T)
-        if (
-            float(np.max(np.abs(dst.x - img.x))) <= tol
-            and float(np.max(np.abs(dst.v - img.v))) <= tol
-        ):
-            return ZeroClassification("free_transport", T=T)
-    else:
-        # v ~ 0: free transport degenerates to the identity.
-        if (
-            float(np.max(np.abs(gap))) <= tol
-            and float(np.max(np.abs(dst.v - src.v))) <= tol
-        ):
-            return ZeroClassification("free_transport", T=0.0)
-    if (
-        float(np.linalg.norm(gap)) > tol
-        and float(np.linalg.norm(src.v)) <= tol
-        and float(np.linalg.norm(dst.v)) <= tol
-    ):
-        return ZeroClassification("both_rest")
-    return ZeroClassification("positive", value=d_sq(src, dst))
-
-
-def curve_d_derivative(
-    samples: list[tuple[float, PhaseState]],
-    t: float,
-    h_list: list[float],
-) -> list[float]:
-    """Forward difference ratios d(gamma(t), gamma(t+h)) / h for each h.
-
-    Only forward offsets are used: the discrepancy is asymmetric and its
-    derivative along a curve is a one-sided limit.  Each requested time must
-    match a sample time; ratios converge to |dv/dt| for curves whose position
-    moves along the instantaneous velocity.
-    """
-    if not h_list:
-        return []
-    if any(h <= 0 for h in h_list):
-        raise ValueError("offsets must be positive")
-    times = np.asarray([float(s[0]) for s in samples])
-    span = max(abs(t), abs(t + max(h_list)), 1.0)
-    tol = TIME_GRID_TOL * span
-
-    def state_at(target: float) -> PhaseState:
-        idx = int(np.argmin(np.abs(times - target)))
-        if abs(times[idx] - target) > tol:
-            raise ValueError(
-                f"insufficient samples: no sample at time {target} (closest {times[idx]})"
-            )
-        return samples[idx][1]
-
-    base = state_at(t)
-    return [np.sqrt(d_sq(base, state_at(t + h))) / h for h in h_list]

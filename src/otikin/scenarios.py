@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ForceField, SplineEnsemble, Trajectory, vlasov_integrate
-from .measures import DiscreteMeasure, pushforward_free_transport
+from .measures import Coupling, DiscreteMeasure, pushforward_free_transport
 from .phase import PhaseState, spline_from_endpoints
 
 __all__ = [
@@ -59,8 +59,6 @@ def circle_shift_coupling_moments(N: int):
     coupling collapses to 4 sin^2(pi / N), which vanishes as N grows while
     every position-preserving coupling keeps cost at least 3 C ~ 12.
     """
-    from .measures import Coupling
-
     mu = circle_measure(N)
     P = np.zeros((N, N))
     for i in range(N):
@@ -167,5 +165,4 @@ def crossing_ensemble() -> SplineEnsemble:
         splines=(s1, s2),
         masses=np.array([0.5, 0.5]),
         horizon=1.0,
-        pair_indices=((0, 0), (1, 1)),
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    ForceField,
     build_dynamical_plan,
     interpolate_at,
     metric_derivative_probe,
@@ -375,9 +376,7 @@ def check_brake_ratio(seed: int = 42) -> CheckResult:
         mu0 = traj.measure_at(traj.times[0])
         mu1 = traj.measure_at(traj.times[-1])
         d_val = float(np.sqrt(solve_d(mu0, mu1).cost_sq))
-        f_norms = np.sqrt(
-            np.sum(traj.weights[None, :] * np.sum(traj.forces**2, axis=2), axis=1)
-        )
+        f_norms = np.sqrt(traj.norm_sq(traj.forces))
         f_int = float(np.trapezoid(f_norms, traj.times))
         ratios.append(d_val / f_int)
     target = 2.0 * abs(2.0 * 1e-2 - 2.0 * np.sqrt(1e-2)) / factor2_force_integral(1e-2)
@@ -442,8 +441,6 @@ def check_shift_collapse(seed: int = 42) -> CheckResult:
 
 
 def _packaged_trajectories(seed: int = 42):
-    from .dynamics import ForceField
-
     rng = np.random.default_rng(seed)
     free0 = DiscreteMeasure(
         rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), np.full(8, 0.125)
@@ -466,9 +463,7 @@ def check_moment_bounds(seed: int = 42) -> CheckResult:
         ok = ok and rep.ok
         worst = min(float(rep.v_margin.min()), float(rep.x_margin.min()))
         dt = float(traj.times[1] - traj.times[0])
-        f_norms = np.sqrt(
-            np.sum(traj.weights[None, :] * np.sum(traj.forces**2, axis=2), axis=1)
-        )
+        f_norms = np.sqrt(traj.norm_sq(traj.forces))
         phys_worst = -np.inf
         for _ in range(20):
             i = int(rng.integers(0, traj.n_times - 2))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -204,6 +205,9 @@ class TestExitCodes:
             # an unknown option where a number belongs
             ["simulate", "--mu", U5_MU, "--force", "free",
              "--t0", "-x", "--t1", "0.5", "--dt", "0.1"],
+            # a probe time off the scenario's grid, or one whose time + h is
+            ["probe", "--suite", "t-ratio", "--time", "0.3001"],
+            ["probe", "--suite", "metric-derivative", "--time", "0.9"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
@@ -448,6 +452,13 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"otikin.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+    # nor in the package root: each re-export is in its source module's __all__
+    tree = ast.parse(Path(otikin.__file__).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"otikin.{node.module}")
+            unlisted = [a.name for a in node.names if a.name not in module.__all__]
+            assert not unlisted, (node.module, unlisted)
 
 
 def test_canonical_json_fixed_formatting():

@@ -32,6 +32,7 @@ from otikin.scenarios import (
     random_uniform_instance,
 )
 from otikin.solver import brute_force_oracle, solve_d, solve_fixed_T
+from otikin.verification import _packaged_trajectories
 
 
 def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
@@ -41,9 +42,7 @@ def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
     head = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, t_meet)
     dst2 = PhaseState(head.position(T), head.velocity(T))
     s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, T)
-    return SplineEnsemble(
-        splines=(s1, s2), masses=np.array([0.5, 0.5]), horizon=T, pair_indices=((0, 0), (1, 1))
-    )
+    return SplineEnsemble(splines=(s1, s2), masses=np.array([0.5, 0.5]), horizon=T)
 
 
 def dense_min_separation(e: SplineEnsemble, n_times: int = 100_000) -> float:
@@ -121,11 +120,11 @@ class TestInterpolation:
         ens = build_dynamical_plan(mu, nu, res.plan, 1.0)
         start = interpolate_at(ens, 0.0)
         # bitwise at t = 0 (evaluation returns the stored coefficients)
-        for i, (src, _) in enumerate(ens.pair_indices):
+        for i, (src, _) in enumerate(res.plan.support()):
             assert np.array_equal(start.positions[i], mu.positions[src])
             assert np.array_equal(start.velocities[i], mu.velocities[src])
         end = interpolate_at(ens, 1.0)
-        for i, (_, dst) in enumerate(ens.pair_indices):
+        for i, (_, dst) in enumerate(res.plan.support()):
             assert end.positions[i] == pytest.approx(nu.positions[dst], abs=1e-12)
             assert end.velocities[i] == pytest.approx(nu.velocities[dst], abs=1e-12)
 
@@ -439,6 +438,22 @@ class TestMoments:
         traj = vlasov_integrate(mu0, f, 0.0, 1.0, dt)
         rep = moment_report(traj)
         assert not rep.ok
+
+
+# SHA-256 of the margins, slack and verdict of ``moment_report`` on every
+# packaged trajectory of the moment-bounds check.
+MOMENT_PIN = "1210c9295a339c6544c0b66cdfcbb8964149c6868121a5023d42e632080b066a"
+
+
+def test_moment_reports_pinned():
+    h = hashlib.sha256()
+    for name, traj in _packaged_trajectories(42).items():
+        rep = moment_report(traj)
+        h.update(name.encode())
+        h.update(rep.v_margin.tobytes())
+        h.update(rep.x_margin.tobytes())
+        h.update(repr((rep.slack.hex(), rep.ok)).encode())
+    assert h.hexdigest() == MOMENT_PIN
 
 
 class TestProbes:

@@ -1,45 +1,57 @@
 import numpy as np
 import pytest
 
+from otikin.dynamics import Trajectory, metric_derivative_probe
+from otikin.measures import DiscreteMeasure, pushforward_free_transport
 from otikin.phase import (
     PhaseState,
-    classify_zero,
-    curve_d_derivative,
     d_sq,
-    free_transport,
     optimal_time_point,
     spline_action,
-    spline_eval,
     spline_from_endpoints,
     tilde_d_sq,
     tilde_dT_sq,
 )
+from otikin.solver import detect_free_transport, solve_d
 
 
 def S(x, v):
     return PhaseState(np.atleast_1d(x), np.atleast_1d(v))
 
 
+def dirac(s: PhaseState) -> DiscreteMeasure:
+    return DiscreteMeasure([s.x], [s.v], [1.0])
+
+
+def drift(s: PhaseState, T: float) -> PhaseState:
+    """The state's image under free transport for time T."""
+    return pushforward_free_transport(dirac(s), T).atom(0)
+
+
+def curve(ts, x, v, a) -> Trajectory:
+    """One-particle trajectory of exact samples x(t), v(t) and force a(t)."""
+    states = np.stack([[[x(t), v(t)]] for t in ts])[..., None]
+    forces = np.stack([[[a(t)]] for t in ts])
+    return Trajectory(times=ts, states=states, weights=np.ones(1), forces=forces)
+
+
 class TestSpline:
     def test_unit_endpoints(self):
         s = spline_from_endpoints(S(0.0, 0.0), S(1.0, 1.0), 1.0)
-        end = spline_eval(s, 1.0)
-        assert end.x == pytest.approx([1.0], abs=1e-14)
-        assert end.v == pytest.approx([1.0], abs=1e-14)
+        assert s.position(1.0) == pytest.approx([1.0], abs=1e-14)
+        assert s.velocity(1.0) == pytest.approx([1.0], abs=1e-14)
         # alpha(t) = 2 t^2 - t^3 for these endpoints
-        mid = spline_eval(s, 0.5)
-        assert mid.x == pytest.approx([2 * 0.25 - 0.125], abs=1e-14)
+        assert s.position(0.5) == pytest.approx([2 * 0.25 - 0.125], abs=1e-14)
 
     def test_free_transport_is_straight(self):
         src = S([1.0, -2.0], [0.5, 0.25])
-        dst = free_transport(src, 3.0)
+        dst = drift(src, 3.0)
         s = spline_from_endpoints(src, dst, 3.0)
         assert np.allclose(s.a3, 0.0, atol=1e-14)
         assert np.allclose(s.a2, 0.0, atol=1e-14)
         assert spline_action(s) == pytest.approx(0.0, abs=1e-13)
-        half = spline_eval(s, 1.5)
-        assert half.x == pytest.approx(src.x + 1.5 * src.v)
-        assert half.v == pytest.approx(src.v)
+        assert s.position(1.5) == pytest.approx(src.x + 1.5 * src.v)
+        assert s.velocity(1.5) == pytest.approx(src.v)
 
     def test_rest_to_rest_action(self):
         s = spline_from_endpoints(S(0.0, 0.0), S(1.0, 0.0), 1.0)
@@ -62,9 +74,6 @@ class TestSpline:
             spline_from_endpoints(S(0.0, 0.0), S(1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             spline_from_endpoints(S(0.0, 0.0), S([1.0, 2.0], [0.0, 0.0]), 1.0)
-        s = spline_from_endpoints(S(0.0, 0.0), S(1.0, 1.0), 1.0)
-        with pytest.raises(ValueError):
-            spline_eval(s, 1.5)
 
 
 class TestPointwiseCosts:
@@ -137,8 +146,8 @@ class TestPointwiseCosts:
 class TestFreeTransport:
     def test_identity_and_shift(self):
         s = S(0.0, 1.0)
-        assert free_transport(s, 0.0).x == pytest.approx([0.0])
-        img = free_transport(s, 2.0)
+        assert drift(s, 0.0).x == pytest.approx([0.0])
+        img = drift(s, 2.0)
         assert img.x == pytest.approx([2.0])
         assert img.v == pytest.approx([1.0])
 
@@ -146,65 +155,71 @@ class TestFreeTransport:
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = PhaseState(rng.normal(size=2), rng.normal(size=2))
-            ab = free_transport(free_transport(s, 2.0), 1.0)
-            once = free_transport(s, 3.0)
+            ab = drift(drift(s, 2.0), 1.0)
+            once = drift(s, 3.0)
             assert ab.x == pytest.approx(once.x, rel=1e-14)
             assert ab.v == pytest.approx(once.v, rel=1e-14)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            free_transport(S(0.0, 1.0), -0.1)
+            drift(S(0.0, 1.0), -0.1)
 
     def test_zero_cost_on_drift_pairs(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             s = PhaseState(rng.normal(size=3), rng.normal(size=3))
             T = float(rng.uniform(0, 5))
-            assert d_sq(s, free_transport(s, T)) <= 1e-12
+            assert d_sq(s, drift(s, T)) <= 1e-12
 
 
 class TestClassifyZero:
+    """The zero-discrepancy classes for Dirac pairs, as the solver detects them."""
+
     def test_drift_pair(self):
         src = S([0.0, 1.0], [1.0, 0.5])
-        out = classify_zero(src, free_transport(src, 0.7), 1e-9)
-        assert out.kind == "free_transport"
-        assert out.T == pytest.approx(0.7, abs=1e-9)
+        mu = dirac(src)
+        nu = pushforward_free_transport(mu, 0.7)
+        assert detect_free_transport(mu, nu).T == pytest.approx(0.7, abs=1e-9)
+        assert solve_d(mu, nu).cost_sq == pytest.approx(0.0, abs=1e-12)
 
     def test_both_rest(self):
-        out = classify_zero(S(0.0, 0.0), S(5.0, 0.0), 1e-9)
-        assert out.kind == "both_rest"
+        mu, nu = dirac(S(0.0, 0.0)), dirac(S(5.0, 0.0))
+        assert detect_free_transport(mu, nu).both_rest
+        assert solve_d(mu, nu).cost_sq == 0.0
 
     def test_positive(self):
-        out = classify_zero(S(0.0, 1.0), S(0.0, 2.0), 1e-9)
-        assert out.kind == "positive"
-        assert out.value == pytest.approx(1.0)
+        mu, nu = dirac(S(0.0, 1.0)), dirac(S(0.0, 2.0))
+        assert not detect_free_transport(mu, nu).found
+        assert solve_d(mu, nu).cost_sq == pytest.approx(1.0)
 
 
 class TestCurveDerivative:
+    """Forward ratios d(gamma(t), gamma(t+h)) / h along exactly sampled curves."""
+
     def test_straight_line_has_zero_ratios(self):
-        ts = np.linspace(0, 1, 101)
-        samples = [(float(t), S(2.0 * t, 2.0)) for t in ts]
-        ratios = curve_d_derivative(samples, 0.2, [0.2, 0.1, 0.05])
-        assert ratios == pytest.approx([0.0, 0.0, 0.0], abs=1e-7)
+        traj = curve(np.linspace(0, 1, 101), lambda t: 2.0 * t, lambda t: 2.0, lambda t: 0.0)
+        pts = metric_derivative_probe(traj, 0.2, [0.2, 0.1, 0.05])
+        assert [p.ratio_d for p in pts] == pytest.approx([0.0, 0.0, 0.0], abs=1e-7)
 
     def test_rest_curve_has_zero_ratios(self):
-        ts = np.linspace(0, 1, 101)
-        samples = [(float(t), S(np.sin(3 * t), 0.0)) for t in ts]
-        ratios = curve_d_derivative(samples, 0.1, [0.1, 0.05])
-        assert ratios == pytest.approx([0.0, 0.0], abs=1e-12)
+        traj = curve(np.linspace(0, 1, 101), lambda t: np.sin(3 * t), lambda t: 0.0,
+                     lambda t: 0.0)
+        pts = metric_derivative_probe(traj, 0.1, [0.1, 0.05])
+        assert [p.ratio_d for p in pts] == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_oscillator_ratios_approach_acceleration(self):
-        ts = np.linspace(0, 1, 1001)
-        samples = [(float(t), S(np.cos(t), -np.sin(t))) for t in ts]
-        ratios = curve_d_derivative(samples, 0.0, [0.2, 0.1, 0.05, 0.025])
-        errs = [abs(r - 1.0) for r in ratios]
+        traj = curve(np.linspace(0, 1, 1001), np.cos, lambda t: -np.sin(t),
+                     lambda t: -np.cos(t))
+        pts = metric_derivative_probe(traj, 0.0, [0.2, 0.1, 0.05, 0.025])
+        errs = [abs(p.ratio_d - p.force_norm) for p in pts]
+        assert pts[0].force_norm == 1.0
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-3
 
     def test_missing_samples_rejected(self):
-        samples = [(0.0, S(0.0, 0.0)), (1.0, S(1.0, 0.0))]
-        with pytest.raises(ValueError):
-            curve_d_derivative(samples, 0.0, [0.3])
+        traj = curve(np.array([0.0, 1.0]), lambda t: t, lambda t: 0.0, lambda t: 0.0)
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
+            metric_derivative_probe(traj, 0.0, [0.3])
 
 
 def test_state_validation():
