@@ -149,6 +149,36 @@ def test_pinned_plan_bytes(seed):
     assert hashlib.sha256(P.tobytes()).hexdigest()[:16] == PINNED_PLANS[seed]
 
 
+def warm_chain_problem(seed):
+    """``pinned_problem(seed)`` with two more cost directions: the costs of 25
+    LPs on one pair of marginals, cost + t B + t^2 W for t in [-2, 2],
+    rounded to 0.1 on every third seed."""
+    cost, a, b = pinned_problem(seed)
+    B, W = np.random.default_rng(1000 + seed).normal(size=(2,) + cost.shape)
+    costs = [cost + t * B + t * t * W for t in np.linspace(-2.0, 2.0, 25)]
+    if seed % 3 == 0:
+        costs = [np.round(c, 1) for c in costs]
+    return costs, a, b
+
+
+# SHA-256 of every plan's bytes and the sorted final basis cells of 25 LPs
+# chained through one warm start, for each seed 0-59 of ``pinned_problem``;
+# recorded from the simplex that warm-starts each call from the basis that
+# the last call left.
+WARM_CHAIN_PIN = "f4917b6fc9a69e2a5da557e4d99dee2fc040717d06648fa9ca658a3ba175cfaf"
+
+
+def test_warm_chain_bytes_pinned():
+    h = hashlib.sha256()
+    for seed in range(60):
+        costs, a, b = warm_chain_problem(seed)
+        basis = []
+        for cost in costs:
+            h.update(transportation_simplex(cost, a, b, basis=basis).tobytes())
+        h.update(repr(sorted(basis)).encode())
+    assert h.hexdigest() == WARM_CHAIN_PIN
+
+
 def test_returns_vertex_support():
     # basic solutions put mass on at most m + k - 1 cells
     rng = np.random.default_rng(2)
