@@ -5,22 +5,31 @@
 vertex outputs are required by the concave outer minimisation built on top.
 A cell enters by Dantzig's rule (the most negative reduced cost); after a run
 of degenerate pivots Bland's rule takes over until flow moves again, which
-rules out cycling. A caller that solves several problems with the same
-marginals can hand every call one basis list: each call starts from the
-basis left there, feasible because the polytope does not depend on the cost,
-and leaves its own optimal basis behind. The returned plan is recomputed from
-its support by ``tree_flows``, so its bits depend only on the vertex, not on
-the pivots that reached it. Uniform marginals of equal size dispatch to an
-assignment solver, and scipy is imported only then.
+rules out cycling. The returned plan is recomputed from its support by
+``tree_flows``, so its bits depend only on the vertex, not on the pivots that
+reached it. Uniform marginals of equal size dispatch to an assignment solver,
+and scipy is imported only then.
+
+A caller that solves several problems with the same marginals makes one
+``WarmStart`` for them and hands it to every call. It checks the marginals
+and decides the assignment dispatch once, and carries the last call's
+optimal basis, which the next call starts from: a basis found for the same
+marginals is feasible whatever the cost. With the basis it keeps the basis's
+flows when they are known to equal ``tree_flows`` on it bit for bit (the
+call made no pivot from such a start, or every basic cell carries flow), so
+the next start needs no leaf elimination. It also remembers every plan it
+returned by its support, as a read-only array, so a vertex returned again
+costs no ``tree_flows`` either.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
-__all__ = ["transportation_simplex", "is_uniform_equal", "tree_flows"]
+__all__ = ["transportation_simplex", "WarmStart", "is_uniform_equal", "tree_flows"]
 
 # Marginals count as uniform when every weight is within this of 1/m.
 UNIFORM_TOL = 1e-12
@@ -85,15 +94,6 @@ def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
     return P
 
 
-def _assignment_plan(cost: np.ndarray, a: np.ndarray) -> np.ndarray:
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    P = np.zeros_like(cost)
-    P[rows, cols] = a[rows]
-    return P
-
-
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
     """Initial basic feasible solution: flows as nested lists, and the basis cells."""
     m, k = a.size, b.size
@@ -120,13 +120,65 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return P, basis
 
 
+class WarmStart:
+    """Warm-start state of a run of transportation problems on one pair of
+    marginals, made once and handed to every ``transportation_simplex`` call
+    of the run; a call with other marginals raises ``ValueError``.
+
+    Making it checks that the two masses agree and decides whether the run
+    takes the assignment path (``uniform``). Between calls it carries:
+
+    - ``cells``: the optimal basis of the last simplex call, where the next
+      one starts; None before the first, which starts from the northwest
+      corner;
+    - ``flows``: ``np.maximum(tree_flows(a, b, cells), 0.0)`` bit for bit, or
+      None when the next call has to compute it. A call keeps it when it made
+      no pivot from such a start, or sets it to the returned plan when every
+      cell of its final basis carries flow; the plan is then those flows;
+    - ``plans``: every plan returned so far, read-only, by its support: the
+      sorted row-major indices of the final basis cells that carry flow, or
+      on the assignment path the permutation's bytes. ``support`` is the key
+      of the last plan returned, so a caller can key its own memo by it.
+    """
+
+    def __init__(self, a, b):
+        self._given = (a, b)
+        self.a = np.asarray(a, dtype=float).ravel()
+        self.b = np.asarray(b, dtype=float).ravel()
+        total = float(self.a.sum())
+        if abs(total - float(self.b.sum())) > MASS_TOL * max(1.0, total):
+            raise ValueError("marginal masses differ; transportation problem infeasible")
+        self.uniform = is_uniform_equal(self.a, self.b)
+        self.cells = None
+        self.flows = None
+        self.plans: dict = {}
+        self.support = None
+
+    def _check(self, a, b) -> None:
+        if a is self._given[0] and b is self._given[1]:
+            return
+        if not (
+            np.array_equal(np.ravel(a), self.a) and np.array_equal(np.ravel(b), self.b)
+        ):
+            raise ValueError("warm start was made for other marginals")
+
+    def _plan(self, key, make) -> np.ndarray:
+        """The plan remembered under ``key``, made by ``make()`` the first time."""
+        self.support = key
+        P = self.plans.get(key)
+        if P is None:
+            P = self.plans[key] = make()
+            P.flags.writeable = False
+        return P
+
+
 def transportation_simplex(
     cost: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    basis: list[tuple[int, int]] | None = None,
+    warm: WarmStart | None = None,
 ) -> np.ndarray:
-    """Exact minimiser of ``sum(C * P)`` with prescribed marginals.
+    """Exact minimiser of ``sum(C * P)`` with prescribed marginals, read-only.
 
     Primal transportation simplex. The entering cell has the most negative
     reduced cost (Dantzig's rule); among the cells that reach zero first, the
@@ -137,45 +189,58 @@ def transportation_simplex(
     cost, so the method terminates; 40 m k + 200 pivots are a backstop. A
     non-finite cost entry is rejected.
 
-    ``basis``, when given, is a list of cells that the call starts from if it
-    is not empty (northwest corner otherwise) and replaces with its final
-    basis; a basis found for the same marginals is always feasible. The
-    result is ``tree_flows`` on the cells of the final basis that carry flow,
-    a vertex whose bits do not depend on the start or the pivot path.
+    ``warm``, a ``WarmStart`` made for ``a`` and ``b``, gives the start and
+    takes the final basis; without it the call starts from the northwest
+    corner. The result is ``tree_flows`` on the cells of the final basis that
+    carry flow, a vertex whose bits do not depend on the start or the pivot
+    path.
 
     The basis is a spanning tree on the rows 0..m-1 and the columns
     m..m+k-1, rooted at row 0 where u = 0. A dual potential follows its
     unique tree path from the root, so a pivot recomputes only the subtree
     that the leaving cell cuts off, and one numpy expression prices every cell.
     """
-    cost = np.asarray(cost, dtype=float)
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
+    if warm is None:
+        warm = WarmStart(a, b)
+    else:
+        warm._check(a, b)
+    a, b = warm.a, warm.b
     m, k = a.size, b.size
+    cost = np.asarray(cost, dtype=float)
     if cost.shape != (m, k):
         raise ValueError(f"cost shape {cost.shape} does not match marginals ({m}, {k})")
-    if not np.all(np.isfinite(cost)):
+    # The largest |c_ij| scales the pivot tolerance; it is NaN or inf exactly
+    # when an entry is not finite.
+    cost_max = float(np.abs(cost).max())
+    if not math.isfinite(cost_max):
         raise ValueError("cost matrix must be finite")
-    if abs(float(a.sum()) - float(b.sum())) > MASS_TOL * max(1.0, float(a.sum())):
-        raise ValueError("marginal masses differ; transportation problem infeasible")
-    if is_uniform_equal(a, b):
-        return _assignment_plan(cost, a)
-    if m == 1:
-        return b.reshape(1, k).copy()
-    if k == 1:
-        return a.reshape(m, 1).copy()
+    if warm.uniform:
+        from scipy.optimize import linear_sum_assignment
 
-    if basis:
-        start = tree_flows(a, b, basis)
-        if start is None or len(basis) != m + k - 1:
-            raise ValueError("warm-start basis is not a spanning tree")
-        # Leaf elimination may leave round-off below zero on degenerate cells.
-        P, cells = np.maximum(start, 0.0).tolist(), list(basis)
-    else:
+        rows, cols = linear_sum_assignment(cost)
+
+        def assignment() -> np.ndarray:
+            P = np.zeros_like(cost)
+            P[rows, cols] = a[rows]
+            return P
+
+        return warm._plan(cols.tobytes(), assignment)
+    if m == 1 or k == 1:  # the one feasible plan
+        return warm._plan((), lambda: (b.reshape(1, k) if m == 1 else a.reshape(m, 1)).copy())
+
+    if warm.cells is None:
         P, cells = _northwest_corner(a, b)
+    else:
+        if warm.flows is None:
+            start = tree_flows(a, b, warm.cells)
+            if start is None or len(warm.cells) != m + k - 1:
+                raise ValueError("warm-start basis is not a spanning tree")
+            # Leaf elimination may leave round-off below zero on degenerate cells.
+            warm.flows = np.maximum(start, 0.0)
+        P, cells = warm.flows.tolist(), list(warm.cells)
     # edge[x][y] = c_ij between row node i and column node m + j, either way round.
     edge = [[0.0] * m + row for row in cost.tolist()] + cost.T.tolist()
-    red_tol = REDUCED_COST_TOL * (1.0 + float(np.max(np.abs(cost))))
+    red_tol = REDUCED_COST_TOL * (1.0 + cost_max)
     basic = np.array([i * k + j for i, j in cells])  # row-major index of cells[n]
     adj: list[list[int]] = [[] for _ in range(m + k)]
     for i, j in cells:
@@ -203,7 +268,7 @@ def transportation_simplex(
     if hang(0) != m + k - 1:
         raise RuntimeError("basis is not a spanning tree; internal error")
     degenerate, bland_after = 0, DEGENERATE_RUN_PER_NODE * (m + k)
-    for _ in range(40 * m * k + 200):
+    for pivots in range(40 * m * k + 200):
         reduced = cost - np.array(pot[:m])[:, None]
         reduced -= np.array(pot[m:])
         reduced.flat[basic] = 0.0
@@ -212,10 +277,16 @@ def transportation_simplex(
         else:
             enter = int((reduced < -red_tol).argmax())  # the first improving cell
         if not reduced.flat[enter] < -red_tol:
-            if basis is not None:
-                basis[:] = cells
+            support = [(i, j) for i, j in cells if P[i][j] > 0.0]
             # A cell holding only a round-off flow can come out just below zero.
-            return np.maximum(tree_flows(a, b, [(i, j) for i, j in cells if P[i][j] > 0.0]), 0.0)
+            plan = warm._plan(
+                tuple(sorted(i * k + j for i, j in support)),
+                lambda: np.maximum(tree_flows(a, b, support), 0.0),
+            )
+            if pivots or warm.cells is None:  # else the start flows still hold
+                warm.flows = plan if len(support) == len(cells) else None
+            warm.cells = cells
+            return plan
         ei, ej = divmod(enter, k)
 
         # The tree path from column ej to row ei, through their lowest common

@@ -320,6 +320,8 @@ class PairMoments:
         moments = (self.A, self.B, self.C, self.D)
         if not all(np.all(np.isfinite(M)) for M in moments):
             raise ValueError("pairwise moments overflow; coordinates are too large")
+        # A, B, C, D and ``distinct``, whose P-weighted sums are a plan's moments.
+        self._stack = np.stack(moments + (self.distinct,))
 
     def fixed_T_cost(self, T: float) -> np.ndarray:
         """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D."""
@@ -330,34 +332,30 @@ class PairMoments:
         """Pointwise large-horizon cost 3 |v+w|^2 + |w-v|^2."""
         return 3.0 * self.C + self.D
 
-    def _sums(self, plans: np.ndarray) -> list[np.ndarray]:
-        """P-weighted sums of A, B, C, D and ``distinct`` over the last two axes.
-
-        One plan and a stack of plans reduce each plan's cells in the same
-        order, so a plan's moments have the same bits either way.
-        """
-        if plans.shape[-2:] != self.A.shape:
-            raise ValueError("coupling does not match the given measures")
-        matrices = (self.A, self.B, self.C, self.D, self.distinct)
-        return [np.sum(plans * M, axis=(-2, -1)) for M in matrices]
-
     def of(self, P: np.ndarray) -> PlanMoments:
-        """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D."""
-        if P.ndim != 2:
+        """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D.
+
+        The five sums, ``distinct`` last, come from one reduction over the
+        stacked matrices; each has the bits of its own ``np.sum(P * M)``.
+        """
+        if P.shape != self.A.shape:
             raise ValueError("coupling does not match the given measures")
-        A, B, C, D, moved = (float(s) for s in self._sums(P))
+        A, B, C, D, moved = np.sum(self._stack * P, axis=(-2, -1)).tolist()
         return PlanMoments(A, B, C, D, moved <= MASS_ROUNDING_TOL)
 
     def of_each(self, plans: np.ndarray) -> tuple[np.ndarray, ...]:
         """Moments of every plan in a (V, m, k) stack as five (V,) arrays.
 
         Returns ``A, B, C, D, keeps_positions``; entry v holds the bits ``of``
-        gives plan v. The arrays are checked as ``PlanMoments`` checks one
-        plan, and the first plan it would reject raises its ``ValueError``.
+        gives plan v, since both reduce each plan's cells in the same order.
+        The arrays are checked as ``PlanMoments`` checks one plan, and the
+        first plan it would reject raises its ``ValueError``.
         """
         if plans.ndim != 3:
             raise ValueError("expected a stack of plan matrices")
-        A, B, C, D, moved = self._sums(plans)
+        if plans.shape[1:] != self.A.shape:
+            raise ValueError("coupling does not match the given measures")
+        A, B, C, D, moved = (np.sum(plans * M, axis=(-2, -1)) for M in self._stack)
         keeps = moved <= MASS_ROUNDING_TOL
         cs = np.sqrt(np.maximum(A, 0.0) * np.maximum(C, 0.0))
         bad = (np.minimum(np.minimum(A, C), D) < -MOMENT_NEG_TOL) | (

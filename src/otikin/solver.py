@@ -8,11 +8,13 @@ comes from the transportation simplex. The time-optimised costs swap the two
 infima: with s = 1/T, the squared discrepancy is the infimum over s >= 0 of
 OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
 3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
-branch-and-bound over s that calls the transportation simplex, each call
-warm-started from the last one's optimal basis (all share their marginals);
-a search evaluates each vertex once, remembering its moments by the plan's
-exact bytes. A brute-force vertex oracle cross-checks global minima on small
-instances: it stacks every vertex plan, takes all their moments as arrays,
+branch-and-bound over s that calls the transportation simplex with one
+``lp.WarmStart`` per search (all its LPs share their marginals), so each call
+starts from the last one's optimal basis and, when they are known, its flows.
+A search evaluates each vertex once: it remembers the moments of each plan by
+the plan's support, the key under which the warm start remembers the
+read-only plan itself. A brute-force vertex oracle cross-checks global minima
+on small instances: it stacks every vertex plan, takes all their moments as arrays,
 validates them and evaluates their envelope costs elementwise, and builds
 ``PlanMoments``, plans and horizons only for the tied optima.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import is_uniform_equal, transportation_simplex, tree_flows
+from .lp import WarmStart, is_uniform_equal, transportation_simplex, tree_flows
 from .measures import (
     Coupling,
     DiscreteMeasure,
@@ -201,30 +203,29 @@ def _solve_time_optimised(
     lp_solves = 0
     # Every LP below has these marginals, so each starts from the last one's
     # optimal basis.
-    basis: list[tuple[int, int]] = []
-
-    # Moments of every plan seen, by its exact bytes. Plans come from
-    # ``tree_flows``, so an LP that returns a vertex seen before returns the
-    # same bytes, and that plan's costs are already counted.
-    seen: dict[bytes, PlanMoments] = {}
+    warm = WarmStart(mu.weights, nu.weights)
+    # Moments of every LP plan seen, by its support. An LP that returns a
+    # vertex seen before returns the same plan, whose costs are already counted.
+    seen: dict = {}
 
     def consider(P: np.ndarray) -> PlanMoments:
         nonlocal best, winner
-        key = P.tobytes()
-        m = seen.get(key)
-        if m is None:
-            plan = Coupling(P, mu, nu)
-            m = seen[key] = pm.of(plan.P)
-            best = min(best, cost_tilde_c(m))
-            value = final_cost(m)
-            if winner is None or value < winner[0]:
-                winner = (value, plan, m)
+        plan = Coupling(P, mu, nu)
+        m = pm.of(plan.P)
+        best = min(best, cost_tilde_c(m))
+        value = final_cost(m)
+        if winner is None or value < winner[0]:
+            winner = (value, plan, m)
         return m
 
     def lp(cost: np.ndarray) -> PlanMoments:
         nonlocal lp_solves
         lp_solves += 1
-        return consider(transportation_simplex(cost, mu.weights, nu.weights, basis=basis))
+        P = transportation_simplex(cost, mu.weights, nu.weights, warm)
+        m = seen.get(warm.support)
+        if m is None:
+            m = seen[warm.support] = consider(P)
+        return m
 
     def corner(u: float, s: float) -> PlanMoments:
         return lp(12.0 * u * pm.A - 12.0 * s * pm.B + base)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import otikin.lp
-from otikin.lp import is_uniform_equal, transportation_simplex
+from otikin.lp import WarmStart, is_uniform_equal, transportation_simplex, tree_flows
 from otikin.solver import _vertex_plans_trees
 
 
@@ -172,10 +172,10 @@ def test_warm_chain_bytes_pinned():
     h = hashlib.sha256()
     for seed in range(60):
         costs, a, b = warm_chain_problem(seed)
-        basis = []
+        warm = WarmStart(a, b)
         for cost in costs:
-            h.update(transportation_simplex(cost, a, b, basis=basis).tobytes())
-        h.update(repr(sorted(basis)).encode())
+            h.update(transportation_simplex(cost, a, b, warm).tobytes())
+        h.update(repr(sorted(warm.cells)).encode())
     assert h.hexdigest() == WARM_CHAIN_PIN
 
 
@@ -206,18 +206,44 @@ def test_plan_bytes_do_not_depend_on_the_start():
     for _ in range(40):
         m, k = (int(x) for x in rng.integers(2, 16, size=2))
         cost, a, b = generic_problem(rng, m, k)
-        basis = []
-        transportation_simplex(rng.normal(size=(m, k)), a, b, basis=basis)
-        assert len(basis) == m + k - 1
-        warm = transportation_simplex(cost, a, b, basis=basis)
+        state = WarmStart(a, b)
+        transportation_simplex(rng.normal(size=(m, k)), a, b, state)
+        assert len(state.cells) == m + k - 1
+        warm = transportation_simplex(cost, a, b, state)
         assert warm.tobytes() == transportation_simplex(cost, a, b).tobytes()
 
 
 def test_warm_start_basis_must_be_a_spanning_tree():
     cost, a, b = generic_problem(np.random.default_rng(5), 3, 3)
     for cells in ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]):
+        warm = WarmStart(a, b)
+        warm.cells = cells
         with pytest.raises(ValueError):
-            transportation_simplex(cost, a, b, basis=cells)
+            transportation_simplex(cost, a, b, warm)
+
+
+def test_warm_start_flows_are_tree_flows_and_marginals_fixed():
+    # whenever the state holds start flows they are the leaf-elimination flows
+    # of its basis, bit for bit, also on the degenerate integer marginals of
+    # the even seeds
+    held = [0, 0]  # calls that leave start flows, by seed parity
+    for seed in range(60):
+        costs, a, b = warm_chain_problem(seed)
+        warm = WarmStart(a, b)
+        for cost in costs:
+            transportation_simplex(cost, a, b, warm)
+            if warm.flows is not None:
+                held[seed % 2] += 1
+                expected = np.maximum(tree_flows(a, b, warm.cells), 0.0)
+                assert warm.flows.tobytes() == expected.tobytes()
+    assert min(held) > 0
+    a, b = pinned_problem(1)[1:]
+    warm = WarmStart(a, b)
+    for foreign in (a[::-1], np.full(a.size, 1.0 / a.size)):
+        with pytest.raises(ValueError):
+            transportation_simplex(np.zeros((a.size, b.size)), foreign, b, warm)
+        with pytest.raises(ValueError):
+            transportation_simplex(np.zeros((a.size, b.size)), b, foreign, warm)
 
 
 def test_vertex_matches_enumeration():

@@ -5,6 +5,7 @@ import pytest
 
 from otikin.lp import transportation_simplex
 from otikin.measures import (
+    MASS_ROUNDING_TOL,
     Coupling,
     DiscreteMeasure,
     PairMoments,
@@ -209,6 +210,26 @@ class TestPairMoments:
                         [gap @ gap, gap @ vsum, vsum @ vsum, vdiff @ vdiff]
                     )
             assert np.allclose((m.A, m.B, m.C, m.D), sums, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("m, k", [(5, 4), (33, 47), (129, 129)])
+    def test_plan_moments_of_any_layout_equal_separate_sums(self, m, k):
+        # one reduction over the stacked matrices gives every moment the bits
+        # of its own sum, also on Fortran-ordered and strided plans
+        rng = np.random.default_rng(m + k)
+        mu, nu = random_measure(rng, m, 2), random_measure(rng, k, 2)
+        pm = PairMoments(mu, nu)
+        big = rng.uniform(size=(2 * m, 3 * k))
+        for P in (np.asfortranarray(big[:m, :k]), big[::2, ::3]):
+            assert not P.flags.c_contiguous
+            got = pm.of(P)
+            A, B, C, D, moved = (
+                float(np.sum(P * M, axis=(-2, -1)))
+                for M in (pm.A, pm.B, pm.C, pm.D, pm.distinct)
+            )
+            assert [x.hex() for x in (got.A, got.B, got.C, got.D)] == [
+                x.hex() for x in (A, B, C, D)
+            ]
+            assert got.keeps_positions == (moved <= MASS_ROUNDING_TOL)
 
     def test_mismatched_plan_rejected(self):
         rng = np.random.default_rng(16)
