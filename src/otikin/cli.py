@@ -329,7 +329,8 @@ def cmd_simulate(args) -> int:
         return _usage_error(f"bad force specification: {exc}")
     mu = _load(args.mu, args.format)
     try:  # a poly force whose width is not the measure's dimension fails here
-        force.evaluate(args.t0, mu.positions, mu.velocities)
+        with np.errstate(over="ignore", invalid="ignore"):
+            force.evaluate(args.t0, mu.positions, mu.velocities)
     except ValueError as exc:
         return _usage_error(f"bad force specification: {exc}")
     traj = vlasov_integrate(mu, force, args.t0, args.t1, args.dt)

@@ -342,6 +342,23 @@ class Trajectory:
         return float(np.sqrt(self.norm_sq(self.forces[self.index_of(t)])))
 
 
+# Steps run between two finiteness checks of the recorded states and forces.
+FINITE_CHECK_STEPS = 1024
+
+
+def _rk4_step(f, t: float, dt: float, X: np.ndarray, V: np.ndarray, k1v: np.ndarray):
+    """One classical RK4 step from (X, V) at t, whose first force stage is ``k1v``."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k2x = V + half * k1v
+    k2v = f(t + half, X + half * V, k2x)
+    k3x = V + half * k2v
+    k3v = f(t + half, X + half * k2x, k3x)
+    k4x = V + dt * k3v
+    k4v = f(t + dt, X + dt * k3x, k4x)
+    return (X + sixth * (V + 2.0 * k2x + 2.0 * k3x + k4x),
+            V + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
 def vlasov_integrate(
     mu0: DiscreteMeasure,
     F: ForceField,
@@ -354,6 +371,14 @@ def vlasov_integrate(
     ``dt`` must divide the window; weights are carried unchanged (the particle
     method is exact in the measure variable). Force samples at the grid states
     are recorded for the action and the moment checks.
+
+    The force must be a function of (t, x, v) alone: each step takes its first
+    stage from the sample recorded at its start state, so a step makes four
+    force evaluations and a run of N steps makes 4N + 1. Finiteness is checked
+    over the recorded states and forces once per ``FINITE_CHECK_STEPS`` steps;
+    the first step that recorded a non-finite value is replayed with a check
+    after every stage, and raises ``ValueError`` naming the time of the first
+    non-finite force or state, so a failing run stops within one block.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -366,6 +391,7 @@ def vlasov_integrate(
 
     m, n = mu0.size, mu0.dim
     times = t0 + dt * np.arange(n_steps + 1)
+    grid = times.tolist()
     states = np.empty((n_steps + 1, m, 2, n))
     forces = np.empty((n_steps + 1, m, n))
     X = mu0.positions.copy()
@@ -377,26 +403,42 @@ def vlasov_integrate(
             raise ValueError(f"non-finite force at t={t}")
         return f
 
-    states[0, :, 0, :] = X
-    states[0, :, 1, :] = V
-    forces[0] = sample(times[0], X, V)
-    for k in range(n_steps):
-        t = float(times[k])
-        k1x = V
-        k1v = sample(t, X, V)
-        k2x = V + 0.5 * dt * k1v
-        k2v = sample(t + 0.5 * dt, X + 0.5 * dt * k1x, k2x)
-        k3x = V + 0.5 * dt * k2v
-        k3v = sample(t + 0.5 * dt, X + 0.5 * dt * k2x, k3x)
-        k4x = V + dt * k3v
-        k4v = sample(t + dt, X + dt * k3x, k4x)
-        X = X + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        V = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    def replay(k):
+        """Re-run step k with every check; raises where the first check fails."""
+        t = grid[k]
+        X, V = _rk4_step(sample, t, dt, states[k, :, 0, :], states[k, :, 1, :], forces[k])
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
             raise ValueError(f"non-finite state after step at t={t}")
-        states[k + 1, :, 0, :] = X
-        states[k + 1, :, 1, :] = V
-        forces[k + 1] = sample(float(times[k + 1]), X, V)
+        sample(grid[k + 1], X, V)
+
+    def first_failure(lo, hi):
+        """First step in [lo, hi) whose recorded end state or force is non-finite, else None."""
+        ok = np.isfinite(states[lo + 1:hi + 1]).all(axis=(1, 2, 3))
+        ok &= np.isfinite(forces[lo + 1:hi + 1]).all(axis=(1, 2))
+        return None if ok.all() else lo + int(np.argmin(ok))
+
+    states[0, :, 0, :] = X
+    states[0, :, 1, :] = V
+    with np.errstate(over="ignore", invalid="ignore"):
+        forces[0] = sample(grid[0], X, V)
+        for lo in range(0, n_steps, FINITE_CHECK_STEPS):
+            hi = min(lo + FINITE_CHECK_STEPS, n_steps)
+            try:
+                for k in range(lo, hi):
+                    X, V = _rk4_step(F.evaluate, grid[k], dt, X, V, forces[k])
+                    states[k + 1, :, 0, :] = X
+                    states[k + 1, :, 1, :] = V
+                    forces[k + 1] = F.evaluate(grid[k + 1], X, V)
+            except Exception:
+                # a non-finite value recorded before the failing call wins
+                bad = first_failure(lo, k)
+                replay(k if bad is None else bad)
+                raise
+            bad = first_failure(lo, hi)
+            if bad is not None:
+                replay(bad)
+                raise ValueError(f"force is not a function of (t, x, v): the step at "
+                                 f"t={grid[bad]} gave a finite replay")
     return Trajectory(
         times=times,
         states=states,

@@ -255,6 +255,28 @@ class TestExitCodes:
         assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize(
+        "window, where",
+        [
+            (["--t0", "0", "--t1", "5", "--dt", "0.01"], "state after step at t=1.73"),
+            (["--t0", "1e154", "--t1", "2e154", "--dt", "1e153"], "force at t=1e+154"),
+        ],
+        ids=["mid-window", "at-t0"],
+    )
+    def test_overflowing_force_exits_4(self, tmp_path, capsys, window, where):
+        # F = 1e307 t^2 overflows the velocities at t = 1.73, and itself at t0 = 1e154
+        force = tmp_path / "f.json"
+        force.write_text('{"kind": "poly", "coeffs": [[0, 0], [0, 0], [1e307, 1e307]]}')
+        out = tmp_path / "out"
+        argv = ["simulate", "--mu", U5_MU, "--force", f"@{force}", *window, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"non-finite {where}" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["discrepancy", "--T", "1"],

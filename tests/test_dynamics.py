@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from otikin.dynamics import (
+    FINITE_CHECK_STEPS,
     ForceField,
     SplineEnsemble,
     _real_roots_by_degree,
@@ -27,6 +28,7 @@ from otikin.measures import (
 from otikin.phase import CubicSpline, PhaseState, spline_from_endpoints, tilde_dT_sq
 from otikin.scenarios import (
     crossing_ensemble,
+    factor2_trajectory,
     harmonic_single,
     nonunique_two_atom_instance,
     random_uniform_instance,
@@ -373,6 +375,63 @@ class TestVlasov:
         with pytest.raises(ValueError):
             vlasov_integrate(mu0, bad, 0.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "force, t1, dt, message",
+        [
+            (lambda t, X, V: _nan(X), 1.0, 0.1, "non-finite force at t=0.0"),
+            (lambda t, X, V: _nan(X) if t > 0.42 else -X, 1.0, 0.1,
+             "non-finite force at t=0.45"),
+            (lambda t, X, V: _nan(X) if t == 0.1 * 6 else -X, 1.0, 0.1,
+             "non-finite force at t=0.6000000000000001"),
+            (lambda t, X, V: _fail(t) if t > 0.7 else _nan(X) if t > 0.42 else -X, 1.0, 0.1,
+             "non-finite force at t=0.45"),
+            (lambda t, X, V: np.full_like(X, 1e307 * t * t), 5.0, 0.01,
+             "non-finite state after step at t=1.73"),
+        ],
+        ids=["from-start", "mid-window-stage", "grid-state-only", "raises-later",
+             "overflowing-state"],
+    )
+    def test_nonfinite_names_first_failure(self, force, t1, dt, message):
+        # grid-state-only: the grid time 0.1 * 6 is 0.6000000000000001, while the
+        # last stage of the step before it runs at 0.5 + 0.1 = 0.6, so only the
+        # recorded sample is NaN. raises-later: a NaN comes before the force fails.
+        # overflowing-state: F = 1e307 t^2 overflows the velocity in the step at 1.73.
+        mu0 = DiscreteMeasure([[0.0]], [[1.0]], [1.0])
+        with pytest.raises(ValueError) as exc:
+            vlasov_integrate(mu0, ForceField(force), 0.0, t1, dt)
+        assert str(exc.value) == message
+
+    def test_unrepeatable_force_rejected(self):
+        # NaN at the grid time 0.6000000000000001 on the first call only
+        seen = set()
+
+        def once(t, X, V):
+            first = t not in seen
+            seen.add(t)
+            return _nan(X) if first and t == 0.1 * 6 else -X
+
+        mu0 = DiscreteMeasure([[0.0]], [[1.0]], [1.0])
+        with pytest.raises(ValueError, match=r"not a function of \(t, x, v\)"):
+            vlasov_integrate(mu0, ForceField(once), 0.0, 1.0, 0.1)
+
+    def test_force_evaluations_counted(self):
+        calls = []
+
+        def counted(t, X, V):
+            calls.append(t)
+            return _nan(X) if t > 1.0 else -X
+
+        mu0 = DiscreteMeasure([[1.0], [0.0]], [[0.0], [1.0]], [0.5, 0.5])
+        vlasov_integrate(mu0, ForceField(counted), 0.0, 1.0, 0.01)
+        assert len(calls) == 4 * 100 + 1
+        # the NaN first shows in the step from t = 1; the run ends with the block
+        # that holds it, long before the window of 8 blocks would
+        calls.clear()
+        dt = 1.0 / 64
+        with pytest.raises(ValueError, match="non-finite force at t=1.0078125"):
+            vlasov_integrate(mu0, ForceField(counted), 0.0, 8 * FINITE_CHECK_STEPS * dt, dt)
+        assert len(calls) <= 1 + 4 * FINITE_CHECK_STEPS + 4
+
     def test_builtin_tags(self):
         f = ForceField.from_tag("damped:0.5")
         X = np.zeros((2, 1))
@@ -382,6 +441,33 @@ class TestVlasov:
         assert np.allclose(g.evaluate(0.5, X, V), 2.0)
         with pytest.raises(ValueError):
             ForceField.from_tag("unknown")
+
+
+def _nan(X):
+    return np.full_like(X, np.nan)
+
+
+def _fail(t):
+    raise RuntimeError(f"force undefined at t={t}")
+
+
+# SHA-256 of the times, states and forces of runs whose force depends on t
+# alone and jumps (the three brake-ratio trajectories), on v (damped:0.5) and
+# on t per particle (spline forcing along a fixed-horizon plan).
+TRAJECTORY_PIN = "6cd355992ff626df35539339d656998c7f68241cd58b97503d91208a7daeb031"
+
+
+def test_trajectory_bytes_pinned():
+    mu, nu = random_uniform_instance(np.random.default_rng(8), 5, 2)
+    ens = build_dynamical_plan(mu, nu, solve_fixed_T(mu, nu, 1.0).plan, 1.0)
+    runs = [factor2_trajectory(eps, (1.0 + np.sqrt(eps)) / 16000) for eps in (1e-2, 1e-3, 1e-4)]
+    runs.append(vlasov_integrate(mu, ForceField.from_tag("damped:0.5"), 0.0, 1.0, 0.01))
+    runs.append(vlasov_integrate(interpolate_at(ens, 0.0), spline_forcing(ens), 0.0, 1.0, 1e-3))
+    h = hashlib.sha256()
+    for traj in runs:
+        for a in (traj.times, traj.states, traj.forces):
+            h.update(a.tobytes())
+    assert h.hexdigest() == TRAJECTORY_PIN
 
 
 class TestPathAction:
