@@ -139,6 +139,9 @@ class WarmStart:
       sorted row-major indices of the final basis cells that carry flow, or
       on the assignment path the permutation's bytes. ``support`` is the key
       of the last plan returned, so a caller can key its own memo by it.
+
+    ``pivots`` counts the simplex pivots of every call so far, and
+    ``degenerate_pivots`` those among them that moved no flow.
     """
 
     def __init__(self, a, b):
@@ -153,6 +156,8 @@ class WarmStart:
         self.flows = None
         self.plans: dict = {}
         self.support = None
+        self.pivots = 0
+        self.degenerate_pivots = 0
 
     def _check(self, a, b) -> None:
         if a is self._given[0] and b is self._given[1]:
@@ -303,6 +308,7 @@ def transportation_simplex(
         cycle = [(ei, ej)] + up + down[::-1]
 
         theta, li, lj = min((P[i][j], i, j) for i, j in cycle[1::2])
+        warm.pivots += 1
         if theta > 0.0:
             degenerate = 0
             for i, j in cycle[::2]:
@@ -311,6 +317,7 @@ def transportation_simplex(
                 P[i][j] -= theta
         else:
             degenerate += 1
+            warm.degenerate_pivots += 1
         slot = cells.index((li, lj))
         cells[slot], basic[slot] = (ei, ej), enter
         adj[li].remove(m + lj)

@@ -179,6 +179,19 @@ def test_warm_chain_bytes_pinned():
     assert h.hexdigest() == WARM_CHAIN_PIN
 
 
+def test_warm_chain_pivot_counts_pinned():
+    # pivots and pivots that move no flow over the warm chains of seeds 0-59;
+    # the odd seeds' uniform(0.2, 1) marginals make no degenerate pivot
+    totals = np.zeros((2, 2), dtype=int)
+    for seed in range(60):
+        costs, a, b = warm_chain_problem(seed)
+        warm = WarmStart(a, b)
+        for cost in costs:
+            transportation_simplex(cost, a, b, warm)
+        totals[seed % 2] += (warm.pivots, warm.degenerate_pivots)
+    assert totals.tolist() == [[2164, 959], [2938, 0]]
+
+
 def test_returns_vertex_support():
     # basic solutions put mass on at most m + k - 1 cells
     rng = np.random.default_rng(2)
