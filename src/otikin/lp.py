@@ -15,11 +15,12 @@ A caller that solves several problems with the same marginals makes one
 and decides the assignment dispatch once, and carries the last call's
 optimal basis, which the next call starts from: a basis found for the same
 marginals is feasible whatever the cost. With the basis it keeps the basis's
-flows when they are known to equal ``tree_flows`` on it bit for bit (the
-call made no pivot from such a start, or every basic cell carries flow), so
-the next start needs no leaf elimination. It also remembers every plan it
-returned by its support, as a read-only array, so a vertex returned again
-costs no ``tree_flows`` either.
+spanning tree, so the next call only sets the potentials for its cost, and
+the basis's flows when they are known to equal ``tree_flows`` on it bit for
+bit (the call made no pivot from such a start, or every basic cell carries
+flow), so the next start needs no leaf elimination. It keeps the last plan
+it returned, read-only, with its support: a call that ends on the same
+support, such as one that makes no pivot, returns that array again.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ UNIFORM_TOL = 1e-12
 REDUCED_COST_TOL = 1e-11
 # The two marginal masses may differ by this, relative to max(1, sum a).
 MASS_TOL = 1e-9
+# Up to this many cells, pricing subtracts the potentials gathered into flat
+# arrays; on larger problems it broadcasts them instead. Both give the same
+# bits: the gathers beat broadcasting's set-up cost at 6 x 5, and lose to its
+# memory traffic from about 32 x 32 on.
+GATHER_CELLS = 1024
 # Bland's rule takes over after this many pivots in a row that move no flow,
 # per node of the basis tree, and hands back at the next pivot that does.
 DEGENERATE_RUN_PER_NODE = 1
@@ -95,16 +101,17 @@ def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution: flows as nested lists, and the basis cells."""
+    """Initial basic feasible solution: flows as a flat row-major list, and the
+    row-major indices of the basis cells."""
     m, k = a.size, b.size
-    P = [[0.0] * k for _ in range(m)]
-    basis: list[tuple[int, int]] = []
+    P = [0.0] * (m * k)
+    basic: list[int] = []
     ra, rb = a.tolist(), b.tolist()
     i = j = 0
     while True:
         move = min(ra[i], rb[j])
-        P[i][j] = move
-        basis.append((i, j))
+        P[i * k + j] = move
+        basic.append(i * k + j)
         ra[i] -= move
         rb[j] -= move
         if i == m - 1 and j == k - 1:
@@ -117,7 +124,7 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
             j += 1
         else:
             i += 1
-    return P, basis
+    return P, basic
 
 
 class WarmStart:
@@ -130,15 +137,21 @@ class WarmStart:
 
     - ``cells``: the optimal basis of the last simplex call, where the next
       one starts; None before the first, which starts from the northwest
-      corner;
+      corner. With it the state keeps the basis's spanning tree (its
+      adjacency lists and the basic cells' row-major indices), so the next
+      call only traverses it once to set the potentials for its cost.
+      Assigning ``cells`` drops that tree and ``flows``, and the next call
+      builds both again from the cells;
     - ``flows``: ``np.maximum(tree_flows(a, b, cells), 0.0)`` bit for bit, or
       None when the next call has to compute it. A call keeps it when it made
       no pivot from such a start, or sets it to the returned plan when every
       cell of its final basis carries flow; the plan is then those flows;
-    - ``plans``: every plan returned so far, read-only, by its support: the
-      sorted row-major indices of the final basis cells that carry flow, or
-      on the assignment path the permutation's bytes. ``support`` is the key
-      of the last plan returned, so a caller can key its own memo by it.
+    - ``support`` and ``plan``: the key of the last plan returned and that
+      plan, read-only. The key is the sorted row-major indices of the final
+      basis cells that carry flow, or on the assignment path the
+      permutation's bytes. A call whose plan has the key of the last one
+      (such as a call that makes no pivot) returns the same array, and a
+      caller can key its own memo by ``support``.
 
     ``pivots`` counts the simplex pivots of every call so far, and
     ``degenerate_pivots`` those among them that moved no flow.
@@ -152,12 +165,32 @@ class WarmStart:
         if abs(total - float(self.b.sum())) > MASS_TOL * max(1.0, total):
             raise ValueError("marginal masses differ; transportation problem infeasible")
         self.uniform = is_uniform_equal(self.a, self.b)
-        self.cells = None
+        m, k = self.a.size, self.b.size
+        # The row and column node of each cell, in row-major order, by which
+        # the simplex gathers the potentials on small problems.
+        self._rows = self._cols = None
+        if not self.uniform and m * k <= GATHER_CELLS:
+            self._rows, self._cols = np.arange(m).repeat(k), np.tile(np.arange(m, m + k), m)
+        self._basis = None  # row-major indices of ``cells``; no call changes this list
+        self._tree = None  # (basic, index, adj): the basis, also as an array, and its tree
         self.flows = None
-        self.plans: dict = {}
         self.support = None
+        self.plan = None
         self.pivots = 0
         self.degenerate_pivots = 0
+
+    @property
+    def cells(self) -> list[tuple[int, int]] | None:
+        if self._basis is None:
+            return None
+        k = self.b.size
+        return [divmod(e, k) for e in self._basis]
+
+    @cells.setter
+    def cells(self, cells) -> None:
+        k = self.b.size
+        self._basis = None if cells is None else [i * k + j for i, j in cells]
+        self._tree = self.flows = None
 
     def _check(self, a, b) -> None:
         if a is self._given[0] and b is self._given[1]:
@@ -167,14 +200,13 @@ class WarmStart:
         ):
             raise ValueError("warm start was made for other marginals")
 
-    def _plan(self, key, make) -> np.ndarray:
-        """The plan remembered under ``key``, made by ``make()`` the first time."""
-        self.support = key
-        P = self.plans.get(key)
-        if P is None:
-            P = self.plans[key] = make()
-            P.flags.writeable = False
-        return P
+    def _keep(self, key, make) -> np.ndarray:
+        """The last plan when its key is ``key``, else ``make()``, kept as the last."""
+        if self.plan is None or key != self.support:
+            self.plan = make()
+            self.plan.flags.writeable = False
+            self.support = key
+        return self.plan
 
 
 def transportation_simplex(
@@ -195,15 +227,20 @@ def transportation_simplex(
     non-finite cost entry is rejected.
 
     ``warm``, a ``WarmStart`` made for ``a`` and ``b``, gives the start and
-    takes the final basis; without it the call starts from the northwest
-    corner. The result is ``tree_flows`` on the cells of the final basis that
-    carry flow, a vertex whose bits do not depend on the start or the pivot
-    path.
+    takes the final basis with its tree; without it the call starts from the
+    northwest corner. The result is ``tree_flows`` on the cells of the final
+    basis that carry flow, a vertex whose bits do not depend on the start or
+    the pivot path. A call that raises leaves ``warm`` as the last call that
+    returned left it.
 
     The basis is a spanning tree on the rows 0..m-1 and the columns
     m..m+k-1, rooted at row 0 where u = 0. A dual potential follows its
-    unique tree path from the root, so a pivot recomputes only the subtree
-    that the leaving cell cuts off, and one numpy expression prices every cell.
+    unique tree path from the root, so a call first sets every potential in
+    one traversal, and a pivot recomputes only the subtree that the leaving
+    cell cuts off. Pricing subtracts the potentials from every cost in numpy.
+    A pivot's cycle is the two tree paths from the entering cell's ends up to
+    their lowest common ancestor; the side that holds the leaving cell is the
+    one cut off.
     """
     if warm is None:
         warm = WarmStart(a, b)
@@ -229,104 +266,131 @@ def transportation_simplex(
             P[rows, cols] = a[rows]
             return P
 
-        return warm._plan(cols.tobytes(), assignment)
+        return warm._keep(cols.tobytes(), assignment)
     if m == 1 or k == 1:  # the one feasible plan
-        return warm._plan((), lambda: (b.reshape(1, k) if m == 1 else a.reshape(m, 1)).copy())
+        return warm._keep((), lambda: (b.reshape(1, k) if m == 1 else a.reshape(m, 1)).copy())
 
-    if warm.cells is None:
-        P, cells = _northwest_corner(a, b)
+    n = m + k
+    cold = warm._basis is None
+    if cold:
+        P, basic = _northwest_corner(a, b)
     else:
         if warm.flows is None:
             start = tree_flows(a, b, warm.cells)
-            if start is None or len(warm.cells) != m + k - 1:
+            if start is None or len(warm._basis) != n - 1:
                 raise ValueError("warm-start basis is not a spanning tree")
             # Leaf elimination may leave round-off below zero on degenerate cells.
             warm.flows = np.maximum(start, 0.0)
-        P, cells = warm.flows.tolist(), list(warm.cells)
-    # edge[x][y] = c_ij between row node i and column node m + j, either way round.
-    edge = [[0.0] * m + row for row in cost.tolist()] + cost.T.tolist()
-    red_tol = REDUCED_COST_TOL * (1.0 + cost_max)
-    basic = np.array([i * k + j for i, j in cells])  # row-major index of cells[n]
-    adj: list[list[int]] = [[] for _ in range(m + k)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    pot, parent, depth = [0.0] * (m + k), [-1] * (m + k), [0] * (m + k)
-
-    def cell(x: int, y: int) -> tuple[int, int]:
-        return (x, y - m) if x < m else (y, x - m)
+        P = warm.flows.ravel().tolist()
+    # The pivots below change the tree in place, so it stays detached until
+    # the call returns; ``cells`` and ``flows`` keep the last returned basis.
+    tree, warm._tree = warm._tree, None
+    if tree is None:
+        if not cold:
+            basic = list(warm._basis)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for e in basic:
+            i, j = divmod(e, k)
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+        tree = (basic, np.array(basic), adj)
+    basic, index, adj = tree
+    pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
+    crows = cost.tolist()
+    flat, rows, cols = cost.ravel(), warm._rows, warm._cols
 
     def hang(top: int) -> int:
         """Set the potential (u_i + v_j = c_ij on basic cells), parent and depth
         of every node below ``top``; return how many were set."""
         stack, placed = [top], 0
-        while stack and placed < m + k:
+        while stack and placed < n:
             x = stack.pop()
-            above, below, cx, px = parent[x], depth[x] + 1, edge[x], pot[x]
-            for y in adj[x]:
-                if y != above:
-                    parent[y], depth[y], pot[y] = x, below, cx[y] - px
-                    stack.append(y)
-                    placed += 1
+            above, below, px = parent[x], depth[x] + 1, pot[x]
+            if x < m:
+                cx = crows[x]
+                for y in adj[x]:
+                    if y != above:
+                        parent[y], depth[y], pot[y] = x, below, cx[y - m] - px
+                        stack.append(y)
+                        placed += 1
+            else:
+                j = x - m
+                for y in adj[x]:
+                    if y != above:
+                        parent[y], depth[y], pot[y] = x, below, crows[y][j] - px
+                        stack.append(y)
+                        placed += 1
         return placed
 
-    if hang(0) != m + k - 1:
+    if hang(0) != n - 1:
         raise RuntimeError("basis is not a spanning tree; internal error")
-    degenerate, bland_after = 0, DEGENERATE_RUN_PER_NODE * (m + k)
+    red_tol = REDUCED_COST_TOL * (1.0 + cost_max)
+    degenerate, bland_after = 0, DEGENERATE_RUN_PER_NODE * n
     for pivots in range(40 * m * k + 200):
-        reduced = cost - np.array(pot[:m])[:, None]
-        reduced -= np.array(pot[m:])
-        reduced.flat[basic] = 0.0
+        u = np.array(pot)
+        if rows is None:
+            reduced = cost - u[:m, None]
+            reduced -= u[m:]
+            reduced = reduced.ravel()
+        else:
+            reduced = flat - u[rows]
+            reduced -= u[cols]
+        reduced[index] = 0.0
         if degenerate < bland_after:
             enter = int(reduced.argmin())
         else:
             enter = int((reduced < -red_tol).argmax())  # the first improving cell
-        if not reduced.flat[enter] < -red_tol:
-            support = [(i, j) for i, j in cells if P[i][j] > 0.0]
+        if not reduced.item(enter) < -red_tol:
+            support = sorted([e for e in basic if P[e] > 0.0])
             # A cell holding only a round-off flow can come out just below zero.
-            plan = warm._plan(
-                tuple(sorted(i * k + j for i, j in support)),
-                lambda: np.maximum(tree_flows(a, b, support), 0.0),
+            plan = warm._keep(
+                tuple(support),
+                lambda: np.maximum(tree_flows(a, b, [divmod(e, k) for e in support]), 0.0),
             )
-            if pivots or warm.cells is None:  # else the start flows still hold
-                warm.flows = plan if len(support) == len(cells) else None
-            warm.cells = cells
+            if pivots or cold:  # else the start flows still hold
+                warm.flows = plan if len(support) == n - 1 else None
+            warm._basis, warm._tree = list(basic), tree
             return plan
         ei, ej = divmod(enter, k)
 
-        # The tree path from column ej to row ei, through their lowest common
-        # ancestor, closes the cycle of the entering cell.
+        # The tree paths from column ej and from row ei up to their lowest
+        # common ancestor close the cycle of the entering cell; each holds the
+        # row-major index of the cell between a node and its parent. Along
+        # each, the first, third, ... cell loses flow and the others gain it.
         up, down = [], []
         x, y = m + ej, ei
         while x != y:
             if depth[x] >= depth[y]:
-                up.append(cell(x, parent[x]))
-                x = parent[x]
+                p = parent[x]
+                up.append(x * k + p - m if x < m else p * k + x - m)
+                x = p
             else:
-                down.append(cell(y, parent[y]))
-                y = parent[y]
-        cycle = [(ei, ej)] + up + down[::-1]
-
-        theta, li, lj = min((P[i][j], i, j) for i, j in cycle[1::2])
+                p = parent[y]
+                down.append(y * k + p - m if y < m else p * k + y - m)
+                y = p
+        losing = up[::2] + down[::2]
+        theta, leave = min([(P[e], e) for e in losing])
         warm.pivots += 1
         if theta > 0.0:
             degenerate = 0
-            for i, j in cycle[::2]:
-                P[i][j] += theta
-            for i, j in cycle[1::2]:
-                P[i][j] -= theta
+            P[enter] += theta
+            for e in up[1::2] + down[1::2]:
+                P[e] += theta
+            for e in losing:
+                P[e] -= theta
         else:
             degenerate += 1
             warm.degenerate_pivots += 1
-        slot = cells.index((li, lj))
-        cells[slot], basic[slot] = (ei, ej), enter
+        slot = basic.index(leave)
+        basic[slot] = index[slot] = enter
+        li, lj = divmod(leave, k)
         adj[li].remove(m + lj)
         adj[m + lj].remove(li)
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
         # Hang the cut-off subtree below the entering cell's other end.
-        q, p = (m + ej, ei) if cycle.index((li, lj)) <= len(up) else (ei, m + ej)
-        parent[q], depth[q], pot[q] = p, depth[p] + 1, edge[p][q] - pot[p]
+        q, p = (m + ej, ei) if leave in up else (ei, m + ej)
+        parent[q], depth[q], pot[q] = p, depth[p] + 1, crows[ei][ej] - pot[p]
         hang(q)
 
     raise RuntimeError("transportation simplex exceeded its pivot budget")

@@ -12,8 +12,7 @@ branch-and-bound over s that calls the transportation simplex with one
 ``lp.WarmStart`` per search (all its LPs share their marginals), so each call
 starts from the last one's optimal basis and, when they are known, its flows.
 A search evaluates each vertex once: it remembers the moments of each plan by
-the plan's support, the key under which the warm start remembers the
-read-only plan itself. A brute-force vertex oracle cross-checks global minima
+the plan's support, which the warm start reports with each plan. A brute-force vertex oracle cross-checks global minima
 on small instances: it stacks every vertex plan, takes all their moments as
 arrays, validates them and evaluates their envelope costs elementwise, and
 builds ``PlanMoments``, plans and horizons only for the tied optima.

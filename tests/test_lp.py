@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,85 @@ def test_warm_chain_pivot_counts_pinned():
             transportation_simplex(cost, a, b, warm)
         totals[seed % 2] += (warm.pivots, warm.degenerate_pivots)
     assert totals.tolist() == [[2164, 959], [2938, 0]]
+
+
+def chain_bytes(seed, interrupt=None):
+    """Bytes of every plan of seed ``seed``'s warm chain and its final basis;
+    ``interrupt(cost, a, b, warm)`` runs before the chain's 13th call."""
+    costs, a, b = warm_chain_problem(seed)
+    warm, out = WarmStart(a, b), []
+    for t, cost in enumerate(costs):
+        if t == 12 and interrupt is not None:
+            interrupt(cost, a, b, warm)
+        out.append(transportation_simplex(cost, a, b, warm).tobytes())
+    return out + [repr(sorted(warm.cells)).encode()]
+
+
+class FailMidPivot:
+    """Stands in for ``DEGENERATE_RUN_PER_NODE``: the run test of the second
+    pricing raises, after the first pivot changed the carried tree."""
+
+    def __init__(self):
+        self.tests = 0
+
+    def __mul__(self, nodes):
+        return self
+
+    def __gt__(self, run):
+        self.tests += 1
+        if self.tests == 2:
+            raise RuntimeError("injected failure")
+        return True
+
+
+def test_failed_call_leaves_a_usable_warm_start(monkeypatch):
+    # a call that raises, before its pivots or between two of them, leaves
+    # the basis and flows of the last call that returned, so the rest of the
+    # chain returns the same bytes as the chain without it
+    def rejected(cost, a, b, warm):
+        bad = cost.copy()
+        bad[0, 0] = np.nan
+        for args in ((bad, a, b), (cost[:, 1:], a, b), (cost, a[::-1], b)):
+            with pytest.raises(ValueError):
+                transportation_simplex(*args, warm)
+
+    def failing(cost, a, b, warm):
+        bomb = FailMidPivot()
+        monkeypatch.setattr(otikin.lp, "DEGENERATE_RUN_PER_NODE", bomb)
+        with pytest.raises(RuntimeError, match="injected"):
+            transportation_simplex(cost, a, b, warm)
+        monkeypatch.undo()
+        assert bomb.tests == 2
+        if warm.flows is not None:
+            expected = np.maximum(tree_flows(a, b, warm.cells), 0.0)
+            assert warm.flows.tobytes() == expected.tobytes()
+
+    for seed in range(1, 12, 2):
+        plain = chain_bytes(seed)
+        assert chain_bytes(seed, rejected) == plain
+        assert chain_bytes(seed, failing) == plain
+
+
+def test_warm_start_holds_one_plan():
+    # only the last plan returned stays alive once the caller drops the rest
+    # (a plan returned by consecutive calls is one array), and a call that
+    # makes no pivot returns that same array again
+    for seed in (1, 2, 3):
+        costs, a, b = warm_chain_problem(seed)
+        warm, returned = WarmStart(a, b), []
+        for cost in costs:
+            returned.append(weakref.ref(transportation_simplex(cost, a, b, warm)))
+        gc.collect()
+        assert {id(r()) for r in returned if r() is not None} == {id(warm.plan)}
+        pivots = warm.pivots
+        assert transportation_simplex(costs[-1], a, b, warm) is returned[-1]()
+        assert warm.pivots == pivots
+    a = np.full(6, 1.0 / 6.0)  # the assignment path keeps one plan as well
+    warm, returned = WarmStart(a, a), []
+    for cost in np.random.default_rng(4).normal(size=(25, 6, 6)):
+        returned.append(weakref.ref(transportation_simplex(cost, a, a, warm)))
+    gc.collect()
+    assert {id(r()) for r in returned if r() is not None} == {id(warm.plan)}
 
 
 def test_returns_vertex_support():

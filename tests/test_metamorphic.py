@@ -1,6 +1,6 @@
 """Metamorphic properties of the discrepancies, checked with hypothesis.
 
-The closed-form pointwise cost implies three invariances, each checked on
+The closed-form pointwise cost implies four invariances, each checked on
 random uniform and weighted instances (m, k <= 5 atoms, dimension n <= 3):
 
 - time reversal: (x, v) -> (y, w) costs what (y, -w) -> (x, -v) costs, so
@@ -9,7 +9,10 @@ random uniform and weighted instances (m, k <= 5 atoms, dimension n <= 3):
   translation of all positions, change nothing;
 - velocity scaling: scaling every velocity by c scales d^2 by c^2, and the
   fixed-horizon cost at T of the scaled pair is c^2 times the cost at c T of
-  the original pair.
+  the original pair;
+- Galilean boost: adding c to every velocity, and T c to the target's
+  positions, leaves the fixed-horizon cost at T unchanged, since a pair of
+  atoms then drifts apart over [0, T] exactly as before.
 """
 
 import numpy as np
@@ -84,4 +87,16 @@ def test_velocity_scaling(inst, c, T):
     )
     assert solve_fixed_T(fast_mu, fast_nu, T).cost_sq == pytest.approx(
         c * c * solve_fixed_T(mu, nu, c * T).cost_sq, rel=REL
+    )
+
+
+@examples
+@given(instances(), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3), st.floats(0.1, 10.0))
+def test_galilean_boost(inst, c, T):
+    mu, nu, _ = inst
+    c = np.array(c[: mu.dim])
+    boosted_mu = DiscreteMeasure(mu.positions, mu.velocities + c, mu.weights)
+    boosted_nu = DiscreteMeasure(nu.positions + T * c, nu.velocities + c, nu.weights)
+    assert solve_fixed_T(boosted_mu, boosted_nu, T).cost_sq == pytest.approx(
+        solve_fixed_T(mu, nu, T).cost_sq, rel=REL
     )
