@@ -41,8 +41,8 @@ REDUCED_COST_TOL = 1e-11
 MASS_TOL = 1e-9
 # Up to this many cells, pricing subtracts the potentials gathered into flat
 # arrays; on larger problems it broadcasts them instead. Both give the same
-# bits: the gathers beat broadcasting's set-up cost at 6 x 5, and lose to its
-# memory traffic from about 32 x 32 on.
+# bits: the gathers beat broadcasting's set-up cost at 6 x 5, break even near
+# 32 x 32 and lose to its lighter memory traffic above.
 GATHER_CELLS = 1024
 # Bland's rule takes over after this many pivots in a row that move no flow,
 # per node of the basis tree, and hands back at the next pivot that does.
