@@ -39,11 +39,6 @@ UNIFORM_TOL = 1e-12
 REDUCED_COST_TOL = 1e-11
 # The two marginal masses may differ by this, relative to max(1, sum a).
 MASS_TOL = 1e-9
-# Up to this many cells, pricing subtracts the potentials gathered into flat
-# arrays; on larger problems it broadcasts them instead. Both give the same
-# bits: the gathers beat broadcasting's set-up cost at 6 x 5, break even near
-# 32 x 32 and lose to its lighter memory traffic above.
-GATHER_CELLS = 1024
 # Bland's rule takes over after this many pivots in a row that move no flow,
 # per node of the basis tree, and hands back at the next pivot that does.
 DEGENERATE_RUN_PER_NODE = 1
@@ -167,9 +162,9 @@ class WarmStart:
         self.uniform = is_uniform_equal(self.a, self.b)
         m, k = self.a.size, self.b.size
         # The row and column node of each cell, in row-major order, by which
-        # the simplex gathers the potentials on small problems.
+        # the simplex gathers the potentials when it prices.
         self._rows = self._cols = None
-        if not self.uniform and m * k <= GATHER_CELLS:
+        if not self.uniform:
             self._rows, self._cols = np.arange(m).repeat(k), np.tile(np.arange(m, m + k), m)
         self._basis = None  # row-major indices of ``cells``; no call changes this list
         self._tree = None  # (basic, index, adj): the basis, also as an array, and its tree
@@ -237,7 +232,8 @@ def transportation_simplex(
     m..m+k-1, rooted at row 0 where u = 0. A dual potential follows its
     unique tree path from the root, so a call first sets every potential in
     one traversal, and a pivot recomputes only the subtree that the leaving
-    cell cuts off. Pricing subtracts the potentials from every cost in numpy.
+    cell cuts off. Pricing subtracts the potentials from every cost in numpy,
+    gathering them by the row and column index arrays of ``warm``.
     A pivot's cycle is the two tree paths from the entering cell's ends up to
     their lowest common ancestor; the side that holds the leaving cell is the
     one cut off.
@@ -328,13 +324,8 @@ def transportation_simplex(
     degenerate, bland_after = 0, DEGENERATE_RUN_PER_NODE * n
     for pivots in range(40 * m * k + 200):
         u = np.array(pot)
-        if rows is None:
-            reduced = cost - u[:m, None]
-            reduced -= u[m:]
-            reduced = reduced.ravel()
-        else:
-            reduced = flat - u[rows]
-            reduced -= u[cols]
+        reduced = flat - u[rows]
+        reduced -= u[cols]
         reduced[index] = 0.0
         if degenerate < bland_after:
             enter = int(reduced.argmin())

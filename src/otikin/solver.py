@@ -12,10 +12,11 @@ branch-and-bound over s that calls the transportation simplex with one
 ``lp.WarmStart`` per search (all its LPs share their marginals), so each call
 starts from the last one's optimal basis and, when they are known, its flows.
 A search evaluates each vertex once: it remembers the moments of each plan by
-the plan's support, which the warm start reports with each plan. A brute-force vertex oracle cross-checks global minima
-on small instances: it stacks every vertex plan, takes all their moments as
-arrays, validates them and evaluates their envelope costs elementwise, and
-builds ``PlanMoments``, plans and horizons only for the tied optima.
+the plan's support, which the warm start reports with each plan. A
+brute-force vertex oracle cross-checks global minima on small instances: it
+stacks every vertex plan, takes all their moments as arrays, validates them
+and evaluates their envelope costs elementwise, and builds ``PlanMoments``,
+plans and horizons only for the tied optima.
 """
 
 from __future__ import annotations
