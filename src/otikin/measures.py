@@ -81,8 +81,8 @@ class DiscreteMeasure:
             raise ValueError("measure must contain at least one atom")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(V)):
             raise ValueError("atom coordinates must be finite")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be finite and strictly positive")
         if abs(float(w.sum()) - 1.0) > UNIT_MASS_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
 
@@ -137,8 +137,8 @@ def validate_measure(raw) -> DiscreteMeasure:
         w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("measure has no atoms")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be finite and strictly positive")
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total}, more than {WEIGHT_SUM_TOL} from 1")

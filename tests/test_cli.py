@@ -132,6 +132,25 @@ class TestExitCodes:
                   "--optimize-T", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["discrepancy", "--T", "1"], ["oracle"]],
+                             ids=["discrepancy", "oracle"])
+    def test_nan_weight_exits_3(self, tmp_path, fmt, argv):
+        # Python's json reads the NaN literal; the target is a valid measure
+        files = {
+            "csv": ("x1,v1,w\n0,0,nan\n1,0,1\n", "x1,v1,w\n0,1,0.5\n1,0,0.5\n"),
+            "json": ('{"dim": 1, "points": [{"x": [0], "v": [0], "w": NaN},'
+                     ' {"x": [1], "v": [0], "w": 1}]}',
+                     '{"dim": 1, "points": [{"x": [0], "v": [1], "w": 0.5},'
+                     ' {"x": [1], "v": [0], "w": 0.5}]}'),
+        }
+        (tmp_path / "mu").write_text(files[fmt][0])
+        (tmp_path / "nu").write_text(files[fmt][1])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt, "--mu", str(tmp_path / "mu"), "--nu",
+                  str(tmp_path / "nu"), "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 3
+
     @pytest.mark.parametrize("command", ["discrepancy", "interpolate"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
         # a directory as an output file, or a file as an output directory

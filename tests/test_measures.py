@@ -60,6 +60,11 @@ class TestValidation:
             validate_measure(([[0.0]], [[0.0]], [-0.1]))
         with pytest.raises(ValueError):
             validate_measure(([[0.0], [1.0]], [[0.0], [0.0]], [0.5, 0.6]))
+        for w in ([np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                validate_measure(([[0.0], [1.0]], [[0.0], [0.0]], w))
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], w)
 
     def test_rejects_ragged_and_empty(self):
         with pytest.raises(ValueError):
