@@ -134,9 +134,7 @@ class WarmStart:
       one starts; None before the first, which starts from the northwest
       corner. With it the state keeps the basis's spanning tree (its
       adjacency lists and the basic cells' row-major indices), so the next
-      call only traverses it once to set the potentials for its cost.
-      Assigning ``cells`` drops that tree and ``flows``, and the next call
-      builds both again from the cells;
+      call only traverses it once to set the potentials for its cost;
     - ``flows``: ``np.maximum(tree_flows(a, b, cells), 0.0)`` bit for bit, or
       None when the next call has to compute it. A call keeps it when it made
       no pivot from such a start, or sets it to the returned plan when every
@@ -180,12 +178,6 @@ class WarmStart:
             return None
         k = self.b.size
         return [divmod(e, k) for e in self._basis]
-
-    @cells.setter
-    def cells(self, cells) -> None:
-        k = self.b.size
-        self._basis = None if cells is None else [i * k + j for i, j in cells]
-        self._tree = self.flows = None
 
     def _check(self, a, b) -> None:
         if a is self._given[0] and b is self._given[1]:
@@ -272,11 +264,8 @@ def transportation_simplex(
         P, basic = _northwest_corner(a, b)
     else:
         if warm.flows is None:
-            start = tree_flows(a, b, warm.cells)
-            if start is None or len(warm._basis) != n - 1:
-                raise ValueError("warm-start basis is not a spanning tree")
             # Leaf elimination may leave round-off below zero on degenerate cells.
-            warm.flows = np.maximum(start, 0.0)
+            warm.flows = np.maximum(tree_flows(a, b, warm.cells), 0.0)
         P = warm.flows.ravel().tolist()
     # The pivots below change the tree in place, so it stays detached until
     # the call returns; ``cells`` and ``flows`` keep the last returned basis.

@@ -307,15 +307,6 @@ def test_plan_bytes_do_not_depend_on_the_start():
         assert warm.tobytes() == transportation_simplex(cost, a, b).tobytes()
 
 
-def test_warm_start_basis_must_be_a_spanning_tree():
-    cost, a, b = generic_problem(np.random.default_rng(5), 3, 3)
-    for cells in ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]):
-        warm = WarmStart(a, b)
-        warm.cells = cells
-        with pytest.raises(ValueError):
-            transportation_simplex(cost, a, b, warm)
-
-
 def test_warm_start_flows_are_tree_flows_and_marginals_fixed():
     # whenever the state holds start flows they are the leaf-elimination flows
     # of its basis, bit for bit, also on the degenerate integer marginals of
