@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MARGINAL_TOL, Coupling, DiscreteMeasure
-from .phase import (
-    HORIZON_TOL, TIME_GRID_TOL, CubicSpline, OptimalTime, spline_action, spline_from_endpoints
-)
+from .phase import HORIZON_TOL, TIME_GRID_TOL, OptimalTime, cubic_a3_a2, cubic_action
 from .solver import solve_d, solve_fixed_T
 
 __all__ = [
@@ -40,30 +38,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplineEnsemble:
-    """Mass-weighted family of cubic connectors sharing one horizon.
+    """Mass-weighted family of cubic connectors on one horizon [0, T].
 
-    Built from a coupling, spline k connects the k-th cell of the plan's
-    ``support()``.
+    ``splines`` is a (K, 4, n) array: row k holds the ascending coefficients
+    a0, a1, a2, a3 of connector k, ``t -> a3 t^3 + a2 t^2 + a1 t + a0``, and
+    ``masses[k]`` its mass. Built from a coupling, row k connects the k-th
+    cell of the plan's ``support()``.
     """
 
-    splines: tuple[CubicSpline, ...]
+    splines: np.ndarray
     masses: np.ndarray
     horizon: float
 
     def __post_init__(self):
+        splines = np.asarray(self.splines, dtype=float)
         masses = np.asarray(self.masses, dtype=float).ravel()
+        object.__setattr__(self, "splines", splines)
         object.__setattr__(self, "masses", masses)
-        if masses.size != len(self.splines):
+        if splines.ndim != 3 or splines.shape[1] != 4:
+            raise ValueError(f"splines must have shape (K, 4, n), got {splines.shape}")
+        if masses.size != len(splines):
             raise ValueError("one mass per spline required")
         if abs(float(masses.sum()) - 1.0) > MARGINAL_TOL:
             raise ValueError("spline masses must sum to 1")
-        if any(abs(s.horizon - self.horizon) > HORIZON_TOL * self.horizon for s in self.splines):
-            raise ValueError("all splines must share the ensemble horizon")
+        if not self.horizon > 0:
+            raise ValueError("spline horizon must be positive")
 
     def action(self) -> float:
-        return float(
-            sum(m * spline_action(s) for m, s in zip(self.masses, self.splines))
-        )
+        # One np.dot per connector, as in spline_action: an array-wide sum of
+        # products can round differently in the last bit.
+        T = self.horizon
+        return float(sum(m * cubic_action(c[3], c[2], T) for m, c in zip(self.masses, self.splines)))
+
+
+def _cubic_states(coef: np.ndarray, t):
+    """Positions and velocities at ``t`` of (..., 4, n) ascending coefficients."""
+    a0, a1, a2, a3 = (coef[..., p, :] for p in range(4))
+    return ((a3 * t + a2) * t + a1) * t + a0, (3.0 * a3 * t + 2.0 * a2) * t + a1
 
 
 def build_dynamical_plan(
@@ -79,10 +90,14 @@ def build_dynamical_plan(
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    pairs = plan.support()
-    masses = np.asarray([plan.P[i, j] for i, j in pairs])
+    if mu.dim != nu.dim:
+        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    rows, cols = np.transpose(plan.support())
+    x, v = mu.positions[rows], mu.velocities[rows]
+    a3, a2 = cubic_a3_a2(x, v, nu.positions[cols], nu.velocities[cols], float(T))
+    masses = plan.P[rows, cols]
     return SplineEnsemble(
-        splines=tuple(spline_from_endpoints(mu.atom(i), nu.atom(j), T) for i, j in pairs),
+        splines=np.stack([x, v, a2, a3], axis=1),
         masses=masses / masses.sum(),
         horizon=float(T),
     )
@@ -92,8 +107,7 @@ def interpolate_at(e: SplineEnsemble, t: float) -> DiscreteMeasure:
     """Measure traced by the ensemble at time t: atoms (alpha(t), alpha'(t))."""
     if not (-HORIZON_TOL * e.horizon <= t <= e.horizon * (1.0 + HORIZON_TOL)):
         raise ValueError(f"time {t} outside ensemble horizon [0, {e.horizon}]")
-    X = np.asarray([s.position(t) for s in e.splines])
-    V = np.asarray([s.velocity(t) for s in e.splines])
+    X, V = _cubic_states(e.splines, t)
     return DiscreteMeasure(X, V, e.masses.copy())
 
 
@@ -160,11 +174,8 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     0, at T or at a root of f'; the separation is evaluated from p and p' at
     those times (real parts of the roots, clipped to [0, T]).
     """
-    T = e.horizon
-    # (K, 4, n) coefficients in ascending powers of t.
-    coef = np.stack([np.stack([s.a0, s.a1, s.a2, s.a3]) for s in e.splines])
-    x_end = ((coef[:, 3] * T + coef[:, 2]) * T + coef[:, 1]) * T + coef[:, 0]
-    v_end = (3.0 * coef[:, 3] * T + 2.0 * coef[:, 2]) * T + coef[:, 1]
+    T, coef = e.horizon, e.splines
+    x_end, v_end = _cubic_states(coef, T)
     first, second = np.triu_indices(len(coef), 1)
 
     def same(a: np.ndarray) -> np.ndarray:
@@ -196,8 +207,7 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     for degree, rows, roots in _real_roots_by_degree(half_df):
         tau[rows, 2 : 2 + degree] = roots
     t = np.clip(tau, 0.0, 1.0)[:, :, None] * T
-    pos = ((p[:, None, 3] * t + p[:, None, 2]) * t + p[:, None, 1]) * t + p[:, None, 0]
-    vel = (3.0 * p[:, None, 3] * t + 2.0 * p[:, None, 2]) * t + p[:, None, 1]
+    pos, vel = _cubic_states(p[:, None], t)
     sep = np.sqrt(np.sum(pos * pos, axis=2) + np.sum(vel * vel, axis=2))
     r, c = np.unravel_index(int(np.argmin(sep)), sep.shape)
     min_sep = float(sep[r, c])
@@ -280,8 +290,7 @@ def spline_forcing(e: SplineEnsemble) -> ForceField:
     the acceleration of spline i at time t. Only meaningful for particle
     blocks ordered like the ensemble.
     """
-    a3 = np.asarray([s.a3 for s in e.splines])
-    a2 = np.asarray([s.a2 for s in e.splines])
+    a3, a2 = e.splines[:, 3], e.splines[:, 2]
 
     def _eval(t, X, V):
         if X.shape[0] != a3.shape[0]:

@@ -138,10 +138,6 @@ class CubicSpline:
         if any(getattr(self, name).size != n for name in ("a3", "a2", "a1")):
             raise ValueError("spline coefficients have inconsistent dimensions")
 
-    @property
-    def dim(self) -> int:
-        return self.a0.size
-
     def position(self, t: float) -> np.ndarray:
         return ((self.a3 * t + self.a2) * t + self.a1) * t + self.a0
 
@@ -159,12 +155,16 @@ def spline_from_endpoints(src: PhaseState, dst: PhaseState, T: float) -> CubicSp
         raise ValueError(f"horizon must be positive, got {T}")
     if src.dim != dst.dim:
         raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
-    x, v = src.x, src.v
-    y, w = dst.x, dst.v
-    T = float(T)
+    a3, a2 = cubic_a3_a2(src.x, src.v, dst.x, dst.v, float(T))
+    return CubicSpline(a3=a3, a2=a2, a1=src.v.copy(), a0=src.x.copy(), horizon=float(T))
+
+
+def cubic_a3_a2(x, v, y, w, T: float):
+    """Coefficients a3, a2 of the connector from (x, v) at time 0 to (y, w) at
+    time T, elementwise over arrays of any shape; a1 and a0 are v and x."""
     a3 = (v + w) / T**2 - 2.0 * (y - x) / T**3
     a2 = 3.0 * (y - x) / T**2 - (2.0 * v + w) / T
-    return CubicSpline(a3=a3, a2=a2, a1=v.copy(), a0=x.copy(), horizon=T)
+    return a3, a2
 
 
 def spline_action(s: CubicSpline) -> float:
@@ -174,10 +174,14 @@ def spline_action(s: CubicSpline) -> float:
     12 |a3|^2 T^3 + 12 (a3 . a2) T^2 + 4 |a2|^2 T.  The value coincides with
     ``tilde_dT_sq`` of the endpoint states.
     """
-    T = s.horizon
-    q33 = float(np.dot(s.a3, s.a3))
-    q32 = float(np.dot(s.a3, s.a2))
-    q22 = float(np.dot(s.a2, s.a2))
+    return cubic_action(s.a3, s.a2, s.horizon)
+
+
+def cubic_action(a3: np.ndarray, a2: np.ndarray, T: float) -> float:
+    """``spline_action`` of the connector on [0, T] with those two coefficients."""
+    q33 = float(np.dot(a3, a3))
+    q32 = float(np.dot(a3, a2))
+    q22 = float(np.dot(a2, a2))
     return T * (12.0 * q33 * T**3 + 12.0 * q32 * T**2 + 4.0 * q22 * T)
 
 

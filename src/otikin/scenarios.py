@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ForceField, SplineEnsemble, Trajectory, vlasov_integrate
+from .dynamics import (
+    ForceField, SplineEnsemble, Trajectory, build_dynamical_plan, vlasov_integrate
+)
 from .measures import Coupling, DiscreteMeasure, pushforward_free_transport
 from .phase import PhaseState, spline_from_endpoints
 
@@ -158,11 +160,8 @@ def crossing_ensemble() -> SplineEnsemble:
     s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), 1.0)
     meet = PhaseState(s1.position(0.5), s1.velocity(0.5))
     half = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, 0.5)
-    # Polynomial extension of the half-horizon cubic out to the full horizon.
-    dst2 = PhaseState(half.position(1.0), half.velocity(1.0))
-    s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, 1.0)
-    return SplineEnsemble(
-        splines=(s1, s2),
-        masses=np.array([0.5, 0.5]),
-        horizon=1.0,
-    )
+    # The second target is the polynomial extension of the half-horizon cubic
+    # out to the full horizon.
+    mu = DiscreteMeasure([[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
+    nu = DiscreteMeasure([[1.0], half.position(1.0)], [[0.0], half.velocity(1.0)], [0.5, 0.5])
+    return build_dynamical_plan(mu, nu, Coupling(np.diag([0.5, 0.5]), mu, nu), 1.0)

@@ -25,7 +25,7 @@ from otikin.measures import (
     product_coupling,
     pushforward_free_transport,
 )
-from otikin.phase import CubicSpline, PhaseState, spline_from_endpoints, tilde_dT_sq
+from otikin.phase import PhaseState, spline_from_endpoints, tilde_dT_sq
 from otikin.scenarios import (
     crossing_ensemble,
     factor2_trajectory,
@@ -37,6 +37,11 @@ from otikin.solver import brute_force_oracle, solve_d, solve_fixed_T
 from otikin.verification import _packaged_trajectories
 
 
+def coefficients(*splines) -> np.ndarray:
+    """The (K, 4, n) ensemble rows [a0, a1, a2, a3] of single connectors."""
+    return np.array([[s.a0, s.a1, s.a2, s.a3] for s in splines])
+
+
 def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
     """Two connectors that meet in phase at ``t_meet``, built like ``crossing_ensemble``."""
     s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), T)
@@ -44,7 +49,7 @@ def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
     head = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, t_meet)
     dst2 = PhaseState(head.position(T), head.velocity(T))
     s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, T)
-    return SplineEnsemble(splines=(s1, s2), masses=np.array([0.5, 0.5]), horizon=T)
+    return SplineEnsemble(splines=coefficients(s1, s2), masses=np.array([0.5, 0.5]), horizon=T)
 
 
 def dense_min_separation(e: SplineEnsemble, n_times: int = 100_000) -> float:
@@ -55,8 +60,9 @@ def dense_min_separation(e: SplineEnsemble, n_times: int = 100_000) -> float:
     """
     T = e.horizon
 
-    def state(s, t):
-        return np.concatenate([s.position(t), s.velocity(t)])
+    def state(c, t):
+        x = ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+        return np.concatenate([x, (3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]])
 
     def same(a, b):
         return np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
@@ -64,11 +70,11 @@ def dense_min_separation(e: SplineEnsemble, n_times: int = 100_000) -> float:
     best = np.inf
     grid = np.linspace(0.0, T, n_times)[:, None]
     h = T / (n_times - 1)
-    for i, si in enumerate(e.splines):
-        for sj in e.splines[i + 1 :]:
-            if same(state(si, 0.0), state(sj, 0.0)) or same(state(si, T), state(sj, T)):
+    for i, ci in enumerate(e.splines):
+        for cj in e.splines[i + 1 :]:
+            if same(state(ci, 0.0), state(cj, 0.0)) or same(state(ci, T), state(cj, T)):
                 continue
-            d3, d2, d1, d0 = si.a3 - sj.a3, si.a2 - sj.a2, si.a1 - sj.a1, si.a0 - sj.a0
+            d0, d1, d2, d3 = ci - cj
 
             def sep(t):
                 dx = ((d3 * t + d2) * t + d1) * t + d0
@@ -112,6 +118,23 @@ class TestDynamicalPlan:
             res = solve_fixed_T(mu, nu, 1.0)
             ens = build_dynamical_plan(mu, nu, res.plan, 1.0)
             assert ens.action() == pytest.approx(res.cost_sq, rel=1e-10)
+            # row k is the single connector of the k-th support cell, bit for bit
+            assert ens.splines.shape == (len(res.plan.support()), 4, 2)
+            for row, (i, j) in zip(ens.splines, res.plan.support()):
+                s = spline_from_endpoints(mu.atom(i), nu.atom(j), 1.0)
+                assert row.tobytes() == coefficients(s)[0].tobytes()
+
+    def test_ensemble_layout_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            SplineEnsemble(splines=np.zeros((2, 3, 1)), masses=[0.5, 0.5], horizon=1.0)
+        with pytest.raises(ValueError, match="one mass per spline"):
+            SplineEnsemble(splines=np.zeros((2, 4, 1)), masses=[1.0], horizon=1.0)
+
+    def test_dimension_mismatch_rejected(self):
+        mu = DiscreteMeasure([[0.0]], [[0.0]], [1.0])
+        nu = DiscreteMeasure([[1.0, 0.0]], [[0.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            build_dynamical_plan(mu, nu, Coupling(np.ones((1, 1)), mu, nu), 1.0)
 
 
 class TestInterpolation:
@@ -229,13 +252,13 @@ class TestMongeMather:
             checked += 1
 
 
-def polyroots_min_separation(si, sj) -> tuple[float, int]:
-    """Least phase separation of two splines over [0, T] from the real roots
-    of f', f = |dx|^2 + |dv|^2 built coordinate by coordinate in unscaled
-    time, one ``polyroots`` call for the pair; also the number of roots."""
+def polyroots_min_separation(ci, cj, T: float) -> tuple[float, int]:
+    """Least phase separation of two connectors, given as [a0, a1, a2, a3]
+    rows, over [0, T] from the real roots of f', f = |dx|^2 + |dv|^2 built
+    coordinate by coordinate in unscaled time, one ``polyroots`` call for the
+    pair; also the number of roots."""
     P = np.polynomial.polynomial
-    T = si.horizon
-    p = np.array([si.a0 - sj.a0, si.a1 - sj.a1, si.a2 - sj.a2, si.a3 - sj.a3])
+    p = ci - cj
     f = np.zeros(1)
     for c in p.T:
         f = P.polyadd(f, P.polyadd(P.polymul(c, c), P.polymul(P.polyder(c), P.polyder(c))))
@@ -259,20 +282,17 @@ def degree_class_ensemble(T: float = 1.5) -> SplineEnsemble:
         [[0.5, -1.0], [0.0, 0.5], [-0.5, 0.25], [1.0, -0.5]],
     ]
     coefs = [base] + [base + np.pad(np.array(d), ((0, 4 - len(d)), (0, 0))) for d in added]
-    splines = tuple(CubicSpline(a3=c[3], a2=c[2], a1=c[1], a0=c[0], horizon=T) for c in coefs)
-    return SplineEnsemble(splines=splines, masses=np.full(5, 0.2), horizon=T)
+    return SplineEnsemble(splines=np.array(coefs), masses=np.full(5, 0.2), horizon=T)
 
 
 def test_every_degree_class_of_the_injectivity_roots():
     e = degree_class_ensemble()
     references, degrees = [], set()
     for i, j in itertools.combinations(range(5), 2):
-        ref, n_roots = polyroots_min_separation(e.splines[i], e.splines[j])
+        ref, n_roots = polyroots_min_separation(e.splines[i], e.splines[j], e.horizon)
         degrees.add(n_roots)
         references.append(ref)
-        pair = SplineEnsemble(
-            splines=(e.splines[i], e.splines[j]), masses=np.full(2, 0.5), horizon=e.horizon
-        )
+        pair = SplineEnsemble(splines=e.splines[[i, j]], masses=np.full(2, 0.5), horizon=e.horizon)
         assert monge_mather_check(pair).min_separation == pytest.approx(ref, rel=1e-12)
     assert degrees == {0, 1, 3, 5}
     # the constant pair: the separation |(2, 0)| at every time
