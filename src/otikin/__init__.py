@@ -7,13 +7,13 @@ dynamical identities the discrepancy satisfies.
 """
 
 from .phase import (
-    CubicSpline,
     OptimalTime,
     PhaseState,
     d_sq,
     optimal_time_point,
     spline_action,
     spline_from_endpoints,
+    spline_states,
     tilde_d_sq,
     tilde_dT_sq,
 )

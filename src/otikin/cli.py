@@ -225,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common_measures], help="brute-force vertex enumeration"
     )
-    p.add_argument("--cap", type=_count, default=8, help="enumeration size cap")
+    p.add_argument(
+        "--cap", type=_count, default=8,
+        help="enumeration size cap: atoms per side on uniform equal-size pairs, "
+        "else atoms in total",
+    )
     p.add_argument("--out", required=True, help="result JSON path")
 
     p = sub.add_parser(
@@ -402,7 +406,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MARGINAL_TOL, Coupling, DiscreteMeasure
-from .phase import HORIZON_TOL, TIME_GRID_TOL, OptimalTime, cubic_a3_a2, cubic_action
+from .phase import (
+    HORIZON_TOL, TIME_GRID_TOL, OptimalTime, spline_action, spline_from_endpoints, spline_states
+)
 from .solver import solve_d, solve_fixed_T
 
 __all__ = [
@@ -40,8 +42,9 @@ __all__ = [
 class SplineEnsemble:
     """Mass-weighted family of cubic connectors on one horizon [0, T].
 
-    ``splines`` is a (K, 4, n) array: row k holds the ascending coefficients
-    a0, a1, a2, a3 of connector k, ``t -> a3 t^3 + a2 t^2 + a1 t + a0``, and
+    ``splines`` is a (K, 4, n) array of connector rows as
+    ``phase.spline_from_endpoints`` builds them: row k holds the ascending
+    coefficients a0, a1, a2, a3 of ``t -> a3 t^3 + a2 t^2 + a1 t + a0``, and
     ``masses[k]`` its mass. Built from a coupling, row k connects the k-th
     cell of the plan's ``support()``.
     """
@@ -65,16 +68,10 @@ class SplineEnsemble:
             raise ValueError("spline horizon must be positive")
 
     def action(self) -> float:
-        # One np.dot per connector, as in spline_action: an array-wide sum of
-        # products can round differently in the last bit.
+        # One spline_action per row: an array-wide sum of products can round
+        # differently in the last bit.
         T = self.horizon
-        return float(sum(m * cubic_action(c[3], c[2], T) for m, c in zip(self.masses, self.splines)))
-
-
-def _cubic_states(coef: np.ndarray, t):
-    """Positions and velocities at ``t`` of (..., 4, n) ascending coefficients."""
-    a0, a1, a2, a3 = (coef[..., p, :] for p in range(4))
-    return ((a3 * t + a2) * t + a1) * t + a0, (3.0 * a3 * t + 2.0 * a2) * t + a1
+        return float(sum(m * spline_action(c, T) for m, c in zip(self.masses, self.splines)))
 
 
 def build_dynamical_plan(
@@ -88,26 +85,17 @@ def build_dynamical_plan(
     The mass-weighted sum of spline actions reproduces the plan's
     fixed-horizon cost exactly (both sides are the same closed form).
     """
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     rows, cols = np.transpose(plan.support())
-    x, v = mu.positions[rows], mu.velocities[rows]
-    a3, a2 = cubic_a3_a2(x, v, nu.positions[cols], nu.velocities[cols], float(T))
+    x, v, y, w = mu.positions[rows], mu.velocities[rows], nu.positions[cols], nu.velocities[cols]
     masses = plan.P[rows, cols]
-    return SplineEnsemble(
-        splines=np.stack([x, v, a2, a3], axis=1),
-        masses=masses / masses.sum(),
-        horizon=float(T),
-    )
+    return SplineEnsemble(spline_from_endpoints(x, v, y, w, T), masses / masses.sum(), float(T))
 
 
 def interpolate_at(e: SplineEnsemble, t: float) -> DiscreteMeasure:
     """Measure traced by the ensemble at time t: atoms (alpha(t), alpha'(t))."""
     if not (-HORIZON_TOL * e.horizon <= t <= e.horizon * (1.0 + HORIZON_TOL)):
         raise ValueError(f"time {t} outside ensemble horizon [0, {e.horizon}]")
-    X, V = _cubic_states(e.splines, t)
+    X, V = spline_states(e.splines, t)
     return DiscreteMeasure(X, V, e.masses.copy())
 
 
@@ -175,7 +163,7 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     those times (real parts of the roots, clipped to [0, T]).
     """
     T, coef = e.horizon, e.splines
-    x_end, v_end = _cubic_states(coef, T)
+    x_end, v_end = spline_states(coef, T)
     first, second = np.triu_indices(len(coef), 1)
 
     def same(a: np.ndarray) -> np.ndarray:
@@ -207,7 +195,7 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     for degree, rows, roots in _real_roots_by_degree(half_df):
         tau[rows, 2 : 2 + degree] = roots
     t = np.clip(tau, 0.0, 1.0)[:, :, None] * T
-    pos, vel = _cubic_states(p[:, None], t)
+    pos, vel = spline_states(p[:, None], t)
     sep = np.sqrt(np.sum(pos * pos, axis=2) + np.sum(vel * vel, axis=2))
     r, c = np.unravel_index(int(np.argmin(sep)), sep.shape)
     min_sep = float(sep[r, c])

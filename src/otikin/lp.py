@@ -5,10 +5,12 @@
 vertex outputs are required by the concave outer minimisation built on top.
 A cell enters by Dantzig's rule (the most negative reduced cost); after a run
 of degenerate pivots Bland's rule takes over until flow moves again, which
-rules out cycling. The returned plan is recomputed from its support by
-``tree_flows``, so its bits depend only on the vertex, not on the pivots that
-reached it. Uniform marginals of equal size dispatch to an assignment solver,
-and scipy is imported only then.
+rules out cycling. The returned plan is ``tree_flows`` on its support, the
+basic cells with pivot flow above 0.0, so its bits depend only on that set:
+the vertex's own support on nondegenerate marginals, whatever the start or
+the pivots, while on degenerate ones a round-off flow can enter it. Uniform
+marginals of equal size dispatch to an assignment solver, and scipy is
+imported only then.
 
 A caller that solves several problems with the same marginals makes one
 ``WarmStart`` for them and hands it to every call. It checks the marginals
@@ -215,9 +217,9 @@ def transportation_simplex(
 
     ``warm``, a ``WarmStart`` made for ``a`` and ``b``, gives the start and
     takes the final basis with its tree; without it the call starts from the
-    northwest corner. The result is ``tree_flows`` on the cells of the final
-    basis that carry flow, a vertex whose bits do not depend on the start or
-    the pivot path. A call that raises leaves ``warm`` as the last call that
+    northwest corner. The result is ``tree_flows`` on the final basis's cells
+    with pivot flow above 0.0; its bits depend only on that set (see the
+    module docstring). A call that raises leaves ``warm`` as the last call that
     returned left it.
 
     The basis is a spanning tree on the rows 0..m-1 and the columns

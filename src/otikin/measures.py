@@ -324,9 +324,10 @@ class PairMoments:
         self._stack = np.stack(moments + (self.distinct,))
 
     def fixed_T_cost(self, T: float) -> np.ndarray:
-        """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D."""
+        """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D; may hold inf or nan."""
         T = float(T)
-        return 12.0 * self.A / T**2 - 12.0 * self.B / T + 3.0 * self.C + self.D
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return 12.0 * self.A / T**2 - 12.0 * self.B / T + 3.0 * self.C + self.D
 
     def infinite_T_cost(self) -> np.ndarray:
         """Pointwise large-horizon cost 3 |v+w|^2 + |w-v|^2."""

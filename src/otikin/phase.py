@@ -1,9 +1,11 @@
 """Particle-level kinetics on phase space.
 
 A phase state is a pair (x, v) of position and velocity in R^n. The module
-provides the cubic connector that minimises the time-weighted squared
-acceleration between two states, the induced fixed-horizon discrepancy and its
-time-optimised variants, and the tolerances shared by the measure-level code.
+builds, evaluates and prices the cubic connector that minimises the
+time-weighted squared acceleration between two states, held as one row of
+ascending coefficients. It also gives the induced fixed-horizon discrepancy,
+its time-optimised variants, and the tolerances shared by the measure-level
+code.
 Free transport, zero-discrepancy detection and derivatives along curves act on
 measures: see ``measures.pushforward_free_transport``,
 ``solver.detect_free_transport`` and ``dynamics.metric_derivative_probe``.
@@ -19,9 +21,9 @@ import numpy as np
 
 __all__ = [
     "PhaseState",
-    "CubicSpline",
     "OptimalTime",
     "spline_from_endpoints",
+    "spline_states",
     "spline_action",
     "tilde_dT_sq",
     "optimal_time_point",
@@ -115,73 +117,46 @@ class OptimalTime:
         return self.kind == "finite"
 
 
-@dataclass(frozen=True)
-class CubicSpline:
-    """Degree-3 polynomial trajectory ``t -> a3 t^3 + a2 t^2 + a1 t + a0`` on [0, T].
+def spline_from_endpoints(x, v, y, w, T: float) -> np.ndarray:
+    """Minimal-acceleration cubic from (x, v) at time 0 to (y, w) at time T.
 
     This is the unique minimiser of ``T * integral |alpha''|^2`` among H^2
-    curves with prescribed endpoint states; its acceleration is affine in t.
-    """
-
-    a3: np.ndarray
-    a2: np.ndarray
-    a1: np.ndarray
-    a0: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        for name in ("a3", "a2", "a1", "a0"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name)))
-        if not self.horizon > 0:
-            raise ValueError("spline horizon must be positive")
-        n = self.a0.size
-        if any(getattr(self, name).size != n for name in ("a3", "a2", "a1")):
-            raise ValueError("spline coefficients have inconsistent dimensions")
-
-    def position(self, t: float) -> np.ndarray:
-        return ((self.a3 * t + self.a2) * t + self.a1) * t + self.a0
-
-    def velocity(self, t: float) -> np.ndarray:
-        return (3.0 * self.a3 * t + 2.0 * self.a2) * t + self.a1
-
-
-def spline_from_endpoints(src: PhaseState, dst: PhaseState, T: float) -> CubicSpline:
-    """Minimal-acceleration cubic from ``src`` at time 0 to ``dst`` at time T.
-
-    Coefficients follow from the boundary conditions together with the
-    Euler-Lagrange equation alpha'''' = 0.
+    curves with prescribed endpoint states; its coefficients follow from the
+    boundary conditions together with the Euler-Lagrange equation
+    alpha'''' = 0. Elementwise over states of shape (..., n), it returns the
+    ascending coefficients [a0, a1, a2, a3] of ``t -> a3 t^3 + a2 t^2 + a1 t
+    + a0``, shape (..., 4, n): one connector is one (4, n) row.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    if src.dim != dst.dim:
-        raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
-    a3, a2 = cubic_a3_a2(src.x, src.v, dst.x, dst.v, float(T))
-    return CubicSpline(a3=a3, a2=a2, a1=src.v.copy(), a0=src.x.copy(), horizon=float(T))
-
-
-def cubic_a3_a2(x, v, y, w, T: float):
-    """Coefficients a3, a2 of the connector from (x, v) at time 0 to (y, w) at
-    time T, elementwise over arrays of any shape; a1 and a0 are v and x."""
+    x, v, y, w = (np.asarray(a, dtype=float) for a in (x, v, y, w))
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    T = float(T)
     a3 = (v + w) / T**2 - 2.0 * (y - x) / T**3
     a2 = 3.0 * (y - x) / T**2 - (2.0 * v + w) / T
-    return a3, a2
+    return np.stack([x, v, a2, a3], axis=-2)
 
 
-def spline_action(s: CubicSpline) -> float:
-    """Closed form of ``T * integral_0^T |alpha''(t)|^2 dt``.
+def spline_states(coef: np.ndarray, t):
+    """Positions and velocities at time ``t`` of (..., 4, n) coefficient rows.
+
+    ``t`` broadcasts against the (..., n) states: one call evaluates a whole
+    ensemble at one time, or each row at times of its own.
+    """
+    a0, a1, a2, a3 = (coef[..., p, :] for p in range(4))
+    return ((a3 * t + a2) * t + a1) * t + a0, (3.0 * a3 * t + 2.0 * a2) * t + a1
+
+
+def spline_action(coef: np.ndarray, T: float) -> float:
+    """Closed form of ``T * integral_0^T |alpha''(t)|^2 dt`` for one (4, n) row.
 
     With alpha'' = 6 a3 t + 2 a2 the integrand is quadratic, so the integral is
     12 |a3|^2 T^3 + 12 (a3 . a2) T^2 + 4 |a2|^2 T.  The value coincides with
     ``tilde_dT_sq`` of the endpoint states.
     """
-    return cubic_action(s.a3, s.a2, s.horizon)
-
-
-def cubic_action(a3: np.ndarray, a2: np.ndarray, T: float) -> float:
-    """``spline_action`` of the connector on [0, T] with those two coefficients."""
-    q33 = float(np.dot(a3, a3))
-    q32 = float(np.dot(a3, a2))
-    q22 = float(np.dot(a2, a2))
+    a3, a2 = coef[3], coef[2]
+    q33, q32, q22 = float(np.dot(a3, a3)), float(np.dot(a3, a2)), float(np.dot(a2, a2))
     return T * (12.0 * q33 * T**3 + 12.0 * q32 * T**2 + 4.0 * q22 * T)
 
 

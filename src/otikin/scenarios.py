@@ -12,7 +12,7 @@ from .dynamics import (
     ForceField, SplineEnsemble, Trajectory, build_dynamical_plan, vlasov_integrate
 )
 from .measures import Coupling, DiscreteMeasure, pushforward_free_transport
-from .phase import PhaseState, spline_from_endpoints
+from .phase import spline_from_endpoints, spline_states
 
 __all__ = [
     "nonunique_two_atom_instance",
@@ -157,11 +157,11 @@ def crossing_ensemble() -> SplineEnsemble:
     polynomial to the full horizon forces an interior meeting with equal
     position and velocity, so the pair cannot come from an optimal coupling.
     """
-    s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), 1.0)
-    meet = PhaseState(s1.position(0.5), s1.velocity(0.5))
-    half = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, 0.5)
+    s1 = spline_from_endpoints([0.0], [1.0], [1.0], [0.0], 1.0)
+    half = spline_from_endpoints([1.0], [-1.0], *spline_states(s1, 0.5), 0.5)
     # The second target is the polynomial extension of the half-horizon cubic
     # out to the full horizon.
+    y, w = spline_states(half, 1.0)
     mu = DiscreteMeasure([[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
-    nu = DiscreteMeasure([[1.0], half.position(1.0)], [[0.0], half.velocity(1.0)], [0.5, 0.5])
+    nu = DiscreteMeasure([[1.0], y], [[0.0], w], [0.5, 0.5])
     return build_dynamical_plan(mu, nu, Coupling(np.diag([0.5, 0.5]), mu, nu), 1.0)

@@ -28,7 +28,6 @@ from .dynamics import (
 from .measures import Coupling, DiscreteMeasure, plan_moments
 from .phase import (
     PhaseState,
-    d_sq,
     optimal_time_point,
     spline_action,
     spline_from_endpoints,
@@ -97,7 +96,7 @@ def check_closed_form_consistency(seed: int = 42) -> CheckResult:
         dst = PhaseState(rng.normal(size=n), rng.normal(size=n))
         T = float(np.exp(rng.uniform(np.log(1e-1), np.log(1e1))))
         ref = tilde_dT_sq(src, dst, T)
-        act = spline_action(spline_from_endpoints(src, dst, T))
+        act = spline_action(spline_from_endpoints(src.x, src.v, dst.x, dst.v, T), T)
         worst_action = max(worst_action, _rel_err(act, ref))
 
         inf_val = tilde_d_sq(src, dst)

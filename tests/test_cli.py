@@ -274,6 +274,26 @@ class TestExitCodes:
         assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discrepancy", "--T", "1e300"],
+            ["discrepancy", "--T", "1e-300"],
+            ["interpolate", "--T", "1e120", "--steps", "2"],
+            ["interpolate", "--T", "1e-300", "--steps", "2"],
+        ],
+    )
+    def test_extreme_horizon_exits_4(self, tmp_path, capsys, argv):
+        # T**2 or T**3 overflows a float, or 1 / T**2 divides by an underflowed 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--mu", U5_MU, "--nu", U5_NU, "--out", str(out)]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed: ")
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
         "window, where",
         [
             (["--t0", "0", "--t1", "5", "--dt", "0.01"], "state after step at t=1.73"),
@@ -500,6 +520,27 @@ def test_every_exported_name_resolves():
             module = importlib.import_module(f"otikin.{node.module}")
             unlisted = [a.name for a in node.names if a.name not in module.__all__]
             assert not unlisted, (node.module, unlisted)
+
+
+def test_no_unused_imports():
+    # no linter is part of the suite; an import that a module never reads is
+    # what a deleted helper leaves behind
+    for path in sorted(Path(otikin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exempt = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exempt.update(ast.literal_eval(node.value))
+        if path.name == "__init__.py":
+            exempt |= imported  # the package root only re-exports
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used - exempt, (path.name, sorted(imported - used - exempt))
 
 
 def test_canonical_json_fixed_formatting():

@@ -25,7 +25,7 @@ from otikin.measures import (
     product_coupling,
     pushforward_free_transport,
 )
-from otikin.phase import PhaseState, spline_from_endpoints, tilde_dT_sq
+from otikin.phase import spline_from_endpoints, spline_states, tilde_dT_sq
 from otikin.scenarios import (
     crossing_ensemble,
     factor2_trajectory,
@@ -37,19 +37,12 @@ from otikin.solver import brute_force_oracle, solve_d, solve_fixed_T
 from otikin.verification import _packaged_trajectories
 
 
-def coefficients(*splines) -> np.ndarray:
-    """The (K, 4, n) ensemble rows [a0, a1, a2, a3] of single connectors."""
-    return np.array([[s.a0, s.a1, s.a2, s.a3] for s in splines])
-
-
 def crossing_at(t_meet: float, T: float = 1.0) -> SplineEnsemble:
     """Two connectors that meet in phase at ``t_meet``, built like ``crossing_ensemble``."""
-    s1 = spline_from_endpoints(PhaseState([0.0], [1.0]), PhaseState([1.0], [0.0]), T)
-    meet = PhaseState(s1.position(t_meet), s1.velocity(t_meet))
-    head = spline_from_endpoints(PhaseState([1.0], [-1.0]), meet, t_meet)
-    dst2 = PhaseState(head.position(T), head.velocity(T))
-    s2 = spline_from_endpoints(PhaseState([1.0], [-1.0]), dst2, T)
-    return SplineEnsemble(splines=coefficients(s1, s2), masses=np.array([0.5, 0.5]), horizon=T)
+    s1 = spline_from_endpoints([0.0], [1.0], [1.0], [0.0], T)
+    head = spline_from_endpoints([1.0], [-1.0], *spline_states(s1, t_meet), t_meet)
+    s2 = spline_from_endpoints([1.0], [-1.0], *spline_states(head, T), T)
+    return SplineEnsemble(splines=np.stack([s1, s2]), masses=np.array([0.5, 0.5]), horizon=T)
 
 
 def dense_min_separation(e: SplineEnsemble, n_times: int = 100_000) -> float:
@@ -121,8 +114,8 @@ class TestDynamicalPlan:
             # row k is the single connector of the k-th support cell, bit for bit
             assert ens.splines.shape == (len(res.plan.support()), 4, 2)
             for row, (i, j) in zip(ens.splines, res.plan.support()):
-                s = spline_from_endpoints(mu.atom(i), nu.atom(j), 1.0)
-                assert row.tobytes() == coefficients(s)[0].tobytes()
+                a, b = mu.atom(i), nu.atom(j)
+                assert row.tobytes() == spline_from_endpoints(a.x, a.v, b.x, b.v, 1.0).tobytes()
 
     def test_ensemble_layout_checked(self):
         with pytest.raises(ValueError, match="shape"):

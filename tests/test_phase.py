@@ -9,6 +9,7 @@ from otikin.phase import (
     optimal_time_point,
     spline_action,
     spline_from_endpoints,
+    spline_states,
     tilde_d_sq,
     tilde_dT_sq,
 )
@@ -35,27 +36,34 @@ def curve(ts, x, v, a) -> Trajectory:
     return Trajectory(times=ts, states=states, weights=np.ones(1), forces=forces)
 
 
+def connector(src: PhaseState, dst: PhaseState, T: float) -> np.ndarray:
+    """The (4, n) coefficient row of the connector from ``src`` to ``dst``."""
+    return spline_from_endpoints(src.x, src.v, dst.x, dst.v, T)
+
+
 class TestSpline:
     def test_unit_endpoints(self):
-        s = spline_from_endpoints(S(0.0, 0.0), S(1.0, 1.0), 1.0)
-        assert s.position(1.0) == pytest.approx([1.0], abs=1e-14)
-        assert s.velocity(1.0) == pytest.approx([1.0], abs=1e-14)
+        c = connector(S(0.0, 0.0), S(1.0, 1.0), 1.0)
+        x, v = spline_states(c, 1.0)
+        assert x == pytest.approx([1.0], abs=1e-14)
+        assert v == pytest.approx([1.0], abs=1e-14)
         # alpha(t) = 2 t^2 - t^3 for these endpoints
-        assert s.position(0.5) == pytest.approx([2 * 0.25 - 0.125], abs=1e-14)
+        assert spline_states(c, 0.5)[0] == pytest.approx([2 * 0.25 - 0.125], abs=1e-14)
 
     def test_free_transport_is_straight(self):
         src = S([1.0, -2.0], [0.5, 0.25])
         dst = drift(src, 3.0)
-        s = spline_from_endpoints(src, dst, 3.0)
-        assert np.allclose(s.a3, 0.0, atol=1e-14)
-        assert np.allclose(s.a2, 0.0, atol=1e-14)
-        assert spline_action(s) == pytest.approx(0.0, abs=1e-13)
-        assert s.position(1.5) == pytest.approx(src.x + 1.5 * src.v)
-        assert s.velocity(1.5) == pytest.approx(src.v)
+        c = connector(src, dst, 3.0)
+        assert np.allclose(c[3], 0.0, atol=1e-14)
+        assert np.allclose(c[2], 0.0, atol=1e-14)
+        assert spline_action(c, 3.0) == pytest.approx(0.0, abs=1e-13)
+        x, v = spline_states(c, 1.5)
+        assert x == pytest.approx(src.x + 1.5 * src.v)
+        assert v == pytest.approx(src.v)
 
     def test_rest_to_rest_action(self):
-        s = spline_from_endpoints(S(0.0, 0.0), S(1.0, 0.0), 1.0)
-        assert spline_action(s) == pytest.approx(12.0, rel=1e-14)
+        c = connector(S(0.0, 0.0), S(1.0, 0.0), 1.0)
+        assert spline_action(c, 1.0) == pytest.approx(12.0, rel=1e-14)
 
     def test_action_equals_fixed_horizon_cost(self):
         rng = np.random.default_rng(0)
@@ -65,15 +73,15 @@ class TestSpline:
             b = PhaseState(rng.normal(size=n), rng.normal(size=n))
             T = float(np.exp(rng.uniform(-2, 2)))
             ref = tilde_dT_sq(a, b, T)
-            assert spline_action(spline_from_endpoints(a, b, T)) == pytest.approx(
+            assert spline_action(connector(a, b, T), T) == pytest.approx(
                 ref, rel=1e-12, abs=1e-12
             )
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            spline_from_endpoints(S(0.0, 0.0), S(1.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
-            spline_from_endpoints(S(0.0, 0.0), S([1.0, 2.0], [0.0, 0.0]), 1.0)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            connector(S(0.0, 0.0), S(1.0, 1.0), 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            connector(S(0.0, 0.0), S([1.0, 2.0], [0.0, 0.0]), 1.0)
 
 
 class TestPointwiseCosts:
