@@ -407,6 +407,10 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ValueError, RuntimeError, OverflowError) as exc:
+        # With --T given, an OverflowError comes from a Python float power of
+        # T (numpy overflows to inf instead), whose message is an errno tuple.
+        if isinstance(exc, OverflowError) and getattr(args, "T", None) is not None:
+            exc = f"--T {args.T} is outside the float range of the horizon cost"
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

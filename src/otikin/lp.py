@@ -9,7 +9,10 @@ rules out cycling. The returned plan is ``tree_flows`` on its support, the
 basic cells with pivot flow above 0.0, so its bits depend only on that set:
 the vertex's own support on nondegenerate marginals, whatever the start or
 the pivots, while on degenerate ones a round-off flow can enter it. Uniform
-marginals of equal size dispatch to an assignment solver, and scipy is
+marginals of equal size are assignment problems, whose vertices are the
+permutations: up to ``ENUMERATE_MAX`` atoms the call prices every permutation
+and returns the cheapest, the first in ``itertools.permutations`` order on an
+exact tie; above it scipy's ``linear_sum_assignment`` solves them, and scipy is
 imported only then.
 
 A caller that solves several problems with the same marginals makes one
@@ -27,12 +30,20 @@ support, such as one that makes no pivot, returns that array again.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 
 import numpy as np
 
-__all__ = ["transportation_simplex", "WarmStart", "is_uniform_equal", "tree_flows"]
+__all__ = [
+    "transportation_simplex",
+    "WarmStart",
+    "is_uniform_equal",
+    "permutation_cells",
+    "tree_flows",
+]
 
 # Marginals count as uniform when every weight is within this of 1/m.
 UNIFORM_TOL = 1e-12
@@ -44,6 +55,25 @@ MASS_TOL = 1e-9
 # Bland's rule takes over after this many pivots in a row that move no flow,
 # per node of the basis tree, and hands back at the next pivot that does.
 DEGENERATE_RUN_PER_NODE = 1
+# Uniform equal-size problems up to this many atoms are solved by pricing all
+# m! permutations; larger ones go to scipy's linear_sum_assignment. A warm
+# call on a new cost took 14-21 us by enumeration at m = 2..5 against
+# 10-14 us through scipy, but 40 against 14 us at m = 6 and 140-160 against
+# 8-15 us at m = 7 (2-core x86-64, numpy 2.4.6, scipy 1.17.1 already loaded).
+# Up to the cap a process that solves only small problems never pays the
+# 0.4-0.5 s import of scipy.optimize.
+ENUMERATE_MAX = 5
+
+
+@functools.cache
+def permutation_cells(m: int) -> np.ndarray:
+    """Row-major cell indices of the m! permutations of m atoms, read-only:
+    row p holds ``i * m + perm[i]`` for the p-th ``itertools.permutations``
+    of ``range(m)``."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    cells = perms.reshape(-1, m) + m * np.arange(m)
+    cells.flags.writeable = False
+    return cells
 
 
 def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -130,7 +160,9 @@ class WarmStart:
     of the run; a call with other marginals raises ``ValueError``.
 
     Making it checks that the two masses agree and decides whether the run
-    takes the assignment path (``uniform``). Between calls it carries:
+    takes the assignment path (``uniform``): permutation enumeration up to
+    ``ENUMERATE_MAX`` atoms, scipy's ``linear_sum_assignment`` above. Between
+    calls it carries:
 
     - ``cells``: the optimal basis of the last simplex call, where the next
       one starts; None before the first, which starts from the northwest
@@ -206,9 +238,15 @@ def transportation_simplex(
 ) -> np.ndarray:
     """Exact minimiser of ``sum(C * P)`` with prescribed marginals, read-only.
 
-    Primal transportation simplex. The entering cell has the most negative
-    reduced cost (Dantzig's rule); among the cells that reach zero first, the
-    lowest (row, column) leaves. After ``DEGENERATE_RUN_PER_NODE * (m + k)``
+    Uniform marginals of equal size take the assignment path: up to
+    ``ENUMERATE_MAX`` atoms the cheapest of the m! permutations, the first in
+    ``itertools.permutations`` order on an exact tie of their summed costs;
+    above it scipy's ``linear_sum_assignment``. Its plan puts ``a[i]`` on
+    each cell of the permutation.
+
+    Otherwise, primal transportation simplex. The entering cell has the most
+    negative reduced cost (Dantzig's rule); among the cells that reach zero
+    first, the lowest (row, column) leaves. After ``DEGENERATE_RUN_PER_NODE * (m + k)``
     pivots in a row that move no flow, the first improving cell in row-major
     order enters instead (Bland's rule) until a pivot moves flow again.
     Bland's rule cannot cycle, and each pivot that moves flow lowers the
@@ -247,9 +285,14 @@ def transportation_simplex(
     if not math.isfinite(cost_max):
         raise ValueError("cost matrix must be finite")
     if warm.uniform:
-        from scipy.optimize import linear_sum_assignment
+        if m <= ENUMERATE_MAX:
+            cells = permutation_cells(m)
+            rows = np.arange(m)
+            cols = cells[cost.ravel()[cells].sum(axis=1).argmin()] - m * rows
+        else:
+            from scipy.optimize import linear_sum_assignment
 
-        rows, cols = linear_sum_assignment(cost)
+            rows, cols = linear_sum_assignment(cost)
 
         def assignment() -> np.ndarray:
             P = np.zeros_like(cost)

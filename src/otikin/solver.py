@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import WarmStart, is_uniform_equal, transportation_simplex, tree_flows
+from .lp import (
+    WarmStart,
+    is_uniform_equal,
+    permutation_cells,
+    transportation_simplex,
+    tree_flows,
+)
 from .measures import (
     Coupling,
     DiscreteMeasure,
@@ -301,10 +307,10 @@ def solve_tilde_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
 def _vertex_plans_uniform(m: int) -> np.ndarray:
     """The m! permutation plans of mass 1/m per cell, stacked (m!, m, m) in
     ``itertools.permutations`` order."""
-    perms = np.array(list(itertools.permutations(range(m))))
-    plans = np.zeros((len(perms), m, m))
-    plans[np.arange(len(perms))[:, None], np.arange(m), perms] = 1.0 / m
-    return plans
+    cells = permutation_cells(m)
+    plans = np.zeros((len(cells), m * m))
+    plans[np.arange(len(cells))[:, None], cells] = 1.0 / m
+    return plans.reshape(-1, m, m)
 
 
 def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:

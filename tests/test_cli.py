@@ -292,6 +292,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: solver failed: ")
         assert "Traceback" not in err and "Warning" not in err
+        # an overflowing power of T names the argument, not an errno tuple
+        assert "(34," not in err
+        T = float(argv[2])
+        if T > 1.0:
+            assert f"--T {T} is outside the float range of the horizon cost" in err
 
     @pytest.mark.parametrize(
         "window, where",
@@ -494,17 +499,35 @@ class TestVerify:
         assert checks and all(re.match(r"PASS \d+\.\d{3}s [\w-]+: ", line) for line in checks)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the assignment fast path needs scipy.optimize; it costs a cold
-    # start every subcommand would otherwise pay
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["discrepancy", "--optimize-T"],
+        ["discrepancy", "--T", "1"],
+        ["discrepancy", "--tilde"],
+        ["interpolate", "--T", "1", "--steps", "2"],
+    ],
+    ids=["import", "optimize-T", "fixed-T", "tilde", "interpolate"],
+)
+def test_cli_leaves_scipy_unloaded(tmp_path, argv):
+    # only uniform assignments above lp.ENUMERATE_MAX atoms need scipy, whose
+    # import costs about half a second of a run on the packaged 5-atom pair
+    if argv:
+        argv = argv + ["--mu", U5_MU, "--nu", U5_NU, "--out", str(tmp_path / "out")]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, otikin.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, otikin.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert otikin.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_exported_name_resolves():

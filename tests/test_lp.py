@@ -48,6 +48,46 @@ def test_matches_assignment_brute_force():
         )
 
 
+def permutation_of(P):
+    """The column of each row's one cell of a uniform permutation plan."""
+    m = P.shape[0]
+    rows, cols = np.nonzero(P)
+    assert rows.tolist() == list(range(m)) and sorted(cols.tolist()) == list(range(m))
+    assert np.all(P[rows, cols] == 1.0 / m)
+    return cols
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_uniform_assignment_matches_scipy(m):
+    # generic costs have one optimum, which enumeration must find as scipy
+    # does; m = 6 is above lp.ENUMERATE_MAX, so scipy solves it there
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(100 + m)
+    a = np.full(m, 1.0 / m)
+    for _ in range(40):
+        cost = rng.normal(size=(m, m))
+        cols = permutation_of(transportation_simplex(cost, a, a))
+        assert cols.tolist() == linear_sum_assignment(cost)[1].tolist()
+
+
+@pytest.mark.parametrize("m", range(1, otikin.lp.ENUMERATE_MAX + 1))
+def test_uniform_ties_take_the_first_optimal_permutation(m):
+    # integer costs in {0, 1, 2} tie often: the plan is the first optimal
+    # permutation in itertools order, at exactly scipy's optimal cost
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(200 + m)
+    a = np.full(m, 1.0 / m)
+    for _ in range(40):
+        cost = rng.integers(0, 3, size=(m, m)).astype(float)
+        cols = permutation_of(transportation_simplex(cost, a, a))
+        best = cost[linear_sum_assignment(cost)].sum()
+        assert cost[range(m), cols].sum() == best
+        perms = itertools.permutations(range(m))
+        assert tuple(cols.tolist()) == next(p for p in perms if cost[range(m), p].sum() == best)
+
+
 def test_general_marginals_against_reference_lp():
     rng = np.random.default_rng(1)
     for _ in range(40):
