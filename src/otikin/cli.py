@@ -225,11 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common_measures], help="brute-force vertex enumeration"
     )
-    p.add_argument(
-        "--cap", type=_count, default=8,
-        help="enumeration size cap: atoms per side on uniform equal-size pairs, "
-        "else atoms in total",
-    )
     p.add_argument("--out", required=True, help="result JSON path")
 
     p = sub.add_parser(
@@ -295,7 +290,7 @@ def cmd_discrepancy(args) -> int:
 def cmd_oracle(args) -> int:
     mu = _load(args.mu, args.format)
     nu = _load(args.nu, args.format)
-    res = brute_force_oracle(mu, nu, cap=args.cap)
+    res = brute_force_oracle(mu, nu)
     payload = result_to_json(res)
     payload["n_optimal_vertices"] = len(res.optima)
     payload["optimal_times"] = [_time_to_json(t) for _, _, t in res.optima]
@@ -407,8 +402,8 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ValueError, RuntimeError, OverflowError) as exc:
-        # With --T given, an OverflowError comes from a Python float power of
-        # T (numpy overflows to inf instead), whose message is an errno tuple.
+        # With --T given, an OverflowError comes from a power of T that leaves
+        # the float range, raised where the power is taken.
         if isinstance(exc, OverflowError) and getattr(args, "T", None) is not None:
             exc = f"--T {args.T} is outside the float range of the horizon cost"
         print(f"error: solver failed: {exc}", file=sys.stderr)

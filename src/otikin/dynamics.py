@@ -448,8 +448,6 @@ def vlasov_integrate(
 def _simpson(values: np.ndarray, dt: float) -> float:
     """Composite Simpson on a uniform grid; 3/8 correction for odd step counts."""
     n = values.size - 1
-    if n < 1:
-        return 0.0
     if n == 1:
         return 0.5 * dt * float(values[0] + values[1])
     total = 0.0
@@ -474,6 +472,8 @@ def _simpson(values: np.ndarray, dt: float) -> float:
 
 
 def _uniform_dt(traj: Trajectory) -> float:
+    if traj.n_times < 2:
+        raise ValueError("a trajectory needs at least two grid times")
     steps = np.diff(traj.times)
     dt = float(steps[0])
     if float(np.max(np.abs(steps - dt))) > TIME_GRID_TOL * dt:

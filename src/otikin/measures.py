@@ -291,12 +291,12 @@ class PairMoments:
     Every pointwise cost and the moments of every plan are linear in them.
     Coordinates whose squares overflow raise ``ValueError``.
 
-    Positions coincide when their Euclidean gap is within ``position_tol``,
-    POSITION_TOL * (1 + the largest position norm of each measure), the rule
-    of ``phase.d_sq`` applied to the whole pair; ``coincident_blocks`` takes
-    it. ``distinct`` is 1 on the cells between distinct positions and 0
-    elsewhere; a plan keeps positions when it puts at most
-    ``MASS_ROUNDING_TOL`` of mass on them.
+    Positions coincide when their Euclidean gap is within POSITION_TOL *
+    (1 + the largest position norm of each measure), the rule
+    of ``phase.d_sq`` applied to the whole pair. ``distinct`` is 1 on the
+    cells between distinct positions and 0 elsewhere; a plan keeps positions
+    when it puts at most ``MASS_ROUNDING_TOL`` of mass on them, and
+    ``coincident_blocks`` reads its zero cells as the coincident ones.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -314,9 +314,8 @@ class PairMoments:
                 float(np.sqrt(np.max(np.sum(x * x, axis=1), initial=0.0)))
                 for x in (mu.positions, nu.positions)
             )
-            self.position_tol = POSITION_TOL * (1.0 + scale)
-            tol_sq = self.position_tol * self.position_tol
-            self.distinct = (self.A > tol_sq).astype(float)
+            tol = POSITION_TOL * (1.0 + scale)
+            self.distinct = (self.A > tol * tol).astype(float)
         moments = (self.A, self.B, self.C, self.D)
         if not all(np.all(np.isfinite(M)) for M in moments):
             raise ValueError("pairwise moments overflow; coordinates are too large")
@@ -324,10 +323,17 @@ class PairMoments:
         self._stack = np.stack(moments + (self.distinct,))
 
     def fixed_T_cost(self, T: float) -> np.ndarray:
-        """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D; may hold inf or nan."""
+        """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D.
+
+        A horizon whose powers leave the float range, so that the cost
+        overflows, raises ``OverflowError``.
+        """
         T = float(T)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return 12.0 * self.A / T**2 - 12.0 * self.B / T + 3.0 * self.C + self.D
+            cost = 12.0 * self.A / T**2 - 12.0 * self.B / T + 3.0 * self.C + self.D
+        if not np.all(np.isfinite(cost)):
+            raise OverflowError(f"the fixed-horizon cost at T={T} is not finite")
+        return cost
 
     def infinite_T_cost(self) -> np.ndarray:
         """Pointwise large-horizon cost 3 |v+w|^2 + |w-v|^2."""
@@ -393,30 +399,26 @@ def pushforward_free_transport(mu: DiscreteMeasure, T: float) -> DiscreteMeasure
 
 
 def coincident_blocks(
-    pts_a: np.ndarray,
+    close: np.ndarray,
     w_a: np.ndarray,
-    pts_b: np.ndarray,
     w_b: np.ndarray,
-    tol: float,
+    w_tol: float,
 ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Split two weighted point sets into blocks that carry the same mass.
 
-    Points coincide when their Euclidean distance is within ``tol``; the
-    points of the first set that coincide with the same points of the second
-    set form one block with them. The two sets are the same measure iff every
-    point lies in exactly one block and each block carries equal mass on both
-    sides, within max(tol, MARGINAL_TOL). Returns the ``(rows, cols)`` index arrays of each
-    block, both ascending, or None if the measures differ.
+    ``close[i, j]`` says point i of the first set coincides with point j of
+    the second; the points of the first set that coincide with the same
+    points of the second set form one block with them. The two sets are the
+    same measure iff every point lies in exactly one block and each block
+    carries equal mass on both sides, within ``w_tol``. Returns the
+    ``(rows, cols)`` index arrays of each block, both ascending, or None if
+    the measures differ.
     """
-    with np.errstate(over="ignore"):
-        gap = pts_b[None, :, :] - pts_a[:, None, :]
-        close = np.sum(gap * gap, axis=2) <= tol * tol
     if not close.any(axis=1).all():  # settled before the costlier np.unique
         return None
     patterns, inverse = np.unique(close, axis=0, return_inverse=True)
     if np.any(patterns.sum(axis=0) != 1):
         return None
-    w_tol = max(tol, MARGINAL_TOL)
     blocks = []
     for b, pattern in enumerate(patterns):
         rows, cols = np.flatnonzero(inverse == b), np.flatnonzero(pattern)

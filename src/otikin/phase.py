@@ -125,7 +125,9 @@ def spline_from_endpoints(x, v, y, w, T: float) -> np.ndarray:
     boundary conditions together with the Euler-Lagrange equation
     alpha'''' = 0. Elementwise over states of shape (..., n), it returns the
     ascending coefficients [a0, a1, a2, a3] of ``t -> a3 t^3 + a2 t^2 + a1 t
-    + a0``, shape (..., 4, n): one connector is one (4, n) row.
+    + a0``, shape (..., 4, n): one connector is one (4, n) row. A horizon
+    whose powers leave the float range, so that a coefficient of finite
+    states overflows, raises ``OverflowError``.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -133,8 +135,11 @@ def spline_from_endpoints(x, v, y, w, T: float) -> np.ndarray:
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     T = float(T)
-    a3 = (v + w) / T**2 - 2.0 * (y - x) / T**3
-    a2 = 3.0 * (y - x) / T**2 - (2.0 * v + w) / T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a3 = (v + w) / T**2 - 2.0 * (y - x) / T**3
+        a2 = 3.0 * (y - x) / T**2 - (2.0 * v + w) / T
+    if not (np.all(np.isfinite(a3)) and np.all(np.isfinite(a2))):
+        raise OverflowError(f"the connector coefficients at T={T} are not finite")
     return np.stack([x, v, a2, a3], axis=-2)
 
 

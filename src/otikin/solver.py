@@ -22,6 +22,7 @@ plans and horizons only for the tied optima.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ from .lp import (
     tree_flows,
 )
 from .measures import (
+    MARGINAL_TOL,
+    MASS_ROUNDING_TOL,
     Coupling,
     DiscreteMeasure,
     PairMoments,
@@ -63,13 +66,14 @@ REGIME_FIXED_T = "fixed_T"
 # Relative tolerance of the horizon search: intervals within
 # COST_TOL * (1 + |best|) of the best value found are not split further.
 COST_TOL = 1e-10
-# The oracle counts a spanning tree as a vertex when no flow on it is below
-# -VERTEX_CLIP (the flows are then clipped to zero), and reports every vertex
-# within ORACLE_TIE_TOL * (1 + |best|) of the least cost.
-VERTEX_CLIP = 1e-12
+# The oracle walks at most ORACLE_MAX_CANDIDATES candidate bases, the count of
+# the enumerator it picks: m! permutations on a uniform equal-size pair, else
+# C(m k, m + k - 1) edge subsets. It reports every vertex within
+# ORACLE_TIE_TOL * (1 + |best|) of the least cost.
+ORACLE_MAX_CANDIDATES = math.factorial(8)
 ORACLE_TIE_TOL = 1e-9
-# Drift detection: phase points coincide within a Euclidean DRIFT_TOL, and
-# speeds up to DRIFT_TOL count as rest.
+# Drift detection: phase points coincide within a Euclidean DRIFT_TOL, their
+# masses match within DRIFT_TOL, and speeds up to DRIFT_TOL count as rest.
 DRIFT_TOL = 1e-8
 _REGIME_OF_TAG = {
     "zero": REGIME_EQUAL_POSITIONS,
@@ -159,15 +163,14 @@ def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure, pm: Pai
     """D-minimising coupling supported on coincident spatial sites, if feasible.
 
     Feasible iff the spatial marginals are the same measure, which
-    ``coincident_blocks`` decides on the positions within ``pm.position_tol``
-    (so the candidate's moments count it as position-preserving); each of its
-    blocks is then an independent velocity OT problem with cost |w - v|^2,
-    solved by the same simplex backend with rows and columns in ascending
-    index order.
+    ``coincident_blocks`` decides on the cells where ``pm.distinct`` is 0, the
+    closeness the plan moments read (so the candidate counts as
+    position-preserving) and each block carries the same mass on both sides
+    within ``MARGINAL_TOL``; each block is then an independent velocity OT
+    problem with cost |w - v|^2, solved by the same simplex backend with rows
+    and columns in ascending index order.
     """
-    blocks = coincident_blocks(
-        mu.positions, mu.weights, nu.positions, nu.weights, pm.position_tol
-    )
+    blocks = coincident_blocks(pm.distinct == 0, mu.weights, nu.weights, MARGINAL_TOL)
     if blocks is None:
         return None
     P = np.zeros((mu.size, nu.size))
@@ -320,7 +323,8 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Basic solutions are supported on spanning trees of the complete bipartite
     graph; the flow on a tree is unique (``tree_flows``) and the tree is a
     vertex iff the flow is nonnegative. Duplicate vertices from degenerate
-    trees are filtered out.
+    trees are filtered out. A flow down to -``MASS_ROUNDING_TOL`` is
+    rounding: it counts as nonnegative and is clipped to zero.
     """
     m, k = a.size, b.size
     edges = [(i, j) for i in range(m) for j in range(k)]
@@ -328,7 +332,7 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     vertices = []
     for tree in itertools.combinations(edges, m + k - 1):
         P = tree_flows(a, b, tree)
-        if P is None or float(P.min()) < -VERTEX_CLIP:
+        if P is None or float(P.min()) < -MASS_ROUNDING_TOL:
             continue
         P = np.clip(P, 0.0, None)
         key = np.round(P, 12).tobytes()
@@ -339,11 +343,7 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(vertices)
 
 
-def brute_force_oracle(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    cap: int = 8,
-) -> SolveResult:
+def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     """Global minimum of the envelope cost by vertex enumeration.
 
     The time-optimised cost is an infimum of linear functions of the plan,
@@ -353,21 +353,21 @@ def brute_force_oracle(
     all of them as arrays, and ``cost_c`` is evaluated elementwise. All optimal
     vertices within a relative tie tolerance of ``ORACLE_TIE_TOL`` are
     reported in ``optima``, in enumeration order; only these get a copied
-    plan and an optimal horizon. Instances are enumerated up to ``cap`` atoms
-    per side when uniform, else ``cap`` atoms in total.
+    plan and an optimal horizon. A pair whose enumerator would walk more than
+    ``ORACLE_MAX_CANDIDATES`` candidates raises ``ValueError`` before any
+    pairwise matrix is built.
     """
-    pm = PairMoments(mu, nu)
+    m, k = mu.size, nu.size
     uniform = is_uniform_equal(mu.weights, nu.weights)
-    if uniform and mu.size <= cap:
-        plans = _vertex_plans_uniform(mu.size)
-    elif mu.size + nu.size <= cap:
-        plans = _vertex_plans_trees(mu.weights, nu.weights)
-    else:
+    count = math.factorial(m) if uniform else math.comb(m * k, m + k - 1)
+    if count > ORACLE_MAX_CANDIDATES:
+        shown = count if count < 10**18 else f"about 10^{math.log10(count):.0f}"
         raise ValueError(
-            f"instance too large for the oracle "
-            f"(m={mu.size}, k={nu.size}, cap={cap})"
+            f"instance too large for the oracle (m={m}, k={k}: {shown} candidate "
+            f"bases, more than the limit {ORACLE_MAX_CANDIDATES})"
         )
-
+    pm = PairMoments(mu, nu)
+    plans = _vertex_plans_uniform(m) if uniform else _vertex_plans_trees(mu.weights, nu.weights)
     A, B, C, D, keeps = pm.of_each(plans)
     # cost_c of every vertex: D where it keeps positions, else _moving_cost.
     costs = D.copy()
@@ -408,7 +408,7 @@ def detect_free_transport(mu: DiscreteMeasure, nu: DiscreteMeasure) -> FreeTrans
     Candidate times come from displacement ratios of the fastest source atom
     to the target atoms with its velocity (the drift condition is affine in
     T); each candidate is verified by comparing the drift image with the
-    target as measures on phase space (``coincident_blocks`` within
+    target as measures on phase space (``coincident_blocks`` on points within
     ``DRIFT_TOL``), so atoms split or merged at one phase point still match.
     When the drift image exists and the velocity marginal is not concentrated
     at zero, the time is unique.
@@ -423,7 +423,10 @@ def detect_free_transport(mu: DiscreteMeasure, nu: DiscreteMeasure) -> FreeTrans
     def phase_match(T: float) -> bool:
         pts_a = np.hstack([mu.positions + T * mu.velocities, mu.velocities])
         pts_b = np.hstack([nu.positions, nu.velocities])
-        return coincident_blocks(pts_a, mu.weights, pts_b, nu.weights, DRIFT_TOL) is not None
+        with np.errstate(over="ignore"):
+            gap = pts_b[None, :, :] - pts_a[:, None, :]
+            close = np.sum(gap * gap, axis=2) <= DRIFT_TOL * DRIFT_TOL
+        return coincident_blocks(close, mu.weights, nu.weights, DRIFT_TOL) is not None
 
     # Anchor on the fastest source atom; any valid drift time must map it onto
     # some target atom with (nearly) the same velocity.

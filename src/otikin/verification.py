@@ -57,7 +57,7 @@ from .solver import (
     solve_fixed_T,
 )
 
-__all__ = ["CheckResult", "ALL_CHECKS", "SUITES", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "run_checks"]
 
 H_LADDER = (0.2, 0.1, 0.05, 0.025)
 PROBE_TIMES = (0.0, 0.3, 0.6)
@@ -520,21 +520,6 @@ def check_reparametrization(seed: int = 42) -> CheckResult:
         f"T ratio {t_ratio:.4f} (each expect 2 within 5%)",
     )
 
-
-ALL_CHECKS = (
-    check_closed_form_consistency,
-    check_two_plan_tie,
-    check_oracle_dominance,
-    check_zero_characterization,
-    check_action_identity,
-    check_interior_injectivity,
-    check_derivative_ratios,
-    check_time_ratios,
-    check_brake_ratio,
-    check_shift_collapse,
-    check_moment_bounds,
-    check_reparametrization,
-)
 
 SUITES = {
     "paper-examples": (

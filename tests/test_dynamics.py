@@ -8,6 +8,7 @@ from otikin.dynamics import (
     FINITE_CHECK_STEPS,
     ForceField,
     SplineEnsemble,
+    Trajectory,
     _real_roots_by_degree,
     build_dynamical_plan,
     interpolate_at,
@@ -496,6 +497,25 @@ class TestPathAction:
         traj = vlasov_integrate(mu, spline_forcing(ens), 0.0, 1.0, 1e-3)
         ref = tilde_dT_sq(mu.atom(0), nu.atom(0), 1.0)
         assert path_action(traj) == pytest.approx(ref, rel=1e-6)
+
+    def test_one_time_trajectory_raises(self):
+        traj = Trajectory(
+            times=[0.0], states=np.zeros((1, 1, 2, 1)), weights=np.ones(1), forces=np.ones((1, 1, 1))
+        )
+        for report in (path_action, moment_report):
+            with pytest.raises(ValueError, match="at least two grid times"):
+                report(traj)
+
+    def test_two_point_grid_is_one_trapezoid(self):
+        # (t1 - t0) * dt / 2 * (|F|^2 at t0 + |F|^2 at t1), mass-weighted:
+        # 0.75 * 0.375 * (3.25 + 3.0), exact in binary
+        traj = Trajectory(
+            times=[0.5, 1.25],
+            states=np.zeros((2, 2, 2, 1)),
+            weights=np.array([0.25, 0.75]),
+            forces=np.array([[[1.0], [2.0]], [[3.0], [-1.0]]]),
+        )
+        assert path_action(traj) == 0.75 * 0.375 * (3.25 + 3.0)
 
 
 class TestMoments:

@@ -5,6 +5,7 @@ import pytest
 
 from otikin.lp import transportation_simplex
 from otikin.measures import (
+    MARGINAL_TOL,
     MASS_ROUNDING_TOL,
     Coupling,
     DiscreteMeasure,
@@ -283,27 +284,35 @@ class TestPushforward:
         assert np.allclose(img.positions, mu.positions + 2.5 * mu.velocities)
 
 
+def _blocks(pts_a, w_a, pts_b, w_b, tol):
+    """``coincident_blocks`` on points within a Euclidean ``tol``, masses
+    within max(tol, MARGINAL_TOL)."""
+    gap = pts_b[None, :, :] - pts_a[:, None, :]
+    close = np.sum(gap * gap, axis=2) <= tol * tol
+    return coincident_blocks(close, w_a, w_b, max(tol, MARGINAL_TOL))
+
+
 def test_point_set_matcher():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(5, 2))
     w = np.full(5, 0.2)
     perm = rng.permutation(5)
-    blocks = coincident_blocks(pts, w, pts[perm], w, 1e-9)
+    blocks = _blocks(pts, w, pts[perm], w, 1e-9)
     assert blocks is not None
     for rows, cols in blocks:
         for ia, ib in itertools.product(rows, cols):
             assert np.allclose(pts[ia], pts[perm][ib])
-    assert coincident_blocks(pts, w, pts + 0.5, w, 1e-9) is None
+    assert _blocks(pts, w, pts + 0.5, w, 1e-9) is None
     # atoms at one point count by their total mass, in either set
     pts = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
     merged = np.array([[2.0, 0.0], [0.0, 1.0]])
-    blocks = coincident_blocks(pts, np.array([0.25, 0.25, 0.5]), merged, np.array([0.5, 0.5]), 1e-9)
+    blocks = _blocks(pts, np.array([0.25, 0.25, 0.5]), merged, np.array([0.5, 0.5]), 1e-9)
     assert sorted((r.tolist(), c.tolist()) for r, c in blocks) == [([0, 1], [1]), ([2], [0])]
-    assert coincident_blocks(merged, np.array([0.5, 0.5]), pts, np.array([0.25, 0.25, 0.5]), 1e-9)
+    assert _blocks(merged, np.array([0.5, 0.5]), pts, np.array([0.25, 0.25, 0.5]), 1e-9)
     # unequal mass on one block, or a point of either set left out
-    assert coincident_blocks(pts, np.array([0.2, 0.2, 0.6]), merged, np.array([0.5, 0.5]), 1e-9) is None
-    assert coincident_blocks(pts[:2], np.array([0.5, 0.5]), merged, np.array([0.5, 0.5]), 1e-9) is None
-    assert coincident_blocks(merged, np.array([0.5, 0.5]), pts[:2], np.array([0.5, 0.5]), 1e-9) is None
+    assert _blocks(pts, np.array([0.2, 0.2, 0.6]), merged, np.array([0.5, 0.5]), 1e-9) is None
+    assert _blocks(pts[:2], np.array([0.5, 0.5]), merged, np.array([0.5, 0.5]), 1e-9) is None
+    assert _blocks(merged, np.array([0.5, 0.5]), pts[:2], np.array([0.5, 0.5]), 1e-9) is None
     # masses balance, but the point at 0 joins two blocks and the one at 10 none
     a, b = np.array([[-1.0], [1.0]]), np.array([[0.0], [10.0], [2.0]])
-    assert coincident_blocks(a, np.array([0.25, 0.75]), b, np.array([0.25, 0.25, 0.5]), 1.0) is None
+    assert _blocks(a, np.array([0.25, 0.75]), b, np.array([0.25, 0.25, 0.5]), 1.0) is None

@@ -21,6 +21,7 @@ from otikin.scenarios import (
     random_uniform_instance,
 )
 from otikin.solver import (
+    ORACLE_MAX_CANDIDATES,
     _vertex_plans_trees,
     _vertex_plans_uniform,
     brute_force_oracle,
@@ -248,6 +249,14 @@ class TestTimeOptimisedSolve:
                 DiscreteMeasure([[-1e-4], [100.0]], [[1.0], [0.0]], [0.5, 0.5]),
                 False, 4.0, id="small-gap",
             ),
+            # sites 2e6 apart with 5e-7 of mass moved between them: the
+            # position marginals differ, however far apart the sites are; the
+            # best plan crosses, its cost 6 - 8d - 12 (1/2 - d)^2 / (1 - d)
+            pytest.param(
+                DiscreteMeasure([[0.0], [2e6]], [[1.0], [0.0]], [0.5, 0.5]),
+                DiscreteMeasure([[0.0], [2e6]], [[0.0], [1.0]], [0.5 + 5e-7, 0.5 - 5e-7]),
+                False, 6.0 - 8 * 5e-7 - 12 * (0.5 - 5e-7) ** 2 / (1 - 5e-7), id="far-sites",
+            ),
         ],
     )
     def test_position_rule_on_weighted_pairs(self, mu, nu, equal_positions, cost):
@@ -324,7 +333,9 @@ class TestOracle:
         mu = DiscreteMeasure(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), w)
         nu = DiscreteMeasure(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), u)
         pairs = [(mu, nu)]
-        for m, k in ((2, 5), (3, 4), (4, 4)):
+        # 2 x 7 and on were refused while the oracle counted atoms (at most 8
+        # in total); they walk at most C(16, 9) = 11440 edge subsets
+        for m, k in ((2, 5), (3, 4), (4, 4), (2, 7), (2, 8), (1, 12), (7, 2)):
             a = rng.uniform(0.5, 1.5, size=m)
             b = rng.uniform(0.5, 1.5, size=k)
             pairs.append((
@@ -342,11 +353,22 @@ class TestOracle:
         orc = brute_force_oracle(mu, nu)
         assert solve_d(mu, nu).cost_sq == pytest.approx(orc.cost_sq, rel=1e-9)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        # 9! permutations, and C(18, 8) edge subsets on a non-uniform 3 x 6
+        # pair, are over the limit; the pair's matrices are never built
+        def unbuilt(mu, nu):
+            raise AssertionError("PairMoments built for an oversized pair")
+
+        monkeypatch.setattr("otikin.solver.PairMoments", unbuilt)
         rng = np.random.default_rng(8)
-        mu, nu = random_uniform_instance(rng, 9, 1)
-        with pytest.raises(ValueError):
-            brute_force_oracle(mu, nu)
+        pairs = [(random_uniform_instance(rng, 9, 1), 362880), (_tree_pair(rng, 3, 6, False), 43758)]
+        for (mu, nu), count in pairs:
+            with pytest.raises(ValueError) as exc:
+                brute_force_oracle(mu, nu)
+            assert str(exc.value) == (
+                f"instance too large for the oracle (m={mu.size}, k={nu.size}: {count} "
+                f"candidate bases, more than the limit {ORACLE_MAX_CANDIDATES})"
+            )
 
     def test_uniform_counts_every_permutation(self):
         rng = np.random.default_rng(11)
