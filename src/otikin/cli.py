@@ -169,6 +169,7 @@ def _is_positive(x: float) -> bool:
 _finite = _arg_type(float, math.isfinite, "a finite number")
 _positive = _arg_type(float, _is_positive, "a positive finite number")
 _count = _arg_type(int, lambda n: n >= 1, "an integer of at least 1")
+_seed = _arg_type(int, lambda n: n >= 0, "a non-negative integer")
 _steps = _arg_type(int, lambda n: 1 <= n <= MAX_STEPS, f"an integer from 1 to {MAX_STEPS}")
 _offsets = _arg_type(
     lambda text: [float(h) for h in text.split(",") if h.strip()],
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="otikin",
         description="Kinetic optimal transport with a minimal-acceleration cost.",
     )
-    parser.add_argument("--seed", type=int, default=42, help="PRNG seed (PCG64)")
+    parser.add_argument("--seed", type=_seed, default=42, help="PRNG seed (PCG64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common_measures = argparse.ArgumentParser(add_help=False)

@@ -6,26 +6,24 @@ vertex outputs are required by the concave outer minimisation built on top.
 A cell enters by Dantzig's rule (the most negative reduced cost); after a run
 of degenerate pivots Bland's rule takes over until flow moves again, which
 rules out cycling. The returned plan is ``tree_flows`` on its support, the
-basic cells with pivot flow above 0.0, so its bits depend only on that set:
-the vertex's own support on nondegenerate marginals, whatever the start or
-the pivots, while on degenerate ones a round-off flow can enter it. Uniform
-marginals of equal size are assignment problems, whose vertices are the
-permutations: up to ``ENUMERATE_MAX`` atoms the call prices every permutation
-and returns the cheapest, the first in ``itertools.permutations`` order on an
-exact tie; above it scipy's ``linear_sum_assignment`` solves them, and scipy is
-imported only then.
+basic cells whose pivot flow exceeds ``MASS_TOL * min(a[i], b[j])``. A flow at
+or below that counts as round-off, which a cell the vertex leaves empty can
+pick up on degenerate marginals, so a plan's bytes depend only on its vertex,
+whatever the start or the pivots. Uniform marginals of equal size are
+assignment problems, whose vertices are the permutations: up to
+``ENUMERATE_MAX`` atoms the call prices every permutation and returns the
+cheapest, the first in ``itertools.permutations`` order on an exact tie; above
+it scipy's ``linear_sum_assignment`` solves them, and scipy is imported only
+then.
 
 A caller that solves several problems with the same marginals makes one
 ``WarmStart`` for them and hands it to every call. It checks the marginals
 and decides the assignment dispatch once, and carries the last call's
-optimal basis, which the next call starts from: a basis found for the same
-marginals is feasible whatever the cost. With the basis it keeps the basis's
-spanning tree, so the next call only sets the potentials for its cost, and
-the basis's flows when they are known to equal ``tree_flows`` on it bit for
-bit (the call made no pivot from such a start, or every basic cell carries
-flow), so the next start needs no leaf elimination. It keeps the last plan
-it returned, read-only, with its support: a call that ends on the same
-support, such as one that makes no pivot, returns that array again.
+optimal basis with its spanning tree, and the last plan it returned,
+read-only, with its support. The next call starts from that basis with that
+plan as its flows, which are feasible on the basis whatever the cost, so it
+only sets the potentials for its cost. A call that ends on the same support,
+such as one that makes no pivot, returns the same array again.
 """
 
 from __future__ import annotations
@@ -169,16 +167,13 @@ class WarmStart:
       corner. With it the state keeps the basis's spanning tree (its
       adjacency lists and the basic cells' row-major indices), so the next
       call only traverses it once to set the potentials for its cost;
-    - ``flows``: ``np.maximum(tree_flows(a, b, cells), 0.0)`` bit for bit, or
-      None when the next call has to compute it. A call keeps it when it made
-      no pivot from such a start, or sets it to the returned plan when every
-      cell of its final basis carries flow; the plan is then those flows;
     - ``support`` and ``plan``: the key of the last plan returned and that
       plan, read-only. The key is the sorted row-major indices of the final
-      basis cells that carry flow, or on the assignment path the
-      permutation's bytes. A call whose plan has the key of the last one
-      (such as a call that makes no pivot) returns the same array, and a
-      caller can key its own memo by ``support``.
+      basis cells in the plan's support, or on the assignment path the
+      permutation's bytes. The plan is the next simplex call's start flows
+      on ``cells``. A call whose plan has the key of the last one (such as a
+      call that makes no pivot) returns the same array, and a caller can key
+      its own memo by ``support``.
 
     ``pivots`` counts the simplex pivots of every call so far, and
     ``degenerate_pivots`` those among them that moved no flow.
@@ -194,13 +189,14 @@ class WarmStart:
         self.uniform = is_uniform_equal(self.a, self.b)
         m, k = self.a.size, self.b.size
         # The row and column node of each cell, in row-major order, by which
-        # the simplex gathers the potentials when it prices.
-        self._rows = self._cols = None
+        # the simplex gathers the potentials when it prices, and the flow
+        # MASS_TOL * min(a[i], b[j]) a cell must exceed to enter a plan.
+        self._rows = self._cols = self._floor = None
         if not self.uniform:
             self._rows, self._cols = np.arange(m).repeat(k), np.tile(np.arange(m, m + k), m)
+            self._floor = (MASS_TOL * np.minimum.outer(self.a, self.b)).ravel().tolist()
         self._basis = None  # row-major indices of ``cells``; no call changes this list
         self._tree = None  # (basic, index, adj): the basis, also as an array, and its tree
-        self.flows = None
         self.support = None
         self.plan = None
         self.pivots = 0
@@ -253,12 +249,13 @@ def transportation_simplex(
     cost, so the method terminates; 40 m k + 200 pivots are a backstop. A
     non-finite cost entry is rejected.
 
-    ``warm``, a ``WarmStart`` made for ``a`` and ``b``, gives the start and
-    takes the final basis with its tree; without it the call starts from the
-    northwest corner. The result is ``tree_flows`` on the final basis's cells
-    with pivot flow above 0.0; its bits depend only on that set (see the
-    module docstring). A call that raises leaves ``warm`` as the last call that
-    returned left it.
+    ``warm``, a ``WarmStart`` made for ``a`` and ``b``, gives the start, the
+    last call's basis with its plan as the flows, and takes the final basis
+    with its tree; without it the call starts from the northwest corner. The
+    result is ``tree_flows`` on the final basis's cells whose pivot flow
+    exceeds ``MASS_TOL * min(a[i], b[j])``; its bytes depend only on the
+    vertex (see the module docstring). A call that raises leaves ``warm`` as
+    the last call that returned left it.
 
     The basis is a spanning tree on the rows 0..m-1 and the columns
     m..m+k-1, rooted at row 0 where u = 0. A dual potential follows its
@@ -304,20 +301,14 @@ def transportation_simplex(
         return warm._keep((), lambda: (b.reshape(1, k) if m == 1 else a.reshape(m, 1)).copy())
 
     n = m + k
-    cold = warm._basis is None
-    if cold:
+    if warm._basis is None:
         P, basic = _northwest_corner(a, b)
     else:
-        if warm.flows is None:
-            # Leaf elimination may leave round-off below zero on degenerate cells.
-            warm.flows = np.maximum(tree_flows(a, b, warm.cells), 0.0)
-        P = warm.flows.ravel().tolist()
+        P, basic = warm.plan.ravel().tolist(), list(warm._basis)
     # The pivots below change the tree in place, so it stays detached until
-    # the call returns; ``cells`` and ``flows`` keep the last returned basis.
+    # the call returns; ``cells`` and ``plan`` keep the last returned basis.
     tree, warm._tree = warm._tree, None
     if tree is None:
-        if not cold:
-            basic = list(warm._basis)
         adj: list[list[int]] = [[] for _ in range(n)]
         for e in basic:
             i, j = divmod(e, k)
@@ -327,7 +318,7 @@ def transportation_simplex(
     basic, index, adj = tree
     pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
     crows = cost.tolist()
-    flat, rows, cols = cost.ravel(), warm._rows, warm._cols
+    flat, rows, cols, floor = cost.ravel(), warm._rows, warm._cols, warm._floor
 
     def hang(top: int) -> int:
         """Set the potential (u_i + v_j = c_ij on basic cells), parent and depth
@@ -366,14 +357,13 @@ def transportation_simplex(
         else:
             enter = int((reduced < -red_tol).argmax())  # the first improving cell
         if not reduced.item(enter) < -red_tol:
-            support = sorted([e for e in basic if P[e] > 0.0])
-            # A cell holding only a round-off flow can come out just below zero.
+            support = sorted([e for e in basic if P[e] > floor[e]])
+            # Leaf elimination can leave round-off just below zero on a cell
+            # whose marginals are tiny.
             plan = warm._keep(
                 tuple(support),
                 lambda: np.maximum(tree_flows(a, b, [divmod(e, k) for e in support]), 0.0),
             )
-            if pivots or cold:  # else the start flows still hold
-                warm.flows = plan if len(support) == n - 1 else None
             warm._basis, warm._tree = list(basic), tree
             return plan
         ei, ej = divmod(enter, k)

@@ -109,19 +109,24 @@ class DiscreteMeasure:
 def validate_measure(raw) -> DiscreteMeasure:
     """Build a measure from parsed data, rescaling near-unit weight sums.
 
-    ``raw`` is either a dict with keys ``dim`` and ``points`` (each point a
-    dict with ``x``, ``v``, ``w``) or a triple of arrays. Weight sums within
-    ``WEIGHT_SUM_TOL`` of 1 are renormalised; larger deviations are rejected.
+    ``raw`` is either a dict with keys ``dim`` (an integer of at least 1, not
+    a bool) and ``points`` (each point a dict with ``x`` and ``v``, flat lists,
+    and ``w``) or a triple of arrays. Weight sums within ``WEIGHT_SUM_TOL`` of
+    1 are renormalised; larger deviations are rejected.
     """
     if isinstance(raw, dict):
-        dim = int(raw["dim"])
+        dim = raw["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
         pts = raw.get("points", [])
         if not pts:
             raise ValueError("measure has no atoms")
         X, V, w = [], [], []
         for p in pts:
-            x = np.asarray(p["x"], dtype=float).ravel()
-            v = np.asarray(p["v"], dtype=float).ravel()
+            x = np.asarray(p["x"], dtype=float)
+            v = np.asarray(p["v"], dtype=float)
+            if x.ndim != 1 or v.ndim != 1:
+                raise ValueError("atom x and v must be flat lists")
             if x.size != dim or v.size != dim:
                 raise ValueError(
                     f"atom dimension {x.size}/{v.size} does not match dim={dim}"

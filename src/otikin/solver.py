@@ -10,7 +10,7 @@ OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
 3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
 branch-and-bound over s that calls the transportation simplex with one
 ``lp.WarmStart`` per search (all its LPs share their marginals), so each call
-starts from the last one's optimal basis and, when they are known, its flows.
+starts from the last one's optimal basis, with the plan it returned as flows.
 A search evaluates each vertex once: it remembers the moments of each plan by
 the plan's support, which the warm start reports with each plan. A
 brute-force vertex oracle cross-checks global minima on small instances: it

@@ -121,8 +121,12 @@ class TestExitCodes:
             '{"dim": 1, "points": [{"x": [0.0], "v": [0.0], "w": -1.0}]}',
             '{"dim": 1e999, "points": [{"x": [0.0], "v": [0.0], "w": 1.0}]}',
             '{"dim": 0, "points": [{"x": [], "v": [], "w": 1.0}]}',
+            '{"dim": 2.7, "points": [{"x": [0.0, 1.0], "v": [0.0, 1.0], "w": 1.0}]}',
+            '{"dim": true, "points": [{"x": [0.0], "v": [0.0], "w": 1.0}]}',
+            '{"dim": 1, "points": [{"x": [[0]], "v": [0.0], "w": 1.0}]}',
         ],
-        ids=["negative-weight", "overflowing-dim", "zero-dim"],
+        ids=["negative-weight", "overflowing-dim", "zero-dim", "float-dim", "bool-dim",
+             "nested-x"],
     )
     def test_malformed_measure_exits_3(self, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -228,6 +232,9 @@ class TestExitCodes:
             # a probe time off the scenario's grid, or one whose time + h is
             ["probe", "--suite", "t-ratio", "--time", "0.3001"],
             ["probe", "--suite", "metric-derivative", "--time", "0.9"],
+            # PCG64 takes no negative seed
+            ["--seed", "-1", "probe", "--suite", "metric-derivative",
+             "--scenario", "harmonic-ensemble"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
@@ -518,6 +525,16 @@ class TestProbe:
                 assert main(["probe", "--suite", suite, "--scenario", scenario,
                              "--out", str(out)]) == 0
         assert _digest_files(tmp_path) == PROBE_PIN
+
+    def test_seed_draws_the_ensemble(self, tmp_path):
+        # the harmonic ensemble is random: --seed changes its probe CSV
+        def probe(*seed):
+            out = tmp_path / "probe.csv"
+            assert main([*seed, "probe", "--suite", "t-ratio", "--scenario",
+                         "harmonic-ensemble", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert probe("--seed", "7") != probe()
 
 
 class TestVerify:

@@ -75,6 +75,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_measure({"dim": 1, "points": []})
 
+    @pytest.mark.parametrize(
+        "dim, x, v",
+        [
+            (2.7, [0.0, 1.0], [0.0, 1.0]),
+            (2.0, [0.0, 1.0], [0.0, 1.0]),
+            (True, [0.0], [0.0]),
+            ("1", [0.0], [0.0]),
+            (0, [], []),
+        ],
+    )
+    def test_rejects_dim_that_is_no_integer_of_at_least_1(self, dim, x, v):
+        # a float is not rounded, nor a bool read as 1
+        with pytest.raises(ValueError, match="dim must be an integer of at least 1"):
+            validate_measure({"dim": dim, "points": [{"x": x, "v": v, "w": 1.0}]})
+
+    @pytest.mark.parametrize("x, v", [([[0.0]], [0.0]), ([0.0], [[1.0]]), (0.0, 0.0)])
+    def test_rejects_coordinates_that_are_no_flat_list(self, x, v):
+        with pytest.raises(ValueError, match="atom x and v must be flat lists"):
+            validate_measure({"dim": 1, "points": [{"x": x, "v": v, "w": 1.0}]})
 
 class TestIO:
     def test_json_roundtrip(self):
