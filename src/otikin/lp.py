@@ -14,7 +14,10 @@ assignment problems, whose vertices are the permutations: up to
 ``ENUMERATE_MAX`` atoms the call prices every permutation and returns the
 cheapest, the first in ``itertools.permutations`` order on an exact tie; above
 it scipy's ``linear_sum_assignment`` solves them, and scipy is imported only
-then.
+then. Scipy gets the cost less each row's minimum and then less each
+column's minimum, the first step of the Hungarian method: every
+permutation's total moves by one constant, so the optimum is the same, and
+scipy's solver runs faster on the reduced kinetic costs than on the raw ones.
 
 A caller that solves several problems with the same marginals makes one
 ``WarmStart`` for them and hands it to every call. It checks the marginals
@@ -54,12 +57,12 @@ MASS_TOL = 1e-9
 # per node of the basis tree, and hands back at the next pivot that does.
 DEGENERATE_RUN_PER_NODE = 1
 # Uniform equal-size problems up to this many atoms are solved by pricing all
-# m! permutations; larger ones go to scipy's linear_sum_assignment. A warm
-# call on a new cost took 14-21 us by enumeration at m = 2..5 against
-# 10-14 us through scipy, but 40 against 14 us at m = 6 and 140-160 against
-# 8-15 us at m = 7 (2-core x86-64, numpy 2.4.6, scipy 1.17.1 already loaded).
-# Up to the cap a process that solves only small problems never pays the
-# 0.4-0.5 s import of scipy.optimize.
+# m! permutations; larger ones go to scipy's linear_sum_assignment on the
+# reduced cost. A warm call on a new kinetic cost took 12 us either way at
+# m = 5, but 34 us by enumeration against 18 us through scipy at m = 6 and
+# 168 against 17 us at m = 7 (2-core x86-64, numpy 2.4.6, scipy 1.17.1
+# already loaded). Up to the cap a process that solves only small problems
+# never pays the 0.4-0.5 s import of scipy.optimize.
 ENUMERATE_MAX = 5
 
 
@@ -237,8 +240,10 @@ def transportation_simplex(
     Uniform marginals of equal size take the assignment path: up to
     ``ENUMERATE_MAX`` atoms the cheapest of the m! permutations, the first in
     ``itertools.permutations`` order on an exact tie of their summed costs;
-    above it scipy's ``linear_sum_assignment``. Its plan puts ``a[i]`` on
-    each cell of the permutation.
+    above it scipy's ``linear_sum_assignment`` on the cost reduced by its row
+    minima and then by its column minima, which has the same optimal
+    permutations (on a tie, scipy may pick another of them than it would on
+    the raw cost). Its plan puts ``a[i]`` on each cell of the permutation.
 
     Otherwise, primal transportation simplex. The entering cell has the most
     negative reduced cost (Dantzig's rule); among the cells that reach zero
@@ -289,7 +294,10 @@ def transportation_simplex(
         else:
             from scipy.optimize import linear_sum_assignment
 
-            rows, cols = linear_sum_assignment(cost)
+            # Row, then column minima off: each only shifts every total.
+            reduced = cost - cost.min(axis=1, keepdims=True)
+            reduced -= reduced.min(axis=0)
+            rows, cols = linear_sum_assignment(reduced)
 
         def assignment() -> np.ndarray:
             P = np.zeros_like(cost)

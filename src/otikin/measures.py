@@ -106,13 +106,19 @@ class DiscreteMeasure:
         return np.asarray(self.weights @ self.velocities, dtype=float)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool, which is an int too."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_measure(raw) -> DiscreteMeasure:
     """Build a measure from parsed data, rescaling near-unit weight sums.
 
     ``raw`` is either a dict with keys ``dim`` (an integer of at least 1, not
-    a bool) and ``points`` (each point a dict with ``x`` and ``v``, flat lists,
-    and ``w``) or a triple of arrays. Weight sums within ``WEIGHT_SUM_TOL`` of
-    1 are renormalised; larger deviations are rejected.
+    a bool) and ``points`` (each point a dict with ``x`` and ``v``, flat lists
+    of numbers, and ``w``, a number; a number is an int or a float, not a bool
+    or a string) or a triple of arrays. Weight sums within ``WEIGHT_SUM_TOL``
+    of 1 are renormalised; larger deviations are rejected.
     """
     if isinstance(raw, dict):
         dim = raw["dim"]
@@ -122,19 +128,28 @@ def validate_measure(raw) -> DiscreteMeasure:
         if not pts:
             raise ValueError("measure has no atoms")
         X, V, w = [], [], []
-        for p in pts:
-            x = np.asarray(p["x"], dtype=float)
-            v = np.asarray(p["v"], dtype=float)
-            if x.ndim != 1 or v.ndim != 1:
-                raise ValueError("atom x and v must be flat lists")
-            if x.size != dim or v.size != dim:
+        for i, p in enumerate(pts):
+            if not isinstance(p, dict):
+                raise ValueError(f'point {i} must be an object with "x", "v" and "w"')
+            for key in ("x", "v", "w"):
+                if key not in p:
+                    raise ValueError(f'point {i} has no "{key}"')
+            x, v = p["x"], p["v"]
+            for key, c in (("x", x), ("v", v)):
+                if not isinstance(c, list) or any(isinstance(e, list) for e in c):
+                    raise ValueError("atom x and v must be flat lists")
+                if not all(map(_is_number, c)):
+                    raise ValueError(f'point {i} "{key}" must hold numbers only, got {c!r}')
+            if not _is_number(p["w"]):
+                raise ValueError(f'point {i} "w" must be a number, got {p["w"]!r}')
+            if len(x) != dim or len(v) != dim:
                 raise ValueError(
-                    f"atom dimension {x.size}/{v.size} does not match dim={dim}"
+                    f"atom dimension {len(x)}/{len(v)} does not match dim={dim}"
                 )
             X.append(x)
             V.append(v)
-            w.append(float(p["w"]))
-        X, V, w = np.asarray(X), np.asarray(V), np.asarray(w)
+            w.append(p["w"])
+        X, V, w = (np.asarray(c, dtype=float) for c in (X, V, w))
     else:
         X, V, w = raw
         X = np.atleast_2d(np.asarray(X, dtype=float))

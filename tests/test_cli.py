@@ -124,9 +124,13 @@ class TestExitCodes:
             '{"dim": 2.7, "points": [{"x": [0.0, 1.0], "v": [0.0, 1.0], "w": 1.0}]}',
             '{"dim": true, "points": [{"x": [0.0], "v": [0.0], "w": 1.0}]}',
             '{"dim": 1, "points": [{"x": [[0]], "v": [0.0], "w": 1.0}]}',
+            '{"dim": 1, "points": [{"x": [0], "v": [0], "w": true}]}',
+            '{"dim": 1, "points": [{"x": [0], "v": [0], "w": "1"}]}',
+            '{"dim": 1, "points": [{"x": ["0.5"], "v": [0], "w": 1}]}',
+            '{"dim": 1, "points": [{"x": [0], "v": [true], "w": 1}]}',
         ],
         ids=["negative-weight", "overflowing-dim", "zero-dim", "float-dim", "bool-dim",
-             "nested-x"],
+             "nested-x", "bool-w", "str-w", "str-x", "bool-v"],
     )
     def test_malformed_measure_exits_3(self, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -135,6 +139,23 @@ class TestExitCodes:
             main(["discrepancy", "--mu", str(bad), "--nu", TIE_NU,
                   "--optimize-T", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ('{"v": [0], "w": 1}', 'point 0 has no "x"'),
+            ("7", 'point 0 must be an object with "x", "v" and "w"'),
+        ],
+        ids=["no-x", "number-point"],
+    )
+    def test_malformed_point_names_the_atom(self, tmp_path, capsys, point, message):
+        bad = tmp_path / "m.json"
+        bad.write_text('{"dim": 1, "points": [%s]}' % point)
+        with pytest.raises(SystemExit) as exc:
+            main(["discrepancy", "--mu", str(bad), "--nu", str(bad), "--T", "1",
+                  "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == f"error: malformed measure file {bad}: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [["discrepancy", "--T", "1"], ["oracle"]],

@@ -8,6 +8,7 @@ import pytest
 
 import otikin.lp
 from otikin.lp import WarmStart, is_uniform_equal, transportation_simplex
+from otikin.measures import DiscreteMeasure, PairMoments
 from otikin.solver import _vertex_plans_trees
 
 
@@ -86,6 +87,59 @@ def test_uniform_ties_take_the_first_optimal_permutation(m):
         assert cost[range(m), cols].sum() == best
         perms = itertools.permutations(range(m))
         assert tuple(cols.tolist()) == next(p for p in perms if cost[range(m), p].sum() == best)
+
+
+def test_scipy_solves_costs_reduced_by_row_and_column_minima(monkeypatch):
+    # the cost less each row's minimum, then each column's: every permutation's
+    # total moves by one constant, so the optimum is the same
+    import scipy.optimize
+
+    seen, solve = [], scipy.optimize.linear_sum_assignment
+
+    def recording(cost):
+        seen.append(cost.copy())
+        return solve(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
+    rng = np.random.default_rng(7)
+    for m in (6, 9, 40):
+        cost = rng.normal(size=(m, m)) + rng.normal(size=(m, 1)) + rng.normal(size=(1, m))
+        transportation_simplex(cost, np.full(m, 1.0 / m), np.full(m, 1.0 / m))
+    assert [c.shape for c in seen] == [(6, 6), (9, 9), (40, 40)]
+    for c in seen:
+        assert np.all(c.min(axis=1) == 0.0) and np.all(c.min(axis=0) == 0.0)
+
+
+@pytest.mark.parametrize("m", [6, 12, 32, 96])
+def test_reduced_kinetic_costs_keep_scipys_permutation(m):
+    # on the solver's own costs, 12 s^2 A - 12 s B + 3 C + D of standard-normal
+    # pairs, generic instances have one optimum, the one scipy finds unreduced
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(300 + m)
+    a = np.full(m, 1.0 / m)
+    for _ in range(4):
+        mu, nu = (DiscreteMeasure(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)), a)
+                  for _ in range(2))
+        pm = PairMoments(mu, nu)
+        for s in (0.0, 0.5, 2.0):
+            cost = 12 * s * s * pm.A - 12 * s * pm.B + 3 * pm.C + pm.D
+            cols = permutation_of(transportation_simplex(cost, a, a))
+            assert cols.tolist() == linear_sum_assignment(cost)[1].tolist()
+
+
+@pytest.mark.parametrize("m", [6, 10, 25])
+def test_reduced_integer_costs_reach_scipys_raw_optimum(m):
+    # integer costs reduce exactly, so the optimum is equal to the last bit even
+    # where ties let the permutation differ
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(400 + m)
+    a = np.full(m, 1.0 / m)
+    for _ in range(20):
+        cost = rng.integers(-50, 50, size=(m, m)).astype(float)
+        cols = permutation_of(transportation_simplex(cost, a, a))
+        assert cost[range(m), cols].sum() == cost[linear_sum_assignment(cost)].sum()
 
 
 def test_general_marginals_against_reference_lp():
@@ -491,11 +545,16 @@ def test_unbalanced_rejected():
         transportation_simplex(np.ones((2, 2)), np.array([0.6, 0.6]), np.array([0.5, 0.5]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cost_rejected(bad):
+    # the simplex, the enumerated assignment and, at 8 x 8, scipy's assignment
     cost = np.ones((2, 3))
     cost[1, 1] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
         transportation_simplex(cost, np.array([0.3, 0.7]), np.full(3, 1.0 / 3.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
         transportation_simplex(cost[:, :2], np.full(2, 0.5), np.full(2, 0.5))
+    cost = np.ones((8, 8))
+    cost[5, 2] = bad
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
+        transportation_simplex(cost, np.full(8, 0.125), np.full(8, 0.125))

@@ -95,6 +95,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="atom x and v must be flat lists"):
             validate_measure({"dim": 1, "points": [{"x": x, "v": v, "w": 1.0}]})
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ({"x": [0], "v": [0], "w": True}, 'point 0 "w" must be a number, got True'),
+            ({"x": [0], "v": [0], "w": "1"}, "point 0 \"w\" must be a number, got '1'"),
+            ({"x": ["0.5"], "v": [0], "w": 1}, "point 0 \"x\" must hold numbers only, got ['0.5']"),
+            ({"x": [0], "v": [True], "w": 1}, 'point 0 "v" must hold numbers only, got [True]'),
+            ({"x": [0], "v": [None], "w": 1}, 'point 0 "v" must hold numbers only, got [None]'),
+        ],
+        ids=["bool-w", "str-w", "str-x", "bool-v", "null-v"],
+    )
+    def test_rejects_entries_that_are_no_number(self, point, message):
+        # JSON true and "1" would convert to 1.0; a number is an int or a float
+        with pytest.raises(ValueError) as exc:
+            validate_measure({"dim": 1, "points": [point]})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ({"v": [0], "w": 1}, 'point 1 has no "x"'),
+            ({"x": [0], "w": 1}, 'point 1 has no "v"'),
+            ({"x": [0], "v": [0]}, 'point 1 has no "w"'),
+            (3, 'point 1 must be an object with "x", "v" and "w"'),
+            ([0, 0, 1], 'point 1 must be an object with "x", "v" and "w"'),
+        ],
+        ids=["no-x", "no-v", "no-w", "number", "list"],
+    )
+    def test_point_errors_name_the_atom(self, point, message):
+        good = {"x": [0], "v": [0], "w": 0.5}
+        with pytest.raises(ValueError) as exc:
+            validate_measure({"dim": 1, "points": [good, point]})
+        assert str(exc.value) == message
+
+
 class TestIO:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(0)
