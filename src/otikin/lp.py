@@ -6,11 +6,12 @@ vertex outputs are required by the concave outer minimisation built on top.
 A cell enters by Dantzig's rule (the most negative reduced cost); after a run
 of degenerate pivots Bland's rule takes over until flow moves again, which
 rules out cycling. The returned plan is ``tree_flows`` on its support, the
-basic cells whose pivot flow exceeds ``MASS_TOL * min(a[i], b[j])``. A flow at
-or below that counts as round-off, which a cell the vertex leaves empty can
-pick up on degenerate marginals, so a plan's bytes depend only on its vertex,
-whatever the start or the pivots. Uniform marginals of equal size are
-assignment problems, whose vertices are the permutations: up to
+basic cells whose pivot flow exceeds ``support_floor``, MASS_TOL * min(a[i],
+b[j]). A flow at or below that counts as round-off, which a cell the vertex
+leaves empty can pick up on degenerate marginals, so a plan's bytes depend
+only on its vertex, whatever the start or the pivots. The oracle and
+``Coupling.support()`` read a plan's cells by the same floor. Uniform
+marginals of equal size are assignment problems, whose vertices are the permutations: up to
 ``ENUMERATE_MAX`` atoms the call prices every permutation and returns the
 cheapest, the first in ``itertools.permutations`` order on an exact tie; above
 it scipy's ``linear_sum_assignment`` solves them, and scipy is imported only
@@ -44,6 +45,7 @@ __all__ = [
     "is_uniform_equal",
     "permutation_cells",
     "tree_flows",
+    "support_floor",
 ]
 
 # Marginals count as uniform when every weight is within this of 1/m.
@@ -84,9 +86,15 @@ def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(np.abs(np.concatenate([a, b]) - u) <= UNIFORM_TOL))
 
 
+def support_floor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (m, k) flows MASS_TOL * min(a[i], b[j]) at or below which a cell of
+    a plan with marginals ``a`` and ``b`` holds round-off, not mass."""
+    return MASS_TOL * np.minimum.outer(a, b)
+
+
 def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
-    """The plan supported on ``cells`` that meets the marginals, or None when
-    the cells hold a cycle.
+    """The plan supported on ``cells``, row-major indices ``i * k + j``, that
+    meets the marginals, or None when the cells hold a cycle.
 
     Nodes are the rows 0..m-1, then the columns m..m+k-1. Leaf elimination
     takes the lowest-index node with one cell left, gives that cell the node's
@@ -96,7 +104,7 @@ def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
     """
     m, k = a.size, b.size
     res = np.concatenate([a, b]).tolist()
-    ends = [(i, m + j) for i, j in cells]
+    ends = [(e // k, m + e % k) for e in cells]
     # Per node, its cells left and the sum of their indices, which at a leaf
     # is the index of its one cell.
     degree, id_sum = [0] * (m + k), [0] * (m + k)
@@ -124,7 +132,7 @@ def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
     if left:
         return None
     P = np.zeros((m, k))
-    P.flat[[i * k + j for i, j in cells]] = flows
+    P.flat[list(cells)] = flows
     return P
 
 
@@ -193,11 +201,11 @@ class WarmStart:
         m, k = self.a.size, self.b.size
         # The row and column node of each cell, in row-major order, by which
         # the simplex gathers the potentials when it prices, and the flow
-        # MASS_TOL * min(a[i], b[j]) a cell must exceed to enter a plan.
+        # (``support_floor``) a cell must exceed to enter a plan.
         self._rows = self._cols = self._floor = None
         if not self.uniform:
             self._rows, self._cols = np.arange(m).repeat(k), np.tile(np.arange(m, m + k), m)
-            self._floor = (MASS_TOL * np.minimum.outer(self.a, self.b)).ravel().tolist()
+            self._floor = support_floor(self.a, self.b).ravel().tolist()
         self._basis = None  # row-major indices of ``cells``; no call changes this list
         self._tree = None  # (basic, index, adj): the basis, also as an array, and its tree
         self.support = None
@@ -258,7 +266,7 @@ def transportation_simplex(
     last call's basis with its plan as the flows, and takes the final basis
     with its tree; without it the call starts from the northwest corner. The
     result is ``tree_flows`` on the final basis's cells whose pivot flow
-    exceeds ``MASS_TOL * min(a[i], b[j])``; its bytes depend only on the
+    exceeds ``support_floor(a, b)``; its bytes depend only on the
     vertex (see the module docstring). A call that raises leaves ``warm`` as
     the last call that returned left it.
 
@@ -370,7 +378,7 @@ def transportation_simplex(
             # whose marginals are tiny.
             plan = warm._keep(
                 tuple(support),
-                lambda: np.maximum(tree_flows(a, b, [divmod(e, k) for e in support]), 0.0),
+                lambda: np.maximum(tree_flows(a, b, support), 0.0),
             )
             warm._basis, warm._tree = list(basic), tree
             return plan

@@ -2,9 +2,10 @@
 
 A measure is a weighted point cloud of phase states; weights are positive and
 sum to one. Couplings are dense nonnegative matrices with prescribed
-marginals. Every plan-level cost downstream factors through the four moments
-(A, B, C, D), and every pointwise cost matrix is a linear combination of the
-four pairwise matrices behind them; ``PairMoments`` is the one place those
+marginals, supported on the cells above the simplex's ``lp.support_floor``.
+Every plan-level cost downstream factors through the four moments (A, B, C,
+D), and every pointwise cost matrix is a linear combination of the four
+pairwise matrices behind them; ``PairMoments`` is the one place those
 matrices are built.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import transportation_simplex
+from .lp import support_floor, transportation_simplex
 from .phase import POSITION_TOL, PhaseState
 
 __all__ = [
@@ -48,8 +49,6 @@ MARGINAL_TOL = 1e-9
 # Plan mass up to MASS_ROUNDING_TOL is rounding: negative entries are clipped
 # to zero, and a plan that moves no more between distinct positions keeps them.
 MASS_ROUNDING_TOL = 1e-12
-# Plan cells with less mass than this are outside the plan's support.
-SUPPORT_TOL = 1e-15
 # Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative.
 MOMENT_NEG_TOL = 1e-12
 # |B| may exceed sqrt(A C) by CAUCHY_SCHWARZ_TOL * (1 + sqrt(A C)).
@@ -267,8 +266,9 @@ class Coupling:
             )
 
     def support(self) -> list[tuple[int, int]]:
-        """Row-major ``(i, j)`` cells of the plan with mass at least ``SUPPORT_TOL``."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self.P >= SUPPORT_TOL)]
+        """Row-major ``(i, j)`` cells with mass above the weights' ``lp.support_floor``."""
+        floor = support_floor(self.source.weights, self.target.weights)
+        return [(int(i), int(j)) for i, j in np.argwhere(self.P > floor)]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ starts from the last one's optimal basis, with the plan it returned as flows.
 A search evaluates each vertex once: it remembers the moments of each plan by
 the plan's support, which the warm start reports with each plan. A
 brute-force vertex oracle cross-checks global minima on small instances: it
+tells vertices apart by their cells above the simplex's ``support_floor``,
 stacks every vertex plan, takes all their moments as arrays, validates them
 and evaluates their envelope costs elementwise, and builds ``PlanMoments``,
 plans and horizons only for the tied optima.
@@ -31,12 +32,13 @@ from .lp import (
     WarmStart,
     is_uniform_equal,
     permutation_cells,
+    support_floor,
     transportation_simplex,
     tree_flows,
 )
 from .measures import (
     MARGINAL_TOL,
-    MASS_ROUNDING_TOL,
+    MOMENT_NEG_TOL,
     Coupling,
     DiscreteMeasure,
     PairMoments,
@@ -116,10 +118,13 @@ def cost_c(m: PlanMoments) -> float:
 
 
 def optimal_time_plan(m: PlanMoments) -> OptimalTime:
-    """Horizon minimising the fixed-horizon cost of a coupling: 2A/B, 0, or inf."""
+    """Horizon minimising the fixed-horizon cost of a coupling: 2A/B, 0, or inf.
+
+    B up to ``MOMENT_NEG_TOL * sqrt(A C)`` is round-off of an exact 0, not a
+    finite horizon of about 1e17."""
     if m.keeps_positions:
         return OptimalTime.zero()
-    if m.B > 0.0:
+    if m.B > MOMENT_NEG_TOL * math.sqrt(max(m.A * m.C, 0.0)):
         return OptimalTime.finite(2.0 * m.A / m.B)
     return OptimalTime.infinite()
 
@@ -136,6 +141,12 @@ class SolveResult:
     # Populated by the oracle: all optimal vertices within tie tolerance, as
     # (plan matrix, cost, optimal time) triples.
     optima: tuple | None = None
+
+
+def _envelope_result(value, plan, tag: OptimalTime, iterations, optima=None) -> SolveResult:
+    """A time-optimised or oracle result: the winning plan's cost clipped at 0,
+    in the regime that its horizon tag decides."""
+    return SolveResult(max(value, 0.0), tag, _REGIME_OF_TAG[tag.kind], plan, iterations, optima)
 
 
 def solve_fixed_T(mu: DiscreteMeasure, nu: DiscreteMeasure, T: float) -> SolveResult:
@@ -274,17 +285,8 @@ def _solve_time_optimised(
         stack.append(((mid, m_mid), (s2, m2)))
         stack.append(((s1, m1), (mid, m_mid)))
 
-    # The reported regime reflects the winning plan itself: its optimal-horizon
-    # tag decides between the three time regimes.
     value, plan, m = winner
-    tag = optimal_time_plan(m)
-    return SolveResult(
-        cost_sq=max(value, 0.0),
-        optimal_time=tag,
-        regime=_REGIME_OF_TAG[tag.kind],
-        plan=plan,
-        iterations=lp_solves,
-    )
+    return _envelope_result(value, plan, optimal_time_plan(m), lp_solves)
 
 
 def solve_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
@@ -321,25 +323,24 @@ def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stacked (V, m, k) in the order their first tree is enumerated.
 
     Basic solutions are supported on spanning trees of the complete bipartite
-    graph; the flow on a tree is unique (``tree_flows``) and the tree is a
-    vertex iff the flow is nonnegative. Duplicate vertices from degenerate
-    trees are filtered out. A flow down to -``MASS_ROUNDING_TOL`` is
-    rounding: it counts as nonnegative and is clipped to zero.
+    graph, walked as row-major cell sets; a tree's flow (``tree_flows``) is a
+    vertex when no cell's flow lies below minus its ``support_floor``, and such
+    round-off is clipped to zero. As in the simplex, a vertex is keyed by its
+    cells above the floor, so degenerate trees give it once, as the first's plan.
     """
     m, k = a.size, b.size
-    edges = [(i, j) for i in range(m) for j in range(k)]
-    seen: set[bytes] = set()
+    floor = support_floor(a, b)
+    seen: set[tuple] = set()
     vertices = []
-    for tree in itertools.combinations(edges, m + k - 1):
+    for tree in itertools.combinations(range(m * k), m + k - 1):
         P = tree_flows(a, b, tree)
-        if P is None or float(P.min()) < -MASS_ROUNDING_TOL:
+        if P is None or np.any(P < -floor):
             continue
-        P = np.clip(P, 0.0, None)
-        key = np.round(P, 12).tobytes()
+        key = tuple(np.flatnonzero(P > floor).tolist())
         if key in seen:
             continue
         seen.add(key)
-        vertices.append(P)
+        vertices.append(np.clip(P, 0.0, None))
     return np.stack(vertices)
 
 
@@ -380,14 +381,7 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
         m = PlanMoments(float(A[v]), float(B[v]), float(C[v]), float(D[v]), bool(keeps[v]))
         optima.append((plans[v].copy(), float(costs[v]), optimal_time_plan(m)))
     P_best, _, tag = optima[0]
-    return SolveResult(
-        cost_sq=max(best_value, 0.0),
-        optimal_time=tag,
-        regime=_REGIME_OF_TAG[tag.kind],
-        plan=Coupling(P_best, mu, nu),
-        iterations=len(plans),
-        optima=tuple(optima),
-    )
+    return _envelope_result(best_value, Coupling(P_best, mu, nu), tag, len(plans), tuple(optima))
 
 
 @dataclass(frozen=True)

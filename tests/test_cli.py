@@ -446,6 +446,24 @@ class TestDiscrepancy:
         got = re.sub(rb',"iterations":\d+', b"", out.read_bytes())
         assert got == expected.encode() + b"\n"
 
+    def test_tiny_atom_keeps_its_plan_cell(self, tmp_path):
+        # a 1e-16 flow is above its cell's floor, MASS_TOL * 1e-16, so the
+        # result lists it with the other two cells
+        files = []
+        for name, atoms in (
+            ("mu", [(0.0, 0.5), (1.0, 0.5 - 1e-16), (2.0, 1e-16)]),
+            ("nu", [(0.5, 0.5), (1.5, 0.5)]),
+        ):
+            points = [{"x": [x], "v": [0.0], "w": w} for x, w in atoms]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"dim": 1, "points": points}))
+            files += [f"--{name}", str(path)]
+        out = tmp_path / "r.json"
+        assert main(["discrepancy", *files, "--T", "1", "--out", str(out)]) == 0
+        plan = json.loads(out.read_text())["plan"]
+        assert [(i, j) for i, j, _ in plan] == [(0, 0), (1, 1), (2, 1)]
+        assert 0.0 < plan[2][2] < 1e-15
+
     def test_oracle_agrees_with_solver(self, tmp_path):
         s, o = tmp_path / "s.json", tmp_path / "o.json"
         main(["discrepancy", "--mu", U5_MU, "--nu", U5_NU, "--optimize-T",

@@ -147,6 +147,17 @@ class TestInterpolation:
             assert end.positions[i] == pytest.approx(nu.positions[dst], abs=1e-12)
             assert end.velocities[i] == pytest.approx(nu.velocities[dst], abs=1e-12)
 
+    def test_tiny_atom_keeps_its_spline(self):
+        # a 1e-16 atom holds a cell of the simplex's plan, so the ensemble
+        # starts from every atom of the source
+        mu = DiscreteMeasure([[0.0], [1.0], [2.0]], np.zeros((3, 1)), [0.5, 0.5 - 1e-16, 1e-16])
+        nu = DiscreteMeasure([[0.5], [1.5]], np.zeros((2, 1)), [0.5, 0.5])
+        res = solve_fixed_T(mu, nu, 1.0)
+        assert np.count_nonzero(res.plan.P) == len(res.plan.support()) == 3
+        start = interpolate_at(build_dynamical_plan(mu, nu, res.plan, 1.0), 0.0)
+        assert start.size == mu.size
+        assert sorted(start.positions.ravel().tolist()) == [0.0, 1.0, 2.0]
+
     def test_midpoint_of_drift_spline(self):
         mu = DiscreteMeasure([[0.0]], [[1.0]], [1.0])
         from otikin.measures import pushforward_free_transport

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import otikin.lp
+import otikin.solver
 from otikin.lp import WarmStart, is_uniform_equal, transportation_simplex
-from otikin.measures import DiscreteMeasure, PairMoments
-from otikin.solver import _vertex_plans_trees
+from otikin.measures import Coupling, DiscreteMeasure, PairMoments
+from otikin.solver import _vertex_plans_trees, solve_d
 
 
 def reference_lp_value(cost, a, b):
@@ -442,6 +443,41 @@ def test_plans_hold_no_round_off_flow():
         P = transportation_simplex(cost, a, b)
         floor = otikin.lp.MASS_TOL * np.minimum.outer(a, b)
         assert not np.any((P > 0.0) & (P <= floor))
+
+
+def support_cells(P, a, b):
+    """Row-major indices of ``Coupling.support()`` of a plan with marginals a, b."""
+    mu, nu = (DiscreteMeasure(np.zeros((w.size, 1)), np.zeros((w.size, 1)), w) for w in (a, b))
+    return tuple(i * b.size + j for i, j in Coupling(P, mu, nu).support())
+
+
+def test_coupling_support_is_the_simplex_support(monkeypatch):
+    # one support rule: the cells Coupling reads from every plan the simplex
+    # returns are the cells the simplex keyed it by
+    for seed in range(60):
+        costs, a, b = warm_chain_problem(seed)
+        warm = WarmStart(a, b)
+        for cost in costs:
+            P = transportation_simplex(cost, a, b, warm)
+            assert support_cells(P, a, b) == warm.support
+    checked = []
+
+    def checking(cost, a, b, warm=None):
+        P = transportation_simplex(cost, a, b, warm)
+        assert support_cells(P, a, b) == warm.support
+        checked.append(P)
+        return P
+
+    monkeypatch.setattr(otikin.solver, "transportation_simplex", checking)
+    rng = np.random.default_rng(23)
+    for m, k, count in ((6, 5, 20), (24, 20, 3)):
+        for _ in range(count):
+            a, b = rng.uniform(0.5, 1.5, size=m), rng.uniform(0.5, 1.5, size=k)
+            a, b = a / a.sum(), b / b.sum()
+            mu = DiscreteMeasure(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)), a)
+            nu = DiscreteMeasure(rng.normal(size=(k, 2)), rng.normal(size=(k, 2)), b)
+            solve_d(mu, nu)
+    assert len(checked) > 23
 
 
 def test_tiny_atom_keeps_its_flow():

@@ -190,10 +190,15 @@ class TestCouplings:
         with pytest.raises(ValueError):
             Coupling(np.full((3, 3), 0.2), mu, nu)
 
-    def test_support_keeps_cells_from_1e_15_row_major(self):
+    def test_support_keeps_cells_above_the_flow_floor_row_major(self):
+        # the simplex's floor MASS_TOL * min(w_i, u_j), here 5e-10 per cell:
+        # a cell holds mass only above it, whatever the absolute size
         mu = DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
-        P = np.array([[0.5, 1e-15], [9e-16, 0.5]])
+        P = np.array([[0.5, 6e-10], [5e-10, 0.5]])
         assert Coupling(P, mu, mu).support() == [(0, 0), (0, 1), (1, 1)]
+        nu = DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], [1.0 - 1e-16, 1e-16])
+        P = np.array([[0.5, 0.0], [0.5 - 1e-16, 1e-16]])
+        assert Coupling(P, mu, nu).support() == [(0, 0), (1, 0), (1, 1)]
 
 
 class TestMoments:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from otikin.lp import support_floor
 from otikin.measures import (
     Coupling,
     DiscreteMeasure,
@@ -91,6 +92,20 @@ class TestPlanCosts:
         assert optimal_time_plan(moments(2.0, 4.0, 18.0, 0.0)).value == pytest.approx(1.0)
         assert optimal_time_plan(moments(0.0, 0.0, 1.0, 0.0)).kind == "zero"
         assert optimal_time_plan(moments(1.0, -3.0, 9.1, 0.0)).kind == "infinite"
+
+    def test_round_off_b_is_not_a_finite_horizon(self):
+        # the identity plan's cells have B = 0.1, 0.2 and -0.3, whose exact
+        # mean is 0; the summed moment picks up round-off, which read as a
+        # finite horizon of about 1e17
+        mu = DiscreteMeasure(np.zeros((3, 1)), np.zeros((3, 1)), np.full(3, 1.0 / 3.0))
+        nu = DiscreteMeasure(np.ones((3, 1)), [[0.1], [0.2], [-0.3]], np.full(3, 1.0 / 3.0))
+        m = PairMoments(mu, nu).of(np.diag(mu.weights))
+        assert 0.0 < m.B < 1e-16
+        assert optimal_time_plan(m).kind == "infinite"
+        for solve in (solve_d, solve_tilde_d):
+            res = solve(mu, nu)
+            assert res.regime == "infinite_T"
+            assert res.optimal_time.kind == "infinite"
 
 
 class TestFixedHorizonSolve:
@@ -369,6 +384,19 @@ class TestOracle:
                 f"instance too large for the oracle (m={mu.size}, k={nu.size}: {count} "
                 f"candidate bases, more than the limit {ORACLE_MAX_CANDIDATES})"
             )
+
+    def test_tiny_atom_vertices_stay_distinct(self):
+        # the tree path reads a vertex's cells by the simplex's floor, so
+        # vertices that differ only in where a 1e-13 atom goes are not merged
+        a = [0.5, 0.5 - 1e-13, 1e-13]
+        mu = DiscreteMeasure([[0.0], [1.0], [2.0]], [[0.0], [0.5], [-0.5]], a)
+        nu = DiscreteMeasure([[0.5], [1.5]], [[0.1], [0.2]], [0.3, 0.7])
+        res = brute_force_oracle(mu, nu)
+        assert res.iterations == 4
+        floor = support_floor(mu.weights, nu.weights)
+        for plans in (_vertex_plans_trees(mu.weights, nu.weights), [P for P, _, _ in res.optima]):
+            supports = {tuple(np.flatnonzero(P > floor)) for P in plans}
+            assert len(supports) == len(plans)
 
     def test_uniform_counts_every_permutation(self):
         rng = np.random.default_rng(11)
