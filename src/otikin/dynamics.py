@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MARGINAL_TOL, Coupling, DiscreteMeasure
+from .lp import MASS_TOL
+from .measures import Coupling, DiscreteMeasure
 from .phase import (
     HORIZON_TOL, TIME_GRID_TOL, OptimalTime, spline_action, spline_from_endpoints, spline_states
 )
@@ -62,7 +63,7 @@ class SplineEnsemble:
             raise ValueError(f"splines must have shape (K, 4, n), got {splines.shape}")
         if masses.size != len(splines):
             raise ValueError("one mass per spline required")
-        if abs(float(masses.sum()) - 1.0) > MARGINAL_TOL:
+        if abs(float(masses.sum()) - 1.0) > MASS_TOL:
             raise ValueError("spline masses must sum to 1")
         if not self.horizon > 0:
             raise ValueError("spline horizon must be positive")

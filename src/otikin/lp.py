@@ -6,12 +6,13 @@ vertex outputs are required by the concave outer minimisation built on top.
 A cell enters by Dantzig's rule (the most negative reduced cost); after a run
 of degenerate pivots Bland's rule takes over until flow moves again, which
 rules out cycling. The returned plan is ``tree_flows`` on its support, the
-basic cells whose pivot flow exceeds ``support_floor``, MASS_TOL * min(a[i],
-b[j]). A flow at or below that counts as round-off, which a cell the vertex
-leaves empty can pick up on degenerate marginals, so a plan's bytes depend
-only on its vertex, whatever the start or the pivots. The oracle and
-``Coupling.support()`` read a plan's cells by the same floor. Uniform
-marginals of equal size are assignment problems, whose vertices are the permutations: up to
+basic cells whose pivot flow exceeds ``support_floor``, MASS_ROUNDING_TOL *
+min(a[i], b[j]). A flow at or below that counts as round-off, which a cell
+the vertex leaves empty can pick up on degenerate marginals, so a plan's
+bytes depend only on its vertex, whatever the start or the pivots. The
+oracle, ``Coupling.support()`` and the test of whether a plan moves
+positions read a plan's cells by the same floor. Uniform marginals of equal
+size are assignment problems, whose vertices are the permutations: up to
 ``ENUMERATE_MAX`` atoms the call prices every permutation and returns the
 cheapest, the first in ``itertools.permutations`` order on an exact tie; above
 it scipy's ``linear_sum_assignment`` solves them, and scipy is imported only
@@ -48,12 +49,13 @@ __all__ = [
     "support_floor",
 ]
 
-# Marginals count as uniform when every weight is within this of 1/m.
-UNIFORM_TOL = 1e-12
+# A cell holds round-off up to this times its smaller marginal (``support_floor``;
+# pivot round-off stays below 1e-14 of it), and uniform weights are this near 1/m.
+MASS_ROUNDING_TOL = 1e-12
 # A nonbasic cell enters when its reduced cost is below
 # -REDUCED_COST_TOL * (1 + max |C|), so round-off never makes a pivot.
 REDUCED_COST_TOL = 1e-11
-# The two marginal masses may differ by this, relative to max(1, sum a).
+# Two masses agree within this: marginal totals (relative to max(1, sum a)), plan sums.
 MASS_TOL = 1e-9
 # Bland's rule takes over after this many pivots in a row that move no flow,
 # per node of the basis tree, and hands back at the next pivot that does.
@@ -83,13 +85,13 @@ def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if a.size != b.size:
         return False
     u = 1.0 / a.size
-    return bool(np.all(np.abs(np.concatenate([a, b]) - u) <= UNIFORM_TOL))
+    return bool(np.all(np.abs(np.concatenate([a, b]) - u) <= MASS_ROUNDING_TOL))
 
 
 def support_floor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (m, k) flows MASS_TOL * min(a[i], b[j]) at or below which a cell of
-    a plan with marginals ``a`` and ``b`` holds round-off, not mass."""
-    return MASS_TOL * np.minimum.outer(a, b)
+    """The (m, k) flows MASS_ROUNDING_TOL * min(a[i], b[j]) at or below which
+    a cell of a plan with marginals ``a`` and ``b`` holds round-off, not mass."""
+    return MASS_ROUNDING_TOL * np.minimum.outer(a, b)
 
 
 def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
@@ -313,7 +315,8 @@ def transportation_simplex(
             return P
 
         return warm._keep(cols.tobytes(), assignment)
-    if m == 1 or k == 1:  # the one feasible plan
+    if m == 1 or k == 1:
+        # The one feasible plan, exactly; leaf elimination would end on a - sum(b[:-1]).
         return warm._keep((), lambda: (b.reshape(1, k) if m == 1 else a.reshape(m, 1)).copy())
 
     n = m + k

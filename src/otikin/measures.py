@@ -2,11 +2,11 @@
 
 A measure is a weighted point cloud of phase states; weights are positive and
 sum to one. Couplings are dense nonnegative matrices with prescribed
-marginals, supported on the cells above the simplex's ``lp.support_floor``.
-Every plan-level cost downstream factors through the four moments (A, B, C,
-D), and every pointwise cost matrix is a linear combination of the four
-pairwise matrices behind them; ``PairMoments`` is the one place those
-matrices are built.
+marginals, supported on the cells above the simplex's ``lp.support_floor``;
+a plan keeps positions when no such cell joins distinct positions. Every
+plan-level cost factors through the four moments (A, B, C, D), and every
+pointwise cost matrix is a linear combination of the four pairwise matrices
+behind them; ``PairMoments`` is the one place those matrices are built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import support_floor, transportation_simplex
+from .lp import MASS_ROUNDING_TOL, MASS_TOL, support_floor, transportation_simplex
 from .phase import POSITION_TOL, PhaseState
 
 __all__ = [
@@ -44,11 +44,6 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-6
 # A constructed measure's weights must sum to 1 within this.
 UNIT_MASS_TOL = 1e-10
-# Plan row and column sums must match the marginals within this.
-MARGINAL_TOL = 1e-9
-# Plan mass up to MASS_ROUNDING_TOL is rounding: negative entries are clipped
-# to zero, and a plan that moves no more between distinct positions keeps them.
-MASS_ROUNDING_TOL = 1e-12
 # Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative.
 MOMENT_NEG_TOL = 1e-12
 # |B| may exceed sqrt(A C) by CAUCHY_SCHWARZ_TOL * (1 + sqrt(A C)).
@@ -189,15 +184,14 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:
-    """Parse the CSV layout ``x1..xn,v1..vn,w``, one atom per row."""
+    """Parse one atom per row under exactly the CSV header ``x1..xn,v1..vn,w``."""
     reader = csv.reader(io.StringIO(text))
     rows = [r for r in reader if r and any(c.strip() for c in r)]
     if len(rows) < 2:
         raise ValueError("measure CSV needs a header and at least one atom row")
     header = [c.strip() for c in rows[0]]
-    n_x = sum(1 for c in header if c.startswith("x"))
-    n_v = sum(1 for c in header if c.startswith("v"))
-    if n_x < 1 or n_x != n_v or header[-1] != "w" or len(header) != 2 * n_x + 1:
+    n_x = (len(header) - 1) // 2
+    if n_x < 1 or header != _csv_header(n_x):
         raise ValueError(f"unexpected measure CSV header {header!r}")
     X, V, w = [], [], []
     for r in rows[1:]:
@@ -210,10 +204,12 @@ def measure_from_csv(text: str) -> DiscreteMeasure:
     return validate_measure((np.asarray(X), np.asarray(V), np.asarray(w)))
 
 
+def _csv_header(n: int) -> list[str]:
+    return [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] + ["w"]
+
+
 def measure_to_csv(mu: DiscreteMeasure) -> str:
-    n = mu.dim
-    header = [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] + ["w"]
-    lines = [",".join(header)]
+    lines = [",".join(_csv_header(mu.dim))]
     for i in range(mu.size):
         row = (
             [format(c, ".17g") for c in mu.positions[i]]
@@ -238,9 +234,9 @@ def load_measure(path: str, fmt: str = "json") -> DiscreteMeasure:
 class Coupling:
     """Dense m x k transport plan between two measures.
 
-    Entries down to -``MASS_ROUNDING_TOL`` are clipped to zero; row sums must
-    match the source weights and column sums the target weights within
-    ``MARGINAL_TOL``.
+    Entries down to -``lp.MASS_ROUNDING_TOL`` are clipped to zero; row sums
+    must match the source weights and column sums the target weights within
+    ``lp.MASS_TOL``.
     """
 
     P: np.ndarray
@@ -260,9 +256,9 @@ class Coupling:
         object.__setattr__(self, "P", P)
         row_err = float(np.max(np.abs(P.sum(axis=1) - self.source.weights)))
         col_err = float(np.max(np.abs(P.sum(axis=0) - self.target.weights)))
-        if max(row_err, col_err) > MARGINAL_TOL:
+        if max(row_err, col_err) > MASS_TOL:
             raise ValueError(
-                f"marginal violation {max(row_err, col_err):.3e} exceeds {MARGINAL_TOL}"
+                f"marginal violation {max(row_err, col_err):.3e} exceeds {MASS_TOL}"
             )
 
     def support(self) -> list[tuple[int, int]]:
@@ -277,9 +273,9 @@ class PlanMoments:
 
     A = mean squared position gap, B = mean inner product of gap with velocity
     sum, C = mean squared velocity sum, D = mean squared velocity difference.
-    ``keeps_positions`` says the plan moves no more than rounding mass between
-    distinct positions: the costs then take their A = 0 branch. A plan that
-    does not keep positions has A > 0, which guards the division by A.
+    ``keeps_positions`` says no cell of the plan's support (``lp.support_floor``)
+    joins distinct positions: the costs then take their A = 0 branch. A plan
+    that does not keep positions has A > 0, which guards the division by A.
     """
 
     A: float
@@ -313,10 +309,10 @@ class PairMoments:
 
     Positions coincide when their Euclidean gap is within POSITION_TOL *
     (1 + the largest position norm of each measure), the rule
-    of ``phase.d_sq`` applied to the whole pair. ``distinct`` is 1 on the
-    cells between distinct positions and 0 elsewhere; a plan keeps positions
-    when it puts at most ``MASS_ROUNDING_TOL`` of mass on them, and
-    ``coincident_blocks`` reads its zero cells as the coincident ones.
+    of ``phase.d_sq`` applied to the whole pair. ``distinct`` is True on the
+    cells between distinct positions; a plan keeps positions when none of
+    them holds mass above its ``lp.support_floor``, and ``coincident_blocks``
+    reads ``~distinct`` as the coincident cells.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -335,12 +331,13 @@ class PairMoments:
                 for x in (mu.positions, nu.positions)
             )
             tol = POSITION_TOL * (1.0 + scale)
-            self.distinct = (self.A > tol * tol).astype(float)
+            self.distinct = self.A > tol * tol
         moments = (self.A, self.B, self.C, self.D)
         if not all(np.all(np.isfinite(M)) for M in moments):
             raise ValueError("pairwise moments overflow; coordinates are too large")
-        # A, B, C, D and ``distinct``, whose P-weighted sums are a plan's moments.
-        self._stack = np.stack(moments + (self.distinct,))
+        # The moment matrices, and per cell the flow above which a plan moves positions.
+        self._stack = np.stack(moments)
+        self._move_floor = np.where(self.distinct, support_floor(mu.weights, nu.weights), np.inf)
 
     def fixed_T_cost(self, T: float) -> np.ndarray:
         """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D.
@@ -360,15 +357,14 @@ class PairMoments:
         return 3.0 * self.C + self.D
 
     def of(self, P: np.ndarray) -> PlanMoments:
-        """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D.
-
-        The five sums, ``distinct`` last, come from one reduction over the
-        stacked matrices; each has the bits of its own ``np.sum(P * M)``.
+        """Moments of the plan matrix ``P``: the P-weighted sums of A, B, C, D,
+        from one reduction over the stacked matrices, each with the bits of its
+        own ``np.sum(P * M)``, and whether no distinct cell exceeds its floor.
         """
         if P.shape != self.A.shape:
             raise ValueError("coupling does not match the given measures")
-        A, B, C, D, moved = np.sum(self._stack * P, axis=(-2, -1)).tolist()
-        return PlanMoments(A, B, C, D, moved <= MASS_ROUNDING_TOL)
+        A, B, C, D = np.sum(self._stack * P, axis=(-2, -1)).tolist()
+        return PlanMoments(A, B, C, D, not (P > self._move_floor).any())
 
     def of_each(self, plans: np.ndarray) -> tuple[np.ndarray, ...]:
         """Moments of every plan in a (V, m, k) stack as five (V,) arrays.
@@ -382,8 +378,8 @@ class PairMoments:
             raise ValueError("expected a stack of plan matrices")
         if plans.shape[1:] != self.A.shape:
             raise ValueError("coupling does not match the given measures")
-        A, B, C, D, moved = (np.sum(plans * M, axis=(-2, -1)) for M in self._stack)
-        keeps = moved <= MASS_ROUNDING_TOL
+        A, B, C, D = (np.sum(plans * M, axis=(-2, -1)) for M in self._stack)
+        keeps = ~(plans > self._move_floor).any(axis=(-2, -1))
         cs = np.sqrt(np.maximum(A, 0.0) * np.maximum(C, 0.0))
         bad = (np.minimum(np.minimum(A, C), D) < -MOMENT_NEG_TOL) | (
             np.abs(B) > cs + CAUCHY_SCHWARZ_TOL * (1.0 + cs)

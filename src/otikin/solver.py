@@ -4,20 +4,21 @@ Every cost here is a linear combination of the four pairwise matrices of
 ``measures.PairMoments``, the one place they are built; each solve builds them
 once and derives its cost matrices and plan moments from them. The
 fixed-horizon plan cost is linear in the coupling, so its exact minimiser
-comes from the transportation simplex. The time-optimised costs swap the two
-infima: with s = 1/T, the squared discrepancy is the infimum over s >= 0 of
-OT(s), the linear transport value with pointwise cost 12 s^2 A - 12 s B +
-3 C + D. ``solve_d`` and ``solve_tilde_d`` find that infimum by an exact
-branch-and-bound over s that calls the transportation simplex with one
-``lp.WarmStart`` per search (all its LPs share their marginals), so each call
-starts from the last one's optimal basis, with the plan it returned as flows.
-A search evaluates each vertex once: it remembers the moments of each plan by
-the plan's support, which the warm start reports with each plan. A
-brute-force vertex oracle cross-checks global minima on small instances: it
-tells vertices apart by their cells above the simplex's ``support_floor``,
-stacks every vertex plan, takes all their moments as arrays, validates them
-and evaluates their envelope costs elementwise, and builds ``PlanMoments``,
-plans and horizons only for the tied optima.
+comes from the transportation simplex. A plan takes the D-only branch of the
+envelope cost when none of its cells above ``lp.support_floor`` joins distinct
+positions. The time-optimised costs swap the two infima: with s = 1/T, the
+squared discrepancy is the infimum over s >= 0 of OT(s), the linear transport
+value with pointwise cost 12 s^2 A - 12 s B + 3 C + D. ``solve_d`` and
+``solve_tilde_d`` find that infimum by an exact branch-and-bound over s that
+calls the transportation simplex with one ``lp.WarmStart`` per search (all its
+LPs share their marginals), so each call starts from the last one's optimal
+basis, with the plan it returned as flows. A search evaluates each vertex
+once: it remembers the moments of each plan by the plan's support, which the
+warm start reports with each plan. A brute-force vertex oracle cross-checks
+global minima on small instances: it tells vertices apart by their cells above
+the floor, stacks every vertex plan, takes all their moments as arrays,
+validates them and evaluates their envelope costs elementwise, and builds
+``PlanMoments``, plans and horizons only for the tied optima.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
+    MASS_TOL,
     WarmStart,
     is_uniform_equal,
     permutation_cells,
@@ -37,7 +39,6 @@ from .lp import (
     tree_flows,
 )
 from .measures import (
-    MARGINAL_TOL,
     MOMENT_NEG_TOL,
     Coupling,
     DiscreteMeasure,
@@ -174,14 +175,14 @@ def _equal_positions_candidate(mu: DiscreteMeasure, nu: DiscreteMeasure, pm: Pai
     """D-minimising coupling supported on coincident spatial sites, if feasible.
 
     Feasible iff the spatial marginals are the same measure, which
-    ``coincident_blocks`` decides on the cells where ``pm.distinct`` is 0, the
-    closeness the plan moments read (so the candidate counts as
+    ``coincident_blocks`` decides on the cells where ``pm.distinct`` is False,
+    the closeness the plan moments read (so the candidate counts as
     position-preserving) and each block carries the same mass on both sides
-    within ``MARGINAL_TOL``; each block is then an independent velocity OT
+    within ``lp.MASS_TOL``; each block is then an independent velocity OT
     problem with cost |w - v|^2, solved by the same simplex backend with rows
     and columns in ascending index order.
     """
-    blocks = coincident_blocks(pm.distinct == 0, mu.weights, nu.weights, MARGINAL_TOL)
+    blocks = coincident_blocks(~pm.distinct, mu.weights, nu.weights, MASS_TOL)
     if blocks is None:
         return None
     P = np.zeros((mu.size, nu.size))

@@ -176,6 +176,16 @@ class TestExitCodes:
                   str(tmp_path / "nu"), "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
 
+    def test_csv_columns_out_of_order_exit_3(self, tmp_path, capsys):
+        # a v column before the x column is not read as a position
+        bad = tmp_path / "mu.csv"
+        bad.write_text("v1,x1,w\n5,1,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["discrepancy", "--format", "csv", "--mu", str(bad), "--nu", str(bad),
+                  "--T", "1", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 3
+        assert "unexpected measure CSV header ['v1', 'x1', 'w']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["discrepancy", "interpolate"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
         # a directory as an output file, or a file as an output directory
@@ -447,7 +457,7 @@ class TestDiscrepancy:
         assert got == expected.encode() + b"\n"
 
     def test_tiny_atom_keeps_its_plan_cell(self, tmp_path):
-        # a 1e-16 flow is above its cell's floor, MASS_TOL * 1e-16, so the
+        # a 1e-16 flow is above its cell's floor, MASS_ROUNDING_TOL * 1e-16, so the
         # result lists it with the other two cells
         files = []
         for name, atoms in (

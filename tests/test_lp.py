@@ -8,7 +8,7 @@ import pytest
 
 import otikin.lp
 import otikin.solver
-from otikin.lp import WarmStart, is_uniform_equal, transportation_simplex
+from otikin.lp import WarmStart, is_uniform_equal, support_floor, transportation_simplex
 from otikin.measures import Coupling, DiscreteMeasure, PairMoments
 from otikin.solver import _vertex_plans_trees, solve_d
 
@@ -203,10 +203,10 @@ def pinned_problem(seed):
 
 # First 16 hex digits of the SHA-256 of each plan's bytes, recorded from the
 # simplex that returns leaf-elimination flows on its final support, the basic
-# cells whose pivot flow exceeds MASS_TOL * min(a[i], b[j]). The pivot rule
-# decides which optimal vertex is returned among ties (the rounded costs of
-# every third seed), and the order of the leaf elimination decides its bits; a
-# change to either shows here.
+# cells whose pivot flow exceeds MASS_ROUNDING_TOL * min(a[i], b[j]). The
+# pivot rule decides which optimal vertex is returned among ties (the rounded
+# costs of every third seed), and the order of the leaf elimination decides
+# its bits; a change to either shows here.
 PINNED_PLANS = [
     "ee02afc6c9067a42",  # (18, 14)
     "e7e6771102761d97",  # (10, 11)
@@ -437,11 +437,11 @@ def integer_marginal_problem(seed):
 
 
 def test_plans_hold_no_round_off_flow():
-    # a cell carries flow only above MASS_TOL * min(a[i], b[j])
+    # a cell carries flow only above its support floor
     for seed in range(300):
         cost, a, b = integer_marginal_problem(seed)
         P = transportation_simplex(cost, a, b)
-        floor = otikin.lp.MASS_TOL * np.minimum.outer(a, b)
+        floor = support_floor(a, b)
         assert not np.any((P > 0.0) & (P <= floor))
 
 

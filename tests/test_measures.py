@@ -3,10 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from otikin.lp import transportation_simplex
+from otikin.lp import MASS_TOL, WarmStart, support_floor, transportation_simplex
 from otikin.measures import (
-    MARGINAL_TOL,
-    MASS_ROUNDING_TOL,
     Coupling,
     DiscreteMeasure,
     PairMoments,
@@ -152,6 +150,16 @@ class TestIO:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             measure_from_csv("a,b,c\n1,2,3\n")
+        # the columns are x1..xn, v1..vn, w in this order and no other
+        for header in ("v1,x1,w", "x2,x1,v1,v2,w", "x1,x2,v2,v1,w", "w,x1,v1"):
+            row = ",".join(["1"] * len(header.split(",")))
+            with pytest.raises(ValueError, match="unexpected measure CSV header"):
+                measure_from_csv(f"{header}\n{row}\n")
+
+    def test_csv_header_cells_are_stripped(self):
+        mu = measure_from_csv(" x1 , x2 ,v1,v2 , w \n1,2,3,4,1\n")
+        assert mu.positions.tolist() == [[1.0, 2.0]]
+        assert mu.velocities.tolist() == [[3.0, 4.0]]
 
 
 class TestCouplings:
@@ -191,10 +199,10 @@ class TestCouplings:
             Coupling(np.full((3, 3), 0.2), mu, nu)
 
     def test_support_keeps_cells_above_the_flow_floor_row_major(self):
-        # the simplex's floor MASS_TOL * min(w_i, u_j), here 5e-10 per cell:
-        # a cell holds mass only above it, whatever the absolute size
+        # the simplex's floor MASS_ROUNDING_TOL * min(w_i, u_j), here 5e-13
+        # per cell: a cell holds mass only above it, whatever the absolute size
         mu = DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
-        P = np.array([[0.5, 6e-10], [5e-10, 0.5]])
+        P = np.array([[0.5, 6e-13], [5e-13, 0.5]])
         assert Coupling(P, mu, mu).support() == [(0, 0), (0, 1), (1, 1)]
         nu = DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], [1.0 - 1e-16, 1e-16])
         P = np.array([[0.5, 0.0], [0.5 - 1e-16, 1e-16]])
@@ -283,18 +291,49 @@ class TestPairMoments:
         rng = np.random.default_rng(m + k)
         mu, nu = random_measure(rng, m, 2), random_measure(rng, k, 2)
         pm = PairMoments(mu, nu)
+        floor = support_floor(mu.weights, nu.weights)
         big = rng.uniform(size=(2 * m, 3 * k))
         for P in (np.asfortranarray(big[:m, :k]), big[::2, ::3]):
             assert not P.flags.c_contiguous
             got = pm.of(P)
-            A, B, C, D, moved = (
-                float(np.sum(P * M, axis=(-2, -1)))
-                for M in (pm.A, pm.B, pm.C, pm.D, pm.distinct)
-            )
+            A, B, C, D = (float(np.sum(P * M, axis=(-2, -1))) for M in (pm.A, pm.B, pm.C, pm.D))
             assert [x.hex() for x in (got.A, got.B, got.C, got.D)] == [
                 x.hex() for x in (A, B, C, D)
             ]
-            assert got.keeps_positions == (moved <= MASS_ROUNDING_TOL)
+            assert got.keeps_positions == (not np.any(pm.distinct & (P > floor)))
+
+    @pytest.mark.parametrize("k", range(9, 16))
+    def test_keeps_positions_iff_support_holds_no_distinct_cell(self, k):
+        # a plan keeps positions exactly when Coupling.support() lists no cell
+        # between distinct positions, also when one atom holds mass 10^-k;
+        # the target's atoms sit at the source's positions, and on odd seeds
+        # its small atom moves to a new one, so that every plan moves it
+        flags = []
+        for seed in range(6):
+            rng = np.random.default_rng(100 * k + seed)
+            m = 4
+            w = rng.uniform(0.2, 1.0, size=m)
+            w[:-1] *= (1.0 - 10.0**-k) / w[:-1].sum()
+            w[-1] = 10.0**-k
+            X = rng.integers(0, 3, size=(m, 1)).astype(float)
+            mu = DiscreteMeasure(X, rng.normal(size=(m, 1)), w)
+            perm = rng.permutation(m)
+            Y = X[perm]
+            if seed % 2:
+                Y[perm == m - 1] = 7.0
+            nu = DiscreteMeasure(Y, rng.normal(size=(m, 1)), w[perm])
+            pm = PairMoments(mu, nu)
+            warm = WarmStart(mu.weights, nu.weights)
+            costs = [pm.D + lam * pm.A for lam in (0.0, 1.0, 100.0)]
+            costs += [rng.normal(size=(m, m)) for _ in range(4)]
+            for cost in costs:
+                P = transportation_simplex(cost, mu.weights, nu.weights, warm)
+                support = Coupling(P, mu, nu).support()
+                keeps = pm.of(P).keeps_positions
+                assert keeps == (not any(pm.distinct[i, j] for i, j in support))
+                assert pm.of_each(P[None])[4].tolist() == [keeps]
+                flags.append(keeps)
+        assert True in flags and False in flags
 
     def test_mismatched_plan_rejected(self):
         rng = np.random.default_rng(16)
@@ -345,10 +384,10 @@ class TestPushforward:
 
 def _blocks(pts_a, w_a, pts_b, w_b, tol):
     """``coincident_blocks`` on points within a Euclidean ``tol``, masses
-    within max(tol, MARGINAL_TOL)."""
+    within max(tol, MASS_TOL)."""
     gap = pts_b[None, :, :] - pts_a[:, None, :]
     close = np.sum(gap * gap, axis=2) <= tol * tol
-    return coincident_blocks(close, w_a, w_b, max(tol, MARGINAL_TOL))
+    return coincident_blocks(close, w_a, w_b, max(tol, MASS_TOL))
 
 
 def test_point_set_matcher():

@@ -22,6 +22,7 @@ from otikin.scenarios import (
     random_uniform_instance,
 )
 from otikin.solver import (
+    COST_TOL,
     ORACLE_MAX_CANDIDATES,
     _vertex_plans_trees,
     _vertex_plans_uniform,
@@ -397,6 +398,30 @@ class TestOracle:
         for plans in (_vertex_plans_trees(mu.weights, nu.weights), [P for P, _, _ in res.optima]):
             supports = {tuple(np.flatnonzero(P > floor)) for P in plans}
             assert len(supports) == len(plans)
+
+    @pytest.mark.parametrize(
+        "pair, e",
+        [("small_atom", e) for e in (1e-10, 1e-11, 1e-12, 1e-14)]
+        + [("small_gap", e) for e in (1e-10, 1e-11)],
+    )
+    def test_small_mass_is_flow_not_round_off(self, pair, e):
+        # every plan moves a mass e: the small atom at x = 5, or the e that
+        # the target's atom at x = 5 holds beyond the source's. The support
+        # floor keeps that flow, so the search and the oracle meet, outside
+        # the equal-positions regime, on plans that meet their marginals.
+        if pair == "small_atom":
+            mu = DiscreteMeasure([[0.0], [0.0], [5.0]], [[1.0], [-1.0], [0.0]], [0.5, 0.5 - e, e])
+            nu = DiscreteMeasure([[0.0], [0.0]], [[0.0], [2.0]], [0.5, 0.5])
+        else:
+            mu = DiscreteMeasure([[0.0], [5.0]], [[1.0], [-1.0]], [0.5, 0.5])
+            nu = DiscreteMeasure([[0.0], [5.0]], [[0.0], [2.0]], [0.5 - e, 0.5 + e])
+        res, ref = solve_d(mu, nu), brute_force_oracle(mu, nu)
+        assert abs(res.cost_sq - ref.cost_sq) <= COST_TOL * (1.0 + abs(ref.cost_sq))
+        assert "equal_positions" not in (res.regime, ref.regime)
+        if e >= 1e-11:
+            for P in (res.plan.P, ref.plan.P):
+                assert np.abs(P.sum(axis=1) - mu.weights).max() <= 1e-15
+                assert np.abs(P.sum(axis=0) - nu.weights).max() <= 1e-15
 
     def test_uniform_counts_every_permutation(self):
         rng = np.random.default_rng(11)
