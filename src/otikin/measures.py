@@ -380,7 +380,8 @@ class PairMoments:
             raise ValueError("coupling does not match the given measures")
         A, B, C, D = (np.sum(plans * M, axis=(-2, -1)) for M in self._stack)
         keeps = ~(plans > self._move_floor).any(axis=(-2, -1))
-        cs = np.sqrt(np.maximum(A, 0.0) * np.maximum(C, 0.0))
+        with np.errstate(over="ignore"):  # an infinite sqrt(A C) bounds nothing, as in PlanMoments
+            cs = np.sqrt(np.maximum(A, 0.0) * np.maximum(C, 0.0))
         bad = (np.minimum(np.minimum(A, C), D) < -MOMENT_NEG_TOL) | (
             np.abs(B) > cs + CAUCHY_SCHWARZ_TOL * (1.0 + cs)
         )

@@ -12,7 +12,10 @@ value with pointwise cost 12 s^2 A - 12 s B + 3 C + D. ``solve_d`` and
 ``solve_tilde_d`` find that infimum by an exact branch-and-bound over s that
 calls the transportation simplex with one ``lp.WarmStart`` per search (all its
 LPs share their marginals), so each call starts from the last one's optimal
-basis, with the plan it returned as flows. A search evaluates each vertex
+basis, with the plan it returned as flows. The LP value is concave in the
+cost's coefficients of A and B, so a halved interval bounds its halves' third
+corners from the corners it has already solved; that bound drops a half, or
+pins its corner to a known plan, with no LP. A search evaluates each vertex
 once: it remembers the moments of each plan by the plan's support, which the
 warm start reports with each plan. A brute-force vertex oracle cross-checks
 global minima on small instances: it tells vertices apart by their cells above
@@ -78,6 +81,7 @@ ORACLE_TIE_TOL = 1e-9
 # Drift detection: phase points coincide within a Euclidean DRIFT_TOL, their
 # masses match within DRIFT_TOL, and speeds up to DRIFT_TOL count as rest.
 DRIFT_TOL = 1e-8
+_ENVELOPE_OVERFLOW = "the envelope cost 3 C - 3 (B_+)^2 / A + D overflows the float range"
 _REGIME_OF_TAG = {
     "zero": REGIME_EQUAL_POSITIONS,
     "finite": REGIME_FINITE_T,
@@ -93,21 +97,26 @@ def cost_tilde_c_T(m: PlanMoments, T: float) -> float:
     return 12.0 * m.A / T**2 - 12.0 * m.B / T + 3.0 * m.C + m.D
 
 
-def _moving_cost(A, B, C, D):
-    """3 C - 3 (B_+)^2 / A + D, the time-optimised cost of plans that move
-    positions (A > 0); elementwise on moment arrays."""
-    clipped = np.maximum(B, 0.0)
-    return 3.0 * C - 3.0 * clipped * clipped / A + D
+def _moving_cost(A, B_plus, C, D):
+    """3 C - 3 B_+^2 / A + D, the time-optimised cost of plans that move
+    positions (A > 0), from B_+ = max(B, 0); on floats, or elementwise on
+    moment arrays. Where it leaves the float range ((B_+)^2 first) it reads
+    inf or NaN: callers raise ``OverflowError`` with ``_ENVELOPE_OVERFLOW``."""
+    return 3.0 * C - 3.0 * B_plus * B_plus / A + D
 
 
 def cost_tilde_c(m: PlanMoments) -> float:
     """Infimum over T > 0 of the fixed-horizon cost.
 
     ``_moving_cost`` when the plan moves positions (then A > 0), else 3 C + D
-    (the large-T limit, T-independent when A = 0 exactly).
+    (the large-T limit, T-independent when A = 0 exactly). A cost that leaves
+    the float range raises ``OverflowError``.
     """
     if not m.keeps_positions:
-        return float(_moving_cost(m.A, m.B, m.C, m.D))
+        cost = _moving_cost(m.A, max(m.B, 0.0), m.C, m.D)
+        if not math.isfinite(cost):
+            raise OverflowError(_ENVELOPE_OVERFLOW)
+        return cost
     return 3.0 * m.C + m.D
 
 
@@ -208,14 +217,28 @@ def _solve_time_optimised(
     Phi(u, s) = min over plans of ``_corner_value`` is concave, and OT(s) =
     Phi(s^2, s). On [s1, s2] the point (s^2, s) lies in the triangle with
     corners (s1^2, s1), (s2^2, s2) and (s1 s2, (s1 + s2)/2), where the
-    tangents at the two ends meet; the least of the three corner LP values
+    tangents at the two ends meet; the least of Phi at the three corners
     bounds OT from below on the interval. An interval is dropped when that
     bound reaches the best time-optimised cost found, or when one of its
     three plans attains all three corner values (Phi is then that plan's
     linear function there, whose minimum is already counted); otherwise it is
-    split at its midpoint. Past S, every plan's cost rises whenever
-    2 S A_P >= B_P, which one LP checks for all plans at once, so only
-    [0, S] is searched.
+    split at its midpoint, which costs one LP at (mid^2, mid).
+
+    Each half's third corner is the midpoint of its end corner and the
+    parent's third corner, which lie on the tangent at that end, so by
+    concavity Phi there is at least the mean of their two values. A half
+    carries that bound and the plans at those two points, and uses them before
+    its corner LP: it is dropped when the bound and its two end values reach
+    the best cost, and a carried plan that prices the corner within the
+    tolerance of the bound pins Phi there (Phi is that plan's linear function
+    along the segment), so plan and bound stand for the LP. Otherwise, and
+    always at the root, the corner LP is solved. A bound, being a lower bound,
+    serves as the parent's value in the next halving. The corners are floats,
+    so the midpoint identity holds only to rounding, which ``COST_TOL``
+    absorbs.
+
+    Past S, every plan's cost rises whenever 2 S A_P >= B_P, which one LP
+    checks for all plans at once, so only [0, S] is searched.
     """
     pm = PairMoments(mu, nu)
     base = pm.infinite_T_cost()
@@ -266,15 +289,25 @@ def _solve_time_optimised(
         if 2.0 * S * m.A - m.B >= -tol():
             break
         S *= 4.0
-    stack = [((0.0, m_zero), (S, corner(S * S, S)))]
+    # Each stacked interval carries a lower bound on Phi at its third corner
+    # and the plans at the two ends of the segment that corner halves; the
+    # root carries neither.
+    stack = [((0.0, m_zero), (S, corner(S * S, S)), -np.inf, ())]
     while stack:
-        (s1, m1), (s2, m2) = stack.pop()
+        (s1, m1), (s2, m2), low3, ends = stack.pop()
         mid = 0.5 * (s1 + s2)
         corners = ((s1 * s1, s1), (s2 * s2, s2), (s1 * s2, mid))
-        plans = (m1, m2, corner(*corners[2]))
-        lows = [_corner_value(m, u, s) for m, (u, s) in zip(plans, corners)]
+        lows = [_corner_value(m1, *corners[0]), _corner_value(m2, *corners[1]), low3]
         if min(lows) >= best - tol():
             continue
+        # A carried plan that prices the corner at the bound pins Phi there.
+        m3 = next((m for m in ends if _corner_value(m, *corners[2]) <= low3 + tol()), None)
+        if m3 is None:
+            m3 = corner(*corners[2])
+            lows[2] = _corner_value(m3, *corners[2])
+            if min(lows) >= best - tol():
+                continue
+        plans = (m1, m2, m3)
         if any(
             all(_corner_value(m, u, s) <= low + tol() for (u, s), low in zip(corners, lows))
             for m in plans
@@ -283,8 +316,10 @@ def _solve_time_optimised(
         if not s1 < mid < s2:  # no float left between the ends to evaluate
             continue
         m_mid = corner(mid * mid, mid)
-        stack.append(((mid, m_mid), (s2, m2)))
-        stack.append(((s1, m1), (mid, m_mid)))
+        # Each half's third corner is the midpoint of its end corner and this
+        # interval's third corner, so Phi there is at least their mean.
+        stack.append(((mid, m_mid), (s2, m2), 0.5 * (lows[1] + lows[2]), (m2, m3)))
+        stack.append(((s1, m1), (mid, m_mid), 0.5 * (lows[0] + lows[2]), (m1, m3)))
 
     value, plan, m = winner
     return _envelope_result(value, plan, optimal_time_plan(m), lp_solves)
@@ -374,7 +409,10 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     # cost_c of every vertex: D where it keeps positions, else _moving_cost.
     costs = D.copy()
     moves = ~keeps
-    costs[moves] = _moving_cost(A[moves], B[moves], C[moves], D[moves])
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs[moves] = _moving_cost(A[moves], np.maximum(B[moves], 0.0), C[moves], D[moves])
+    if not np.isfinite(costs).all():
+        raise OverflowError(_ENVELOPE_OVERFLOW)
     best_value = float(costs.min())
     tie_tol = ORACLE_TIE_TOL * (1.0 + abs(best_value))
     optima = []

@@ -337,6 +337,30 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "argv", [["discrepancy", "--optimize-T"], ["discrepancy", "--tilde"], ["oracle"]]
+    )
+    def test_overflowing_envelope_cost_exits_4(self, tmp_path, capsys, argv):
+        # the moments are finite, but B^2 of the one plan overflows in
+        # 3 C - 3 B^2 / A + D; its exact cost, about 2.7e102, is finite
+        mu = {"dim": 1, "points": [{"x": [0.0], "v": [1e51], "w": 0.5},
+                                   {"x": [1e117], "v": [0.0], "w": 0.5}]}
+        nu = {"dim": 1, "points": [{"x": [3e116], "v": [-1e51], "w": 1.0}]}
+        files = []
+        for name, measure in (("mu", mu), ("nu", nu)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(measure))
+            files += [f"--{name}", str(path)]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + files + ["--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: solver failed: the envelope cost 3 C - 3 (B_+)^2 / A + D "
+            "overflows the float range\n"
+        )
+
+    @pytest.mark.parametrize(
         "window, where",
         [
             (["--t0", "0", "--t1", "5", "--dt", "0.01"], "state after step at t=1.73"),

@@ -1,10 +1,11 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from otikin.lp import support_floor
+from otikin.lp import support_floor, transportation_simplex
 from otikin.measures import (
     Coupling,
     DiscreteMeasure,
@@ -568,20 +569,80 @@ def solve_pin_instances():
     return pairs
 
 
+@pytest.fixture(scope="module")
+def solve_pin_results():
+    return [solve(mu, nu) for mu, nu in solve_pin_instances() for solve in (solve_d, solve_tilde_d)]
+
+
 # SHA-256 of every ``solve_d`` and ``solve_tilde_d`` result on
-# ``solve_pin_instances``: cost, horizon, regime, LP solves and plan bytes.
-SOLVE_PIN = "e0d8f02a044a53499fa82a94900ea1cc2c8767fb3b3c3d69382e4597af3a40de"
+# ``solve_pin_instances``: cost, horizon, regime and plan bytes.
+SOLVE_PIN = "f347eff77bf772a10aae715c09b3b69dfa07998e9cd1799a5069a148f6c0cd43"
+# The LP solves (``iterations``) of those results, in order: 358 in all.
+SOLVE_LP_COUNTS = [
+    6, 6, 8, 8, 6, 6, 6, 6, 8, 8, 8, 8, 17, 17, 4, 4, 13, 13, 8, 8,
+    13, 13, 16, 16, 4, 4, 10, 10, 10, 10, 16, 16, 6, 6, 8, 8, 4, 4, 8, 8,
+]
 
 
-def test_solve_bytes_pinned():
+def test_solve_bytes_pinned(solve_pin_results):
     h = hashlib.sha256()
-    for mu, nu in solve_pin_instances():
-        for solve in (solve_d, solve_tilde_d):
-            res = solve(mu, nu)
-            head = (res.cost_sq.hex(), _time_key(res.optimal_time), res.regime, res.iterations)
-            h.update(repr(head).encode())
-            h.update(res.plan.P.tobytes())
+    for res in solve_pin_results:
+        head = (res.cost_sq.hex(), _time_key(res.optimal_time), res.regime)
+        h.update(repr(head).encode())
+        h.update(res.plan.P.tobytes())
     assert h.hexdigest() == SOLVE_PIN
+
+
+def test_solve_lp_counts_pinned(solve_pin_results):
+    assert [res.iterations for res in solve_pin_results] == SOLVE_LP_COUNTS
+
+
+def _third_corner(s1, s2):
+    """The corner (s1 s2, (s1 + s2)/2) where the tangents to u = s^2 at s1 and s2 meet."""
+    return (s1 * s2, (s1 + s2) / 2)
+
+
+def _midpoint(p, q):
+    return tuple((a + b) / 2 for a, b in zip(p, q))
+
+
+def test_half_third_corner_is_a_segment_midpoint():
+    # exactly, in rationals: each half's third corner is the midpoint of its
+    # end corner (s^2, s) and the parent's third corner
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        s1, s2 = sorted(Fraction(int(n), int(d)) for n, d in rng.integers(1, 10**6, size=(2, 2)))
+        mid = (s1 + s2) / 2
+        parent = _third_corner(s1, s2)
+        assert _third_corner(s1, mid) == _midpoint((s1 * s1, s1), parent)
+        assert _third_corner(mid, s2) == _midpoint((s2 * s2, s2), parent)
+
+
+@pytest.mark.parametrize("path", ["simplex", "assignment"])
+def test_concavity_bounds_each_half_third_corner(path):
+    # Phi(u, s), the LP value of the cost 12 u A - 12 s B + 3 C + D, is
+    # concave; at each half's third corner it is at least the mean of Phi at
+    # the two ends of the segment that corner halves
+    rng = np.random.default_rng(2501)
+
+    def phi(pm, mu, nu, u, s):
+        cost = 12.0 * u * pm.A - 12.0 * s * pm.B + 3.0 * pm.C + pm.D
+        return float(np.sum(transportation_simplex(cost, mu.weights, nu.weights) * cost))
+
+    for _ in range(6):
+        if path == "simplex":
+            mu, nu = _tree_pair(rng, 6, 5, integer=False)
+        else:
+            mu, nu = random_uniform_instance(rng, 8, 2)
+        pm = PairMoments(mu, nu)
+        for _ in range(5):
+            s1, s2 = sorted(rng.uniform(0.0, 3.0, size=2))
+            mid = 0.5 * (s1 + s2)
+            parent = phi(pm, mu, nu, *_third_corner(s1, s2))
+            for end, half in ((s1, (s1, mid)), (s2, (mid, s2))):
+                value = phi(pm, mu, nu, *_third_corner(*half))
+                bound = 0.5 * (phi(pm, mu, nu, end * end, end) + parent)
+                assert value >= bound - 1e-12 * (1.0 + abs(value))
 
 
 class TestFreeTransportDetection:
