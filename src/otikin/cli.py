@@ -56,6 +56,12 @@ EXIT_VERIFY = 5
 # Frame file names hold 4 digits in interpolate and 6 in simulate.
 MAX_STEPS = 9999
 MAX_SIM_STEPS = 999999
+# The probe scenarios in the order ``--help`` lists them; each builder takes the seed.
+_PROBE_SCENARIOS = {
+    "harmonic-single": lambda seed: scenarios.harmonic_single(),
+    "harmonic-ensemble": scenarios.harmonic_ensemble,
+    "opposite-pair": lambda seed: scenarios.opposite_pair(),
+}
 
 
 def _fmt_float(x: float) -> str:
@@ -255,11 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", required=True, choices=("metric-derivative", "t-ratio")
     )
-    p.add_argument(
-        "--scenario",
-        default="harmonic-single",
-        choices=("harmonic-single", "harmonic-ensemble", "opposite-pair"),
-    )
+    p.add_argument("--scenario", default="harmonic-single", choices=tuple(_PROBE_SCENARIOS))
     p.add_argument("--time", type=_finite, default=0.3, help="probe time")
     p.add_argument(
         "--h",
@@ -348,12 +350,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    builders = {
-        "harmonic-single": scenarios.harmonic_single,
-        "harmonic-ensemble": lambda: scenarios.harmonic_ensemble(seed=args.seed),
-        "opposite-pair": scenarios.opposite_pair,
-    }
-    traj = builders[args.scenario]()
+    traj = _PROBE_SCENARIOS[args.scenario](args.seed)
     try:  # the probe looks up these times on the grid; a miss is a bad --time
         for t in [args.time] + [args.time + h for h in args.h]:
             traj.index_of(t)

@@ -11,8 +11,8 @@ min(a[i], b[j]). A flow at or below that counts as round-off, which a cell
 the vertex leaves empty can pick up on degenerate marginals, so a plan's
 bytes depend only on its vertex, whatever the start or the pivots. The
 oracle, ``Coupling.support()`` and the test of whether a plan moves
-positions read a plan's cells by the same floor. Uniform marginals of equal
-size are assignment problems, whose vertices are the permutations: up to
+positions read a plan's cells by the same floor. Marginals all of one float,
+bit for bit, are assignment problems, whose vertices are permutations: up to
 ``ENUMERATE_MAX`` atoms the call prices every permutation and returns the
 cheapest, the first in ``itertools.permutations`` order on an exact tie; above
 it scipy's ``linear_sum_assignment`` solves them, and scipy is imported only
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # A cell holds round-off up to this times its smaller marginal (``support_floor``;
-# pivot round-off stays below 1e-14 of it), and uniform weights are this near 1/m.
+# pivot round-off stays below 1e-14 of it).
 MASS_ROUNDING_TOL = 1e-12
 # A nonbasic cell enters when its reduced cost is below
 # -REDUCED_COST_TOL * (1 + max |C|), so round-off never makes a pivot.
@@ -82,10 +82,8 @@ def permutation_cells(m: int) -> np.ndarray:
 
 
 def is_uniform_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.size != b.size:
-        return False
-    u = 1.0 / a.size
-    return bool(np.all(np.abs(np.concatenate([a, b]) - u) <= MASS_ROUNDING_TOL))
+    w = np.concatenate([a, b])
+    return a.size == b.size and bool((w == w[:1]).all())
 
 
 def support_floor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,9 +169,9 @@ class WarmStart:
     of the run; a call with other marginals raises ``ValueError``.
 
     Making it checks that the two masses agree and decides whether the run
-    takes the assignment path (``uniform``): permutation enumeration up to
-    ``ENUMERATE_MAX`` atoms, scipy's ``linear_sum_assignment`` above. Between
-    calls it carries:
+    takes the assignment path (``uniform``: every entry of ``a`` and ``b`` is
+    one float, bit for bit): permutation enumeration up to ``ENUMERATE_MAX``
+    atoms, scipy's ``linear_sum_assignment`` above. Between calls it carries:
 
     - ``cells``: the optimal basis of the last simplex call, where the next
       one starts; None before the first, which starts from the northwest
@@ -247,13 +245,15 @@ def transportation_simplex(
 ) -> np.ndarray:
     """Exact minimiser of ``sum(C * P)`` with prescribed marginals, read-only.
 
-    Uniform marginals of equal size take the assignment path: up to
+    Marginals whose every entry is one float, bit for bit, are an
+    assignment problem (``is_uniform_equal``, no tolerance): up to
     ``ENUMERATE_MAX`` atoms the cheapest of the m! permutations, the first in
     ``itertools.permutations`` order on an exact tie of their summed costs;
     above it scipy's ``linear_sum_assignment`` on the cost reduced by its row
     minima and then by its column minima, which has the same optimal
     permutations (on a tie, scipy may pick another of them than it would on
-    the raw cost). Its plan puts ``a[i]`` on each cell of the permutation.
+    the raw cost). Its plan puts that float on each cell of the permutation
+    and meets both marginals exactly.
 
     Otherwise, primal transportation simplex. The entering cell has the most
     negative reduced cost (Dantzig's rule); among the cells that reach zero

@@ -40,7 +40,7 @@ __all__ = [
     "coincident_blocks",
 ]
 
-# Parsed weight sums within this of 1 are renormalised, larger gaps rejected.
+# Parsed weight sums more than this from 1 are rejected (see ``validate_measure``).
 WEIGHT_SUM_TOL = 1e-6
 # A constructed measure's weights must sum to 1 within this.
 UNIT_MASS_TOL = 1e-10
@@ -111,8 +111,9 @@ def validate_measure(raw) -> DiscreteMeasure:
     ``raw`` is either a dict with keys ``dim`` (an integer of at least 1, not
     a bool) and ``points`` (each point a dict with ``x`` and ``v``, flat lists
     of numbers, and ``w``, a number; a number is an int or a float, not a bool
-    or a string) or a triple of arrays. Weight sums within ``WEIGHT_SUM_TOL``
-    of 1 are renormalised; larger deviations are rejected.
+    or a string) or a triple of arrays. Weights that sum to 1 within
+    ``UNIT_MASS_TOL`` are kept bit for bit, so a written measure reads back
+    equal; sums within ``WEIGHT_SUM_TOL`` of 1 are renormalised, others rejected.
     """
     if isinstance(raw, dict):
         dim = raw["dim"]
@@ -156,7 +157,7 @@ def validate_measure(raw) -> DiscreteMeasure:
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total}, more than {WEIGHT_SUM_TOL} from 1")
-    return DiscreteMeasure(X, V, w / total)
+    return DiscreteMeasure(X, V, w if abs(total - 1.0) <= UNIT_MASS_TOL else w / total)
 
 
 def measure_from_json(text: str) -> DiscreteMeasure:

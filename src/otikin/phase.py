@@ -5,7 +5,9 @@ builds, evaluates and prices the cubic connector that minimises the
 time-weighted squared acceleration between two states, held as one row of
 ascending coefficients. It also gives the induced fixed-horizon discrepancy,
 its time-optimised variants, and the tolerances shared by the measure-level
-code.
+code. With s = 1/T, the fixed-horizon cost is |p - q|^2 + |w - v|^2 where
+p = sqrt(12) (s x + v/2) and q = sqrt(12) (s y - w/2), so at each fixed T the
+measures' discrepancy is ``measures.w2_sq`` of the images (p, v) and (q, w).
 Free transport, zero-discrepancy detection and derivatives along curves act on
 measures: see ``measures.pushforward_free_transport``,
 ``solver.detect_free_transport`` and ``dynamics.metric_derivative_probe``.

@@ -73,7 +73,7 @@ REGIME_FIXED_T = "fixed_T"
 # COST_TOL * (1 + |best|) of the best value found are not split further.
 COST_TOL = 1e-10
 # The oracle walks at most ORACLE_MAX_CANDIDATES candidate bases, the count of
-# the enumerator it picks: m! permutations on a uniform equal-size pair, else
+# the enumerator it picks: m! permutations when all weights are one float, else
 # C(m k, m + k - 1) edge subsets. It reports every vertex within
 # ORACLE_TIE_TOL * (1 + |best|) of the least cost.
 ORACLE_MAX_CANDIDATES = math.factorial(8)
@@ -345,13 +345,13 @@ def solve_tilde_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     return _solve_time_optimised(mu, nu, cost_tilde_c)
 
 
-def _vertex_plans_uniform(m: int) -> np.ndarray:
-    """The m! permutation plans of mass 1/m per cell, stacked (m!, m, m) in
-    ``itertools.permutations`` order."""
-    cells = permutation_cells(m)
-    plans = np.zeros((len(cells), m * m))
-    plans[np.arange(len(cells))[:, None], cells] = 1.0 / m
-    return plans.reshape(-1, m, m)
+def _vertex_plans_uniform(a: np.ndarray) -> np.ndarray:
+    """The m! permutation plans of mass ``a[0]``, the one float of ``a``, per
+    cell, stacked (m!, m, m) in ``itertools.permutations`` order."""
+    cells = permutation_cells(a.size)
+    plans = np.zeros((len(cells), a.size**2))
+    plans[np.arange(len(cells))[:, None], cells] = a[0]
+    return plans.reshape(-1, a.size, a.size)
 
 
 def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -394,8 +394,8 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     ``ORACLE_MAX_CANDIDATES`` candidates raises ``ValueError`` before any
     pairwise matrix is built.
     """
-    m, k = mu.size, nu.size
-    uniform = is_uniform_equal(mu.weights, nu.weights)
+    m, k, a = mu.size, nu.size, mu.weights
+    uniform = is_uniform_equal(a, nu.weights)
     count = math.factorial(m) if uniform else math.comb(m * k, m + k - 1)
     if count > ORACLE_MAX_CANDIDATES:
         shown = count if count < 10**18 else f"about 10^{math.log10(count):.0f}"
@@ -404,7 +404,7 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
             f"bases, more than the limit {ORACLE_MAX_CANDIDATES})"
         )
     pm = PairMoments(mu, nu)
-    plans = _vertex_plans_uniform(m) if uniform else _vertex_plans_trees(mu.weights, nu.weights)
+    plans = _vertex_plans_uniform(a) if uniform else _vertex_plans_trees(a, nu.weights)
     A, B, C, D, keeps = pm.of_each(plans)
     # cost_c of every vertex: D where it keeps positions, else _moving_cost.
     costs = D.copy()

@@ -13,6 +13,11 @@ random uniform and weighted instances (m, k <= 5 atoms, dimension n <= 3):
 - Galilean boost: adding c to every velocity, and T c to the target's
   positions, leaves the fixed-horizon cost at T unchanged, since a pair of
   atoms then drifts apart over [0, T] exactly as before.
+
+Two more checks read the discrepancies through ``measures.w2_sq``, which
+prices only position and velocity gaps: the fixed-horizon cost at T = 1/s is
+W2^2 of two linear images (see the ``phase`` module docstring), and no image
+pair on a grid of s lies below d~^2, the infimum the horizon search finds.
 """
 
 import numpy as np
@@ -20,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otikin.measures import DiscreteMeasure
-from otikin.solver import solve_d, solve_fixed_T, solve_tilde_d
+from otikin.measures import DiscreteMeasure, w2_sq
+from otikin.solver import COST_TOL, solve_d, solve_fixed_T, solve_tilde_d
 
 REL = 1e-9
 
@@ -100,3 +105,50 @@ def test_galilean_boost(inst, c, T):
     assert solve_fixed_T(boosted_mu, boosted_nu, T).cost_sq == pytest.approx(
         solve_fixed_T(mu, nu, T).cost_sq, rel=REL
     )
+
+
+def linear_images(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
+    """(x, v) -> (sqrt(12) (s x + v / 2), v) on mu and (y, w) -> (sqrt(12) (s y - w / 2), w)
+    on nu: W2^2 of the images is the fixed-horizon transport value at T = 1/s."""
+    r = np.sqrt(12.0)
+    return (
+        DiscreteMeasure(r * (s * mu.positions + 0.5 * mu.velocities), mu.velocities, mu.weights),
+        DiscreteMeasure(r * (s * nu.positions - 0.5 * nu.velocities), nu.velocities, nu.weights),
+    )
+
+
+@examples
+@given(instances(), st.floats(0.1, 10.0))
+def test_fixed_horizon_cost_is_w2_of_linear_images(inst, T):
+    mu, nu, _ = inst
+    assert w2_sq(*linear_images(mu, nu, 1.0 / T)) == pytest.approx(
+        solve_fixed_T(mu, nu, T).cost_sq, rel=1e-12
+    )
+
+
+# s = 1/T from 0 (T infinite) to 20 (T = 0.05): steps of 0.0025 up to s = 0.5,
+# where the horizons of unit-scale pairs lie, then geometric steps.
+S_GRID = np.concatenate([np.linspace(0.0, 0.5, 201), np.geomspace(0.5, 20.0, 12)[1:]])
+
+
+@pytest.mark.parametrize("m, k", [(6, 5), (12, 10), (24, 20)])
+@pytest.mark.parametrize("seed", range(3))
+def test_no_horizon_beats_the_search(m, k, seed):
+    # the linear value at every s bounds d~^2 from above, and meets it at the
+    # search's own horizon; w2_sq shares no pruning rule with the search
+    rng = np.random.default_rng(1000 * m + seed)
+
+    def measure(size):
+        w = rng.uniform(0.2, 1.0, size)
+        return DiscreteMeasure(rng.normal(size=(size, 2)), rng.normal(size=(size, 2)), w / w.sum())
+
+    mu, nu = measure(m), measure(k)
+    res = solve_tilde_d(mu, nu)
+    d2 = res.cost_sq
+    tol = COST_TOL * (1.0 + abs(d2))
+    for s in S_GRID:
+        assert w2_sq(*linear_images(mu, nu, s)) >= d2 - tol
+    tag = res.optimal_time
+    assert tag.kind in ("finite", "infinite")
+    s_star = 1.0 / tag.value if tag.is_finite else 0.0
+    assert abs(w2_sq(*linear_images(mu, nu, s_star)) - d2) <= tol

@@ -446,7 +446,7 @@ def test_stacked_moments_equal_single_plan_moments(path):
     rng = np.random.default_rng(12)
     if path == "uniform":
         mu, nu = random_uniform_instance(rng, 5, 3)
-        plans = _vertex_plans_uniform(5)
+        plans = _vertex_plans_uniform(mu.weights)
     else:
         mu, nu = _tree_pair(rng, 3, 4, integer=False)
         plans = _vertex_plans_trees(mu.weights, nu.weights)
@@ -471,7 +471,7 @@ def test_stacked_oracle_rejects_bad_moments(monkeypatch, w, t, error, other):
     # of its entries are negative
     rng = np.random.default_rng(8)
     mu, nu = random_uniform_instance(rng, 3, 1)
-    vertices = _vertex_plans_uniform(3)
+    vertices = _vertex_plans_uniform(mu.weights)
 
     def extrapolate(w, t):
         return (1.0 - t) * vertices[0] + t * vertices[w]
