@@ -123,10 +123,11 @@ def _load(path: str, fmt: str):
         raise SystemExit(EXIT_BAD_MEASURE)
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write an output file and its missing parents: exit 2 if that fails."""
+def _write_text(path: str, text: str, parents: bool = True) -> None:
+    """Write an output file, and first its missing parents if ``parents``: exit 2 if that fails."""
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        if parents:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
@@ -302,13 +303,16 @@ def cmd_oracle(args) -> int:
 
 
 def _write_frames(outdir: str, frames, **fields) -> None:
-    """Write (file name, measure) frames as CSV, then a manifest of ``fields`` and the names."""
+    """Write (file name, measure) frames as CSV, then a manifest of ``fields`` and the names.
+
+    The first file written creates ``outdir`` and its missing parents.
+    """
     names = []
     for name, measure in frames:
-        _write_text(str(Path(outdir) / name), measure_to_csv(measure))
+        _write_text(str(Path(outdir) / name), measure_to_csv(measure), parents=not names)
         names.append(name)
     manifest = canonical_json({**fields, "frames": names})
-    _write_text(str(Path(outdir) / "manifest.json"), manifest + "\n")
+    _write_text(str(Path(outdir) / "manifest.json"), manifest + "\n", parents=not names)
 
 
 def cmd_interpolate(args) -> int:

@@ -216,6 +216,11 @@ class ForceField:
     accelerations. Builtin tags: ``free`` (no force), ``harmonic`` (F = -x),
     ``damped:<gamma>`` (F = -gamma v), and ``poly`` (vector polynomial in t
     from coefficient JSON). Custom evaluators are accepted as callables.
+
+    Under ``vlasov_integrate``, ``X`` and ``V`` are views of the integrator's
+    buffers: they are valid only during the call, and the evaluator must
+    neither keep nor write them. It may return one of them; the integrator
+    copies the result before it moves on.
     """
 
     def __init__(self, evaluate, tag: str = "custom"):
@@ -344,17 +349,47 @@ class Trajectory:
 FINITE_CHECK_STEPS = 1024
 
 
-def _rk4_step(f, t: float, dt: float, X: np.ndarray, V: np.ndarray, k1v: np.ndarray):
-    """One classical RK4 step from (X, V) at t, whose first force stage is ``k1v``."""
+def _rk4_stepper(m: int, n: int, dt: float):
+    """Stage buffer and in-place step function of a classical RK4 run with step ``dt``.
+
+    Returns ``(Z, step)``. ``Z`` is a (4, 3, m, n) block: ``Z[i]`` holds the
+    positions, velocities and force of stage i + 1, so ``Z[i, :2]`` is that
+    stage's phase state and ``Z[i, 1:]`` its derivative K(i+1) = (v, F), both
+    contiguous. ``step(f, t)`` needs the start state Y and its force in
+    ``Z[0]``, evaluates ``f(t, X, V)`` at the other three stages, and leaves the
+    state after the step in ``Z[0, :2]`` (its force slot then is stale).
+
+    Each stage state is Y + c K and the step is Y + dt/6 (K1 + 2 K2 + 2 K3 +
+    K4), evaluated as the per-half formulas ``V + half * k1v``,
+    ``X + half * V``, ..., ``X + sixth * (V + 2.0 * k2x + 2.0 * k3x + k4x)``
+    are, so every element gets the same float operations in the same order.
+    The coefficients are 0-d arrays, which numpy multiplies faster than
+    Python floats, with the same result.
+    """
     half, sixth = 0.5 * dt, dt / 6.0
-    k2x = V + half * k1v
-    k2v = f(t + half, X + half * V, k2x)
-    k3x = V + half * k2v
-    k3v = f(t + half, X + half * k2x, k3x)
-    k4x = V + dt * k3v
-    k4v = f(t + dt, X + dt * k3x, k4x)
-    return (X + sixth * (V + 2.0 * k2x + 2.0 * k3x + k4x),
-            V + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+    c_half, c_dt, c_sixth, c_two = (np.array(c, dtype=float) for c in (half, dt, sixth, 2.0))
+    Z = np.empty((4, 3, m, n))
+    Y = Z[0, :2]
+    K1, K2, K3, K4 = (Z[i, 1:] for i in range(4))
+    stages = [(c, K, Z[i, :2], Z[i, 0], Z[i, 1], Z[i, 2])
+              for i, c, K in ((1, c_half, K1), (2, c_half, K2), (3, c_dt, K3))]
+    total, twice = np.empty((2, 2, m, n))
+    mul, add = np.multiply, np.add
+
+    def step(f, t: float) -> None:
+        for (c, K, S, X, V, F), s in zip(stages, (t + half, t + half, t + dt)):
+            mul(c, K, S)
+            add(Y, S, S)
+            F[...] = f(s, X, V)
+        mul(c_two, K2, total)
+        add(K1, total, total)
+        mul(c_two, K3, twice)
+        add(total, twice, total)
+        add(total, K4, total)
+        mul(c_sixth, total, total)
+        add(Y, total, Y)
+
+    return Z, step
 
 
 def vlasov_integrate(
@@ -377,6 +412,12 @@ def vlasov_integrate(
     the first step that recorded a non-finite value is replayed with a check
     after every stage, and raises ``ValueError`` naming the time of the first
     non-finite force or state, so a failing run stops within one block.
+
+    Positions and velocities are stepped as one (2, m, n) block in buffers made
+    once per run (see ``_rk4_stepper``). The evaluator receives views of those
+    buffers: they are valid only during the call, and it must neither keep nor
+    write them. Every element gets the float operations of the per-half RK4
+    formulas in their order, so the recorded bytes do not depend on the layout.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -392,11 +433,13 @@ def vlasov_integrate(
     grid = times.tolist()
     states = np.empty((n_steps + 1, m, 2, n))
     forces = np.empty((n_steps + 1, m, n))
-    X = mu0.positions.copy()
-    V = mu0.velocities.copy()
+    phases = states.transpose(0, 2, 1, 3)  # (n_steps + 1, 2, m, n) view of states
+    Z, step = _rk4_stepper(m, n, dt)
+    Y, (X0, V0, F0) = Z[0, :2], Z[0]
+    evaluate = F.evaluate
 
     def sample(t, X, V):
-        f = F.evaluate(t, X, V)
+        f = evaluate(t, X, V)
         if not np.all(np.isfinite(f)):
             raise ValueError(f"non-finite force at t={t}")
         return f
@@ -404,10 +447,12 @@ def vlasov_integrate(
     def replay(k):
         """Re-run step k with every check; raises where the first check fails."""
         t = grid[k]
-        X, V = _rk4_step(sample, t, dt, states[k, :, 0, :], states[k, :, 1, :], forces[k])
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        Y[...] = phases[k]
+        F0[...] = forces[k]
+        step(sample, t)
+        if not np.all(np.isfinite(Y)):
             raise ValueError(f"non-finite state after step at t={t}")
-        sample(grid[k + 1], X, V)
+        sample(grid[k + 1], X0, V0)
 
     def first_failure(lo, hi):
         """First step in [lo, hi) whose recorded end state or force is non-finite, else None."""
@@ -415,18 +460,18 @@ def vlasov_integrate(
         ok &= np.isfinite(forces[lo + 1:hi + 1]).all(axis=(1, 2))
         return None if ok.all() else lo + int(np.argmin(ok))
 
-    states[0, :, 0, :] = X
-    states[0, :, 1, :] = V
+    X0[...] = mu0.positions
+    V0[...] = mu0.velocities
+    phases[0] = Y
     with np.errstate(over="ignore", invalid="ignore"):
-        forces[0] = sample(grid[0], X, V)
+        F0[...] = forces[0] = sample(grid[0], X0, V0)
         for lo in range(0, n_steps, FINITE_CHECK_STEPS):
             hi = min(lo + FINITE_CHECK_STEPS, n_steps)
             try:
                 for k in range(lo, hi):
-                    X, V = _rk4_step(F.evaluate, grid[k], dt, X, V, forces[k])
-                    states[k + 1, :, 0, :] = X
-                    states[k + 1, :, 1, :] = V
-                    forces[k + 1] = F.evaluate(grid[k + 1], X, V)
+                    step(evaluate, grid[k])
+                    phases[k + 1] = Y
+                    F0[...] = forces[k + 1] = evaluate(grid[k + 1], X0, V0)
             except Exception:
                 # a non-finite value recorded before the failing call wins
                 bad = first_failure(lo, k)

@@ -210,15 +210,11 @@ def _csv_header(n: int) -> list[str]:
 
 
 def measure_to_csv(mu: DiscreteMeasure) -> str:
-    lines = [",".join(_csv_header(mu.dim))]
-    for i in range(mu.size):
-        row = (
-            [format(c, ".17g") for c in mu.positions[i]]
-            + [format(c, ".17g") for c in mu.velocities[i]]
-            + [format(float(mu.weights[i]), ".17g")]
-        )
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """One row per atom, each number with 17 significant digits (``%.17g``)."""
+    header = _csv_header(mu.dim)
+    row = ",".join(["%.17g"] * len(header))
+    table = np.column_stack([mu.positions, mu.velocities, mu.weights]).tolist()
+    return "\n".join([",".join(header)] + [row % tuple(r) for r in table]) + "\n"
 
 
 def load_measure(path: str, fmt: str = "json") -> DiscreteMeasure:

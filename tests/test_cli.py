@@ -186,19 +186,28 @@ class TestExitCodes:
         assert exc.value.code == 3
         assert "unexpected measure CSV header ['v1', 'x1', 'w']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["discrepancy", "interpolate"])
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discrepancy", "--nu", U5_NU, "--T", "1"],
+            ["interpolate", "--nu", U5_NU, "--T", "1", "--steps", "2"],
+            ["simulate", "--force", "harmonic", "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
+        ],
+        ids=["discrepancy", "interpolate", "simulate"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
         # a directory as an output file, or a file as an output directory
         out = tmp_path / "taken"
-        if command == "interpolate":
-            out.write_text("")
-        else:
+        if argv[0] == "discrepancy":
             out.mkdir()
-        argv = [command, "--mu", U5_MU, "--nu", U5_NU, "--T", "1", "--out", str(out)]
+        else:
+            out.write_text("")
         with pytest.raises(SystemExit) as exc:
-            main(argv + (["--steps", "2"] if command == "interpolate" else []))
+            main(argv + ["--mu", U5_MU, "--out", str(out)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert "Traceback" not in err
 
     def test_parser_exits_are_returned(self, capsys):
         assert main(["--help"]) == 0

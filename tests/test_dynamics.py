@@ -495,6 +495,70 @@ def test_trajectory_bytes_pinned():
     assert h.hexdigest() == TRAJECTORY_PIN
 
 
+def _per_half_rk4(mu0, F, t0, t1, dt):
+    """States and forces of the RK4 loop on separate position and velocity arrays."""
+    n_steps = int(round((t1 - t0) / dt))
+    grid = (t0 + dt * np.arange(n_steps + 1)).tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
+    X, V = mu0.positions.copy(), mu0.velocities.copy()
+    states, forces = [np.stack([X, V], axis=1)], [F.evaluate(grid[0], X, V)]
+    for k in range(n_steps):
+        t, k1v = grid[k], forces[-1]
+        k2x = V + half * k1v
+        k2v = F.evaluate(t + half, X + half * V, k2x)
+        k3x = V + half * k2v
+        k3v = F.evaluate(t + half, X + half * k2x, k3x)
+        k4x = V + dt * k3v
+        k4v = F.evaluate(t + dt, X + dt * k3x, k4x)
+        X, V = (X + sixth * (V + 2.0 * k2x + 2.0 * k3x + k4x),
+                V + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+        states.append(np.stack([X, V], axis=1))
+        forces.append(F.evaluate(grid[k + 1], X, V))
+    return np.array(states), np.array(forces)
+
+
+_ALIASING_FORCES = {
+    # returns its own input, which is a view of the integrator's buffer
+    "own-input": lambda n: ForceField(lambda t, X, V: V),
+    "nested-list": lambda n: ForceField(lambda t, X, V: (np.cos(t) * X - 0.25 * V).tolist()),
+    "poly": lambda n: ForceField.poly(np.arange(3 * n, dtype=float).reshape(3, n) / 7.0 - 0.5),
+    "damped": lambda n: ForceField.from_tag("damped:0.5"),
+}
+
+
+@pytest.mark.parametrize("force", sorted(_ALIASING_FORCES))
+@pytest.mark.parametrize("m", [1, 32])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_buffers_match_per_half_rk4(force, m, n):
+    # the integrator reuses its stage buffers on every step; the recorded
+    # bytes must be those of the per-half loop, which makes fresh arrays
+    rng = np.random.default_rng(27 + 3 * m + n)
+    mu0 = DiscreteMeasure(rng.standard_normal((m, n)), rng.standard_normal((m, n)),
+                          np.full(m, 1.0 / m))
+    F = _ALIASING_FORCES[force](n)
+    traj = vlasov_integrate(mu0, F, 0.0, 0.5, 0.01)
+    states, forces = _per_half_rk4(mu0, F, 0.0, 0.5, 0.01)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.forces.tobytes() == forces.tobytes()
+    for a, ref in ((traj.states, states), (traj.forces, forces)):
+        assert a.shape == ref.shape and a.dtype == np.float64 and a.flags.c_contiguous
+
+
+def test_stacked_buffers_match_across_a_finite_check():
+    # a run longer than one block of FINITE_CHECK_STEPS steps
+    rng = np.random.default_rng(2727)
+    mu0 = DiscreteMeasure(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
+                          np.full(3, 1.0 / 3))
+    F = _ALIASING_FORCES["own-input"](2)
+    dt = 1.0 / 128
+    t1 = (FINITE_CHECK_STEPS + 37) * dt
+    traj = vlasov_integrate(mu0, F, 0.0, t1, dt)
+    states, forces = _per_half_rk4(mu0, F, 0.0, t1, dt)
+    assert traj.n_times == FINITE_CHECK_STEPS + 38
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.forces.tobytes() == forces.tobytes()
+
+
 class TestPathAction:
     def test_zero_force(self):
         mu0 = DiscreteMeasure([[0.0]], [[1.0]], [1.0])

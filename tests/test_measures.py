@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otikin.lp import MASS_TOL, WarmStart, support_floor, transportation_simplex
 from otikin.measures import (
@@ -21,6 +23,15 @@ from otikin.measures import (
 )
 from otikin.phase import tilde_dT_sq
 from otikin.scenarios import random_uniform_instance
+
+
+# Finite coordinates, with signed zeros, subnormals, the ends of the float
+# range and integral values drawn on purpose.
+COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308]),
+    st.integers(-(2**62), 2**62).map(float),
+)
 
 
 def random_measure(rng, m, n):
@@ -151,6 +162,26 @@ class TestIO:
         for mu in (random_measure(rng, 4, 2), random_uniform_instance(rng, 7, 2)[0]):
             back = measure_from_csv(measure_to_csv(mu))
             self.assert_same_bits(back, mu)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_csv_text_is_the_per_number_format(self, n, data):
+        m = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(COORDS, min_size=2 * n, max_size=2 * n),
+                                  min_size=m, max_size=m))
+        raw = np.array(data.draw(st.lists(st.floats(1e-300, 1.0), min_size=m, max_size=m)))
+        A = np.array(rows)
+        mu = DiscreteMeasure(A[:, :n], A[:, n:], raw / raw.sum())
+        text = measure_to_csv(mu)
+        header = [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)] + ["w"]
+        lines = [",".join(header)] + [
+            ",".join(format(c, ".17g") for c in (*x, *v, w))
+            for x, v, w in zip(mu.positions, mu.velocities, mu.weights)
+        ]
+        assert text == "\n".join(lines) + "\n"
+        back = measure_from_csv(text)
+        for field in ("positions", "velocities", "weights"):
+            assert getattr(back, field).tobytes() == getattr(mu, field).tobytes()
 
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
