@@ -13,9 +13,11 @@ value with pointwise cost 12 s^2 A - 12 s B + 3 C + D. ``solve_d`` and
 calls the transportation simplex with one ``lp.WarmStart`` per search (all its
 LPs share their marginals), so each call starts from the last one's optimal
 basis, with the plan it returned as flows. The LP value is concave in the
-cost's coefficients of A and B, so a halved interval bounds its halves' third
-corners from the corners it has already solved; that bound drops a half, or
-pins its corner to a known plan, with no LP. A search evaluates each vertex
+cost's coefficients of A and B, and on an interval of s the curve the search
+follows is a quadratic Bezier curve, so the LP values at its three control
+points bound the whole interval; a halved interval also bounds its halves'
+third corners from the corners it has already solved, which can drop a half
+with no LP. A search evaluates each vertex
 once: it remembers the moments of each plan by the plan's support, which the
 warm start reports with each plan. A brute-force vertex oracle cross-checks
 global minima on small instances: it tells vertices apart by their cells above
@@ -207,6 +209,23 @@ def _corner_value(m: PlanMoments, u: float, s: float) -> float:
     return 12.0 * u * m.A - 12.0 * s * m.B + 3.0 * m.C + m.D
 
 
+def _curve_bound(l1: float, l2: float, l3: float) -> float:
+    """Least value over t in [0, 1] of (1-t)^2 l1 + 2 t (1-t) l3 + t^2 l2.
+
+    It is -inf when l3 is, l3 + a b / (a + b) with a = l1 - l3 and b = l2 - l3
+    (the interior minimum (l1 l2 - l3^2) / (l1 + l2 - 2 l3), written so that
+    it stays between l3 and min(l1, l2) in floats) when l3 < min(l1, l2), and
+    min(l1, l2) otherwise. It is nondecreasing in each argument. A NaN
+    argument can make it NaN, and a NaN bound drops no interval.
+    """
+    if l3 == -math.inf:
+        return -math.inf
+    a, b = l1 - l3, l2 - l3
+    if a > 0.0 and b > 0.0:
+        return l3 + a / (a + b) * b
+    return min(l1, l2)
+
+
 def _solve_time_optimised(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -215,30 +234,33 @@ def _solve_time_optimised(
     """Exact search over s = 1/T >= 0 for the infimum of OT(s).
 
     Phi(u, s) = min over plans of ``_corner_value`` is concave, and OT(s) =
-    Phi(s^2, s). On [s1, s2] the point (s^2, s) lies in the triangle with
-    corners (s1^2, s1), (s2^2, s2) and (s1 s2, (s1 + s2)/2), where the
-    tangents at the two ends meet; the least of Phi at the three corners
-    bounds OT from below on the interval. An interval is dropped when that
-    bound reaches the best time-optimised cost found, or when one of its
-    three plans attains all three corner values (Phi is then that plan's
-    linear function there, whose minimum is already counted); otherwise it is
-    split at its midpoint, which costs one LP at (mid^2, mid).
+    Phi(s^2, s). On [s1, s2] the curve (s^2, s) is the quadratic Bezier curve
+    with control points c1 = (s1^2, s1), c3 = (s1 s2, (s1 + s2)/2), where the
+    tangents at the two ends meet, and c2 = (s2^2, s2): at t in [0, 1] it is
+    (1-t)^2 c1 + 2 t (1-t) c3 + t^2 c2. The weights are nonnegative and sum
+    to 1, so by concavity OT there is at least the same combination of Phi at
+    the control points, and ``_curve_bound`` of the three values bounds OT
+    from below on the interval. An interval is dropped when that bound
+    reaches the best time-optimised cost found, or when one of its three
+    plans attains all three corner values (Phi is then that plan's linear
+    function on the triangle, whose minimum is already counted); otherwise it
+    is split at its midpoint, which costs one LP at (mid^2, mid).
 
     Each half's third corner is the midpoint of its end corner and the
     parent's third corner, which lie on the tangent at that end, so by
     concavity Phi there is at least the mean of their two values. A half
-    carries that bound and the plans at those two points, and uses them before
-    its corner LP: it is dropped when the bound and its two end values reach
-    the best cost, and a carried plan that prices the corner within the
-    tolerance of the bound pins Phi there (Phi is that plan's linear function
-    along the segment), so plan and bound stand for the LP. Otherwise, and
-    always at the root, the corner LP is solved. A bound, being a lower bound,
-    serves as the parent's value in the next halving. The corners are floats,
-    so the midpoint identity holds only to rounding, which ``COST_TOL``
-    absorbs.
+    carries that bound and, being monotone in each value, ``_curve_bound``
+    takes it in place of Phi at the third corner: the half is dropped before
+    its corner LP when that bound reaches the best cost. Otherwise, and
+    always at the root, the corner LP is solved and the bound retaken. The
+    corners are floats, so the midpoint identity holds only to rounding,
+    which ``COST_TOL`` absorbs.
 
     Past S, every plan's cost rises whenever 2 S A_P >= B_P, which one LP
-    checks for all plans at once, so only [0, S] is searched.
+    checks for all plans at once, so only [0, S] is searched. S starts at 1;
+    while the LP's plan P fails the check, S moves to B_P / (2 A_P), the least
+    bound that plan allows (Dinkelbach's step), so S ends at the least bound
+    that one LP proves, within the tolerance.
     """
     pm = PairMoments(mu, nu)
     base = pm.infinite_T_cost()
@@ -288,25 +310,27 @@ def _solve_time_optimised(
         m = lp(2.0 * S * pm.A - pm.B)
         if 2.0 * S * m.A - m.B >= -tol():
             break
-        S *= 4.0
-    # Each stacked interval carries a lower bound on Phi at its third corner
-    # and the plans at the two ends of the segment that corner halves; the
-    # root carries neither.
-    stack = [((0.0, m_zero), (S, corner(S * S, S)), -np.inf, ())]
+        step = m.B / (2.0 * m.A) if m.A > 0.0 else math.inf
+        S = step if S < step < math.inf else 4.0 * S
+    # Each stacked interval carries a lower bound on Phi at its third corner;
+    # the root carries none.
+    stack = [((0.0, m_zero), (S, corner(S * S, S)), -np.inf)]
     while stack:
-        (s1, m1), (s2, m2), low3, ends = stack.pop()
+        (s1, m1), (s2, m2), low3 = stack.pop()
         mid = 0.5 * (s1 + s2)
         corners = ((s1 * s1, s1), (s2 * s2, s2), (s1 * s2, mid))
         lows = [_corner_value(m1, *corners[0]), _corner_value(m2, *corners[1]), low3]
-        if min(lows) >= best - tol():
+        if _curve_bound(*lows) >= best - tol():
             continue
-        # A carried plan that prices the corner at the bound pins Phi there.
-        m3 = next((m for m in ends if _corner_value(m, *corners[2]) <= low3 + tol()), None)
-        if m3 is None:
-            m3 = corner(*corners[2])
-            lows[2] = _corner_value(m3, *corners[2])
-            if min(lows) >= best - tol():
-                continue
+        m3 = corner(*corners[2])
+        lows[2] = _corner_value(m3, *corners[2])
+        if _curve_bound(*lows) >= best - tol():
+            continue
+        # The curve bound alone cannot end every search: a plan that keeps
+        # positions enters ``best`` at 3 C + D, while its linear function can
+        # dip below that on the triangle, so where that plan is Phi the bound
+        # never reaches ``best``, and only this rule stops the halving before
+        # no float is left between the ends.
         plans = (m1, m2, m3)
         if any(
             all(_corner_value(m, u, s) <= low + tol() for (u, s), low in zip(corners, lows))
@@ -318,8 +342,8 @@ def _solve_time_optimised(
         m_mid = corner(mid * mid, mid)
         # Each half's third corner is the midpoint of its end corner and this
         # interval's third corner, so Phi there is at least their mean.
-        stack.append(((mid, m_mid), (s2, m2), 0.5 * (lows[1] + lows[2]), (m2, m3)))
-        stack.append(((s1, m1), (mid, m_mid), 0.5 * (lows[0] + lows[2]), (m1, m3)))
+        stack.append(((mid, m_mid), (s2, m2), 0.5 * (lows[1] + lows[2])))
+        stack.append(((s1, m1), (mid, m_mid), 0.5 * (lows[0] + lows[2])))
 
     value, plan, m = winner
     return _envelope_result(value, plan, optimal_time_plan(m), lp_solves)

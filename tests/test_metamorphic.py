@@ -131,22 +131,38 @@ def test_fixed_horizon_cost_is_w2_of_linear_images(inst, T):
 S_GRID = np.concatenate([np.linspace(0.0, 0.5, 201), np.geomspace(0.5, 20.0, 12)[1:]])
 
 
-@pytest.mark.parametrize("m, k", [(6, 5), (12, 10), (24, 20)])
-@pytest.mark.parametrize("seed", range(3))
-def test_no_horizon_beats_the_search(m, k, seed):
+# Weighted pairs of three sizes and three seeds; uniform pairs, which take the
+# assignment path; and a weighted pair whose velocities are scaled by 10, which
+# scales its horizons s by 10 (so the search's tail leaves S = 1), searched on
+# the grid scaled by 10.
+GRID_CASES = [
+    *(
+        pytest.param(m, k, seed, False, 1.0, id=f"{seed}-{m}-{k}")
+        for m, k in ((6, 5), (12, 10), (24, 20))
+        for seed in range(3)
+    ),
+    pytest.param(12, 12, 0, True, 1.0, id="uniform-12-12"),
+    pytest.param(24, 24, 0, True, 1.0, id="uniform-24-24"),
+    pytest.param(12, 10, 0, False, 10.0, id="fast-12-10"),
+]
+
+
+@pytest.mark.parametrize("m, k, seed, uniform, scale", GRID_CASES)
+def test_no_horizon_beats_the_search(m, k, seed, uniform, scale):
     # the linear value at every s bounds d~^2 from above, and meets it at the
     # search's own horizon; w2_sq shares no pruning rule with the search
     rng = np.random.default_rng(1000 * m + seed)
 
     def measure(size):
-        w = rng.uniform(0.2, 1.0, size)
-        return DiscreteMeasure(rng.normal(size=(size, 2)), rng.normal(size=(size, 2)), w / w.sum())
+        w = np.ones(size) if uniform else rng.uniform(0.2, 1.0, size)
+        x = rng.normal(size=(size, 2))
+        return DiscreteMeasure(x, scale * rng.normal(size=(size, 2)), w / w.sum())
 
     mu, nu = measure(m), measure(k)
     res = solve_tilde_d(mu, nu)
     d2 = res.cost_sq
     tol = COST_TOL * (1.0 + abs(d2))
-    for s in S_GRID:
+    for s in scale * S_GRID:
         assert w2_sq(*linear_images(mu, nu, s)) >= d2 - tol
     tag = res.optimal_time
     assert tag.kind in ("finite", "infinite")

@@ -25,6 +25,7 @@ from otikin.scenarios import (
 from otikin.solver import (
     COST_TOL,
     ORACLE_MAX_CANDIDATES,
+    _curve_bound,
     _vertex_plans_trees,
     _vertex_plans_uniform,
     brute_force_oracle,
@@ -577,10 +578,10 @@ def solve_pin_results():
 # SHA-256 of every ``solve_d`` and ``solve_tilde_d`` result on
 # ``solve_pin_instances``: cost, horizon, regime and plan bytes.
 SOLVE_PIN = "f347eff77bf772a10aae715c09b3b69dfa07998e9cd1799a5069a148f6c0cd43"
-# The LP solves (``iterations``) of those results, in order: 358 in all.
+# The LP solves (``iterations``) of those results, in order: 354 in all.
 SOLVE_LP_COUNTS = [
-    6, 6, 8, 8, 6, 6, 6, 6, 8, 8, 8, 8, 17, 17, 4, 4, 13, 13, 8, 8,
-    13, 13, 16, 16, 4, 4, 10, 10, 10, 10, 16, 16, 6, 6, 8, 8, 4, 4, 8, 8,
+    6, 6, 8, 8, 6, 6, 6, 6, 8, 8, 8, 8, 16, 16, 4, 4, 13, 13, 8, 8,
+    14, 14, 16, 16, 4, 4, 10, 10, 10, 10, 15, 15, 6, 6, 8, 8, 4, 4, 7, 7,
 ]
 
 
@@ -618,31 +619,87 @@ def test_half_third_corner_is_a_segment_midpoint():
         assert _third_corner(mid, s2) == _midpoint((s2 * s2, s2), parent)
 
 
+def _phi(pm, mu, nu, u, s):
+    """Phi(u, s), the LP value of the cost 12 u A - 12 s B + 3 C + D."""
+    cost = 12.0 * u * pm.A - 12.0 * s * pm.B + 3.0 * pm.C + pm.D
+    return float(np.sum(transportation_simplex(cost, mu.weights, nu.weights) * cost))
+
+
+def _search_pairs(rng, path, count):
+    """Pairs that take the simplex (weighted 6 x 5) or assignment (uniform 8 x 8) path."""
+    for _ in range(count):
+        if path == "simplex":
+            yield _tree_pair(rng, 6, 5, integer=False)
+        else:
+            yield random_uniform_instance(rng, 8, 2)
+
+
 @pytest.mark.parametrize("path", ["simplex", "assignment"])
 def test_concavity_bounds_each_half_third_corner(path):
-    # Phi(u, s), the LP value of the cost 12 u A - 12 s B + 3 C + D, is
-    # concave; at each half's third corner it is at least the mean of Phi at
-    # the two ends of the segment that corner halves
+    # Phi is concave; at each half's third corner it is at least the mean of
+    # Phi at the two ends of the segment that corner halves
     rng = np.random.default_rng(2501)
-
-    def phi(pm, mu, nu, u, s):
-        cost = 12.0 * u * pm.A - 12.0 * s * pm.B + 3.0 * pm.C + pm.D
-        return float(np.sum(transportation_simplex(cost, mu.weights, nu.weights) * cost))
-
-    for _ in range(6):
-        if path == "simplex":
-            mu, nu = _tree_pair(rng, 6, 5, integer=False)
-        else:
-            mu, nu = random_uniform_instance(rng, 8, 2)
+    for mu, nu in _search_pairs(rng, path, 6):
         pm = PairMoments(mu, nu)
         for _ in range(5):
             s1, s2 = sorted(rng.uniform(0.0, 3.0, size=2))
             mid = 0.5 * (s1 + s2)
-            parent = phi(pm, mu, nu, *_third_corner(s1, s2))
+            parent = _phi(pm, mu, nu, *_third_corner(s1, s2))
             for end, half in ((s1, (s1, mid)), (s2, (mid, s2))):
-                value = phi(pm, mu, nu, *_third_corner(*half))
-                bound = 0.5 * (phi(pm, mu, nu, end * end, end) + parent)
+                value = _phi(pm, mu, nu, *_third_corner(*half))
+                bound = 0.5 * (_phi(pm, mu, nu, end * end, end) + parent)
                 assert value >= bound - 1e-12 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("path", ["simplex", "assignment"])
+def test_curve_bound_holds_along_each_interval(path):
+    # (s^2, s) on [s1, s2] is the quadratic Bezier curve through the two end
+    # corners with the third corner as control point, so by concavity OT(s)
+    # = Phi(s^2, s) is at least the curve bound of Phi at the three corners
+    rng = np.random.default_rng(2801)
+    for mu, nu in _search_pairs(rng, path, 6):
+        pm = PairMoments(mu, nu)
+        for _ in range(5):
+            s1, s2 = sorted(rng.uniform(0.0, 3.0, size=2))
+            bound = _curve_bound(
+                _phi(pm, mu, nu, s1 * s1, s1),
+                _phi(pm, mu, nu, s2 * s2, s2),
+                _phi(pm, mu, nu, *_third_corner(s1, s2)),
+            )
+            for s in np.linspace(s1, s2, 50):
+                value = _phi(pm, mu, nu, s * s, s)
+                assert value >= bound - 1e-12 * (1.0 + abs(value))
+
+
+def _exact_curve_min(l1, l2, l3):
+    """Least value over t in [0, 1] of (1-t)^2 l1 + 2 t (1-t) l3 + t^2 l2, in rationals."""
+    l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)
+    ts = [Fraction(0), Fraction(1)]
+    if l1 + l2 - 2 * l3 > 0:
+        t = (l1 - l3) / (l1 + l2 - 2 * l3)
+        if 0 < t < 1:
+            ts.append(t)
+    return min((1 - t) ** 2 * l1 + 2 * t * (1 - t) * l3 + t * t * l2 for t in ts)
+
+
+def test_curve_bound_is_the_exact_minimum():
+    # l3 below, between and above (l1, l2), at scales 1e-3 to 1e3, one float
+    # below the lower end, and equal ends; a few roundings from the exact value
+    rng = np.random.default_rng(2802)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        scale = 10.0 ** rng.integers(-3, 4)
+        l1, l2 = rng.normal(scale=scale, size=2)
+        if rng.random() < 0.1:
+            l2 = l1
+        lo, hi = min(l1, l2), max(l1, l2)
+        gap = rng.exponential(scale)
+        for l3 in (lo - gap, np.nextafter(lo, -np.inf), rng.uniform(lo, hi), hi + gap):
+            got = _curve_bound(l1, l2, l3)
+            err = abs(Fraction(got) - _exact_curve_min(l1, l2, l3))
+            assert err <= Fraction(8 * eps * (abs(l1) + abs(l2) + abs(l3)))
+        # the root interval, whose third corner has no bound yet
+        assert _curve_bound(l1, l2, -np.inf) == -np.inf
 
 
 class TestFreeTransportDetection:
