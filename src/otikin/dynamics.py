@@ -47,7 +47,8 @@ class SplineEnsemble:
     ``phase.spline_from_endpoints`` builds them: row k holds the ascending
     coefficients a0, a1, a2, a3 of ``t -> a3 t^3 + a2 t^2 + a1 t + a0``, and
     ``masses[k]`` its mass. Built from a coupling, row k connects the k-th
-    cell of the plan's ``support()``.
+    cell of the plan's ``support()``. The masses are finite, positive and
+    sum to 1.
     """
 
     splines: np.ndarray
@@ -63,6 +64,8 @@ class SplineEnsemble:
             raise ValueError(f"splines must have shape (K, 4, n), got {splines.shape}")
         if masses.size != len(splines):
             raise ValueError("one mass per spline required")
+        if not np.all(np.isfinite(masses) & (masses > 0)):
+            raise ValueError("spline masses must be finite and positive")
         if abs(float(masses.sum()) - 1.0) > MASS_TOL:
             raise ValueError("spline masses must sum to 1")
         if not self.horizon > 0:

@@ -3,8 +3,9 @@
 ``transportation_simplex`` solves min <C, P> over the transportation polytope
 {P >= 0, row sums = a, col sums = b} and returns a basic (vertex) solution;
 vertex outputs are required by the concave outer minimisation built on top.
-A cell enters by Dantzig's rule (the most negative reduced cost); after a run
-of degenerate pivots Bland's rule takes over until flow moves again, which
+The basis is a tree of (neighbour, cell) pairs. A cell enters by Dantzig's
+rule (the most negative reduced cost, below a threshold relative to max |C|);
+after a run of degenerate pivots Bland's rule takes over until flow moves again, which
 rules out cycling. The returned plan is ``tree_flows`` on its support, the
 basic cells whose pivot flow exceeds ``support_floor``, MASS_ROUNDING_TOL *
 min(a[i], b[j]). A flow at or below that counts as round-off, which a cell
@@ -52,8 +53,10 @@ __all__ = [
 # A cell holds round-off up to this times its smaller marginal (``support_floor``;
 # pivot round-off stays below 1e-14 of it).
 MASS_ROUNDING_TOL = 1e-12
-# A nonbasic cell enters when its reduced cost is below
-# -REDUCED_COST_TOL * (1 + max |C|), so round-off never makes a pivot.
+# A cell enters when its reduced cost is below -REDUCED_COST_TOL * max |C|: a
+# cost scaled by a power of two pivots alike, and a zero cost never. A basic
+# cell's is round-off of c - u - v on its own tree edge, about (m + k) eps max |C|
+# at most, far inside this, so pricing needs no mask of the basic cells.
 REDUCED_COST_TOL = 1e-11
 # Two masses agree within this: marginal totals (relative to max(1, sum a)), plan sums.
 MASS_TOL = 1e-9
@@ -175,9 +178,9 @@ class WarmStart:
 
     - ``cells``: the optimal basis of the last simplex call, where the next
       one starts; None before the first, which starts from the northwest
-      corner. With it the state keeps the basis's spanning tree (its
-      adjacency lists and the basic cells' row-major indices), so the next
-      call only traverses it once to set the potentials for its cost;
+      corner. With it the state keeps the basis's spanning tree, each
+      node's (neighbour, cell) pairs, so the next call only traverses it
+      once to set the potentials for its cost;
     - ``support`` and ``plan``: the key of the last plan returned and that
       plan, read-only. The key is the sorted row-major indices of the final
       basis cells in the plan's support, or on the assignment path the
@@ -207,7 +210,7 @@ class WarmStart:
             self._rows, self._cols = np.arange(m).repeat(k), np.tile(np.arange(m, m + k), m)
             self._floor = support_floor(self.a, self.b).ravel().tolist()
         self._basis = None  # row-major indices of ``cells``; no call changes this list
-        self._tree = None  # (basic, index, adj): the basis, also as an array, and its tree
+        self._tree = None  # (basic, adj): the basis and its (neighbour, cell) pairs per node
         self.support = None
         self.plan = None
         self.pivots = 0
@@ -273,14 +276,16 @@ def transportation_simplex(
     the last call that returned left it.
 
     The basis is a spanning tree on the rows 0..m-1 and the columns
-    m..m+k-1, rooted at row 0 where u = 0. A dual potential follows its
-    unique tree path from the root, so a call first sets every potential in
-    one traversal, and a pivot recomputes only the subtree that the leaving
-    cell cuts off. Pricing subtracts the potentials from every cost in numpy,
-    gathering them by the row and column index arrays of ``warm``.
-    A pivot's cycle is the two tree paths from the entering cell's ends up to
-    their lowest common ancestor; the side that holds the leaving cell is the
-    one cut off.
+    m..m+k-1, held as each node's (neighbour, cell) pairs and rooted at row
+    0 where u = 0. A call first hangs every node below its parent in one
+    traversal, which sets its depth, its parent cell (the row-major cell
+    joining them) and its potential, and a pivot re-hangs only the subtree
+    that the leaving cell cuts off. Pricing subtracts the potentials from
+    every cost in numpy, basic cells too: their round-off is far inside the
+    entering threshold (see ``REDUCED_COST_TOL``). A pivot's cycle is the
+    parent cells on the two tree paths from the entering cell's ends up to
+    their lowest common ancestor; the side that holds the leaving cell is
+    the one cut off.
     """
     if warm is None:
         warm = WarmStart(a, b)
@@ -328,49 +333,39 @@ def transportation_simplex(
     # the call returns; ``cells`` and ``plan`` keep the last returned basis.
     tree, warm._tree = warm._tree, None
     if tree is None:
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for e in basic:
             i, j = divmod(e, k)
-            adj[i].append(m + j)
-            adj[m + j].append(i)
-        tree = (basic, np.array(basic), adj)
-    basic, index, adj = tree
-    pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
-    crows = cost.tolist()
+            adj[i].append((m + j, e))
+            adj[m + j].append((i, e))
+        tree = (basic, adj)
+    basic, adj = tree
+    pot, parent, depth, pcell = [0.0] * n, [-1] * n, [0] * n, [-1] * n
+    cflat = cost.ravel().tolist()
     flat, rows, cols, floor = cost.ravel(), warm._rows, warm._cols, warm._floor
 
     def hang(top: int) -> int:
-        """Set the potential (u_i + v_j = c_ij on basic cells), parent and depth
-        of every node below ``top``; return how many were set."""
+        """Set the potential (u_i + v_j = c_ij on basic cells), parent, depth
+        and parent cell of every node below ``top``; return how many were set."""
         stack, placed = [top], 0
         while stack and placed < n:
             x = stack.pop()
             above, below, px = parent[x], depth[x] + 1, pot[x]
-            if x < m:
-                cx = crows[x]
-                for y in adj[x]:
-                    if y != above:
-                        parent[y], depth[y], pot[y] = x, below, cx[y - m] - px
-                        stack.append(y)
-                        placed += 1
-            else:
-                j = x - m
-                for y in adj[x]:
-                    if y != above:
-                        parent[y], depth[y], pot[y] = x, below, crows[y][j] - px
-                        stack.append(y)
-                        placed += 1
+            for y, e in adj[x]:
+                if y != above:
+                    parent[y], depth[y], pcell[y], pot[y] = x, below, e, cflat[e] - px
+                    stack.append(y)
+                    placed += 1
         return placed
 
     if hang(0) != n - 1:
         raise RuntimeError("basis is not a spanning tree; internal error")
-    red_tol = REDUCED_COST_TOL * (1.0 + cost_max)
+    red_tol = REDUCED_COST_TOL * cost_max
     degenerate, bland_after = 0, DEGENERATE_RUN_PER_NODE * n
     for pivots in range(40 * m * k + 200):
         u = np.array(pot)
         reduced = flat - u[rows]
         reduced -= u[cols]
-        reduced[index] = 0.0
         if degenerate < bland_after:
             enter = int(reduced.argmin())
         else:
@@ -389,19 +384,17 @@ def transportation_simplex(
 
         # The tree paths from column ej and from row ei up to their lowest
         # common ancestor close the cycle of the entering cell; each holds the
-        # row-major index of the cell between a node and its parent. Along
-        # each, the first, third, ... cell loses flow and the others gain it.
+        # parent cells of the nodes it leaves. Along each, the first, third,
+        # ... cell loses flow and the others gain it.
         up, down = [], []
         x, y = m + ej, ei
         while x != y:
             if depth[x] >= depth[y]:
-                p = parent[x]
-                up.append(x * k + p - m if x < m else p * k + x - m)
-                x = p
+                up.append(pcell[x])
+                x = parent[x]
             else:
-                p = parent[y]
-                down.append(y * k + p - m if y < m else p * k + y - m)
-                y = p
+                down.append(pcell[y])
+                y = parent[y]
         losing = up[::2] + down[::2]
         theta, leave = min([(P[e], e) for e in losing])
         warm.pivots += 1
@@ -415,16 +408,15 @@ def transportation_simplex(
         else:
             degenerate += 1
             warm.degenerate_pivots += 1
-        slot = basic.index(leave)
-        basic[slot] = index[slot] = enter
+        basic[basic.index(leave)] = enter
         li, lj = divmod(leave, k)
-        adj[li].remove(m + lj)
-        adj[m + lj].remove(li)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
+        adj[li].remove((m + lj, leave))
+        adj[m + lj].remove((li, leave))
+        adj[ei].append((m + ej, enter))
+        adj[m + ej].append((ei, enter))
         # Hang the cut-off subtree below the entering cell's other end.
         q, p = (m + ej, ei) if leave in up else (ei, m + ej)
-        parent[q], depth[q], pot[q] = p, depth[p] + 1, crows[ei][ej] - pot[p]
+        parent[q], depth[q], pcell[q], pot[q] = p, depth[p] + 1, enter, cflat[enter] - pot[p]
         hang(q)
 
     raise RuntimeError("transportation simplex exceeded its pivot budget")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import MASS_ROUNDING_TOL, MASS_TOL, support_floor, transportation_simplex
-from .phase import POSITION_TOL, PhaseState
+from .phase import MOMENT_NEG_TOL, POSITION_TOL, PhaseState
 
 __all__ = [
     "DiscreteMeasure",
@@ -44,8 +44,6 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-6
 # A constructed measure's weights must sum to 1 within this.
 UNIT_MASS_TOL = 1e-10
-# Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative.
-MOMENT_NEG_TOL = 1e-12
 # |B| may exceed sqrt(A C) by CAUCHY_SCHWARZ_TOL * (1 + sqrt(A C)).
 CAUCHY_SCHWARZ_TOL = 1e-9
 
@@ -233,7 +231,7 @@ class Coupling:
 
     Entries down to -``lp.MASS_ROUNDING_TOL`` are clipped to zero; row sums
     must match the source weights and column sums the target weights within
-    ``lp.MASS_TOL``.
+    ``lp.MASS_TOL``. A NaN entry is rejected.
     """
 
     P: np.ndarray
@@ -247,13 +245,14 @@ class Coupling:
                 f"plan shape {P.shape} does not match marginals "
                 f"({self.source.size}, {self.target.size})"
             )
-        if float(P.min(initial=0.0)) < -MASS_ROUNDING_TOL:
+        # Both tests are written so that a NaN entry fails them.
+        if not -P.min(initial=0.0) <= MASS_ROUNDING_TOL:
             raise ValueError(f"plan has negative mass {P.min()}")
         P = np.clip(P, 0.0, None)
         object.__setattr__(self, "P", P)
         row_err = float(np.max(np.abs(P.sum(axis=1) - self.source.weights)))
         col_err = float(np.max(np.abs(P.sum(axis=0) - self.target.weights)))
-        if max(row_err, col_err) > MASS_TOL:
+        if not (row_err <= MASS_TOL and col_err <= MASS_TOL):
             raise ValueError(
                 f"marginal violation {max(row_err, col_err):.3e} exceeds {MASS_TOL}"
             )

@@ -37,6 +37,9 @@ __all__ = [
 HORIZON_TOL = 1e-12
 # Two positions coincide within POSITION_TOL * (1 + their scale); see _eps_x.
 POSITION_TOL = 1e-12
+# Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative, and so is
+# a gap-velocity product B up to MOMENT_NEG_TOL * sqrt(A C).
+MOMENT_NEG_TOL = 1e-12
 # A requested time matches a grid time within TIME_GRID_TOL times the grid's
 # scale (its span, or its step when steps are compared).
 TIME_GRID_TOL = 1e-9
@@ -181,16 +184,18 @@ def tilde_dT_sq(src: PhaseState, dst: PhaseState, T: float) -> float:
 def optimal_time_point(src: PhaseState, dst: PhaseState) -> OptimalTime:
     """Horizon minimising ``T -> tilde_dT_sq(src, dst, T)`` over T > 0.
 
-    Finite(2 |y-x|^2 / ((y-x).(v+w))) when the dot product is positive; zero by
-    convention when y = x; infinite otherwise (the infimum is only approached
-    as T grows).
+    Finite(2 |y-x|^2 / ((y-x).(v+w))) when the dot product exceeds its
+    round-off, ``MOMENT_NEG_TOL * |y-x| |v+w|`` as in ``solver.optimal_time_plan``;
+    zero by convention when y = x; infinite otherwise (the infimum is only
+    approached as T grows).
     """
     gap = dst.x - src.x
     gap_sq = float(np.dot(gap, gap))
     if np.sqrt(gap_sq) <= _eps_x(src.x, dst.x):
         return OptimalTime.zero()
-    dot = float(np.dot(gap, src.v + dst.v))
-    if dot > 0.0:
+    vw = src.v + dst.v
+    dot = float(np.dot(gap, vw))
+    if dot > MOMENT_NEG_TOL * float(np.sqrt(gap_sq * np.dot(vw, vw))):
         return OptimalTime.finite(2.0 * gap_sq / dot)
     return OptimalTime.infinite()
 

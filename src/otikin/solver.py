@@ -44,14 +44,13 @@ from .lp import (
     tree_flows,
 )
 from .measures import (
-    MOMENT_NEG_TOL,
     Coupling,
     DiscreteMeasure,
     PairMoments,
     PlanMoments,
     coincident_blocks,
 )
-from .phase import OptimalTime
+from .phase import MOMENT_NEG_TOL, OptimalTime
 
 __all__ = [
     "SolveResult",

@@ -348,15 +348,41 @@ def test_failed_call_leaves_a_usable_warm_start(monkeypatch):
         assert chain_bytes(seed, failing) == plain
 
 
+def scaled_chain_problem(m, k, degenerate):
+    """Nine LPs on one m x k pair of marginals, small-integer ones when
+    ``degenerate``: normal costs cost + t B + t^2 W for t in [-1, 1], the
+    i-th scaled by 2^(5 i - 20), so the chain's costs span 2^-20 to 2^20."""
+    rng = np.random.default_rng(100 * m + k)
+    if degenerate:
+        a, b = rng.integers(1, 4, size=m).astype(float), rng.integers(1, 4, size=k).astype(float)
+        gap = a.sum() - b.sum()
+        b[0] += max(gap, 0.0)
+        a[0] -= min(gap, 0.0)
+    else:
+        a, b = rng.uniform(0.2, 1.0, size=m), rng.uniform(0.2, 1.0, size=k)
+    cost, B, W = rng.normal(size=(3, m, k))
+    scales = 2.0 ** np.arange(-20, 21, 5)
+    costs = [s * (cost + t * B + t * t * W) for s, t in zip(scales, np.linspace(-1.0, 1.0, 9))]
+    return costs, a / a.sum(), b / b.sum()
+
+
 def test_warm_start_holds_one_plan():
     # only the last plan returned stays alive once the caller drops the rest
     # (a plan returned by consecutive calls is one array), and a call that
-    # makes no pivot returns that same array again
-    for seed in (1, 2, 3):
-        costs, a, b = warm_chain_problem(seed)
+    # makes no pivot returns that same array again. Pricing masks no basic
+    # cell, so at size, and with costs from 2^-20 to 2^20, every plan is
+    # optimal and re-solving the last cost makes no pivot.
+    chains = [warm_chain_problem(seed) for seed in (1, 2, 3)]
+    chains += [scaled_chain_problem(64, 64, True), scaled_chain_problem(40, 30, False)]
+    for costs, a, b in chains:
         warm, returned = WarmStart(a, b), []
         for cost in costs:
-            returned.append(weakref.ref(transportation_simplex(cost, a, b, warm)))
+            P = transportation_simplex(cost, a, b, warm)
+            # HiGHS's tolerances are absolute, so it prices the cost scaled
+            # exactly, by a power of two, to below 1 in size
+            unit = cost / 2.0 ** np.frexp(np.abs(cost).max())[1]
+            assert np.sum(unit * P) == pytest.approx(reference_lp_value(unit, a, b), rel=1e-9)
+            returned.append(weakref.ref(P))
         gc.collect()
         assert {id(r()) for r in returned if r() is not None} == {id(warm.plan)}
         pivots = warm.pivots

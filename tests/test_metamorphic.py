@@ -18,6 +18,8 @@ Two more checks read the discrepancies through ``measures.w2_sq``, which
 prices only position and velocity gaps: the fixed-horizon cost at T = 1/s is
 W2^2 of two linear images (see the ``phase`` module docstring), and no image
 pair on a grid of s lies below d~^2, the infimum the horizon search finds.
+A dilation of phase space by a power of two leaves the fixed-horizon plan's
+bytes as they are and scales its cost exactly.
 """
 
 import numpy as np
@@ -105,6 +107,33 @@ def test_galilean_boost(inst, c, T):
     assert solve_fixed_T(boosted_mu, boosted_nu, T).cost_sq == pytest.approx(
         solve_fixed_T(mu, nu, T).cost_sq, rel=REL
     )
+
+
+def dilated(mu: DiscreteMeasure, lam: float) -> DiscreteMeasure:
+    return DiscreteMeasure(lam * mu.positions, lam * mu.velocities, mu.weights)
+
+
+def test_phase_space_dilation():
+    # scaling every position and velocity by a power of two scales every cost
+    # entry exactly by its square, so the simplex, whose entering threshold is
+    # relative to the cost, makes the same pivots: the same plan bytes, and a
+    # cost that is the unscaled one times lam^2 to the bit
+    rng = np.random.default_rng(5)
+    for m, k in ((6, 5), (12, 10)) * 6:
+
+        def measure(size):
+            w = rng.uniform(0.2, 1.0, size)
+            x, v = rng.normal(size=(2, size, 2))
+            return DiscreteMeasure(x, v, w / w.sum())
+
+        mu, nu = measure(m), measure(k)
+        for T in (0.5, 1.0):
+            base = solve_fixed_T(mu, nu, T)
+            for j in (-20, -10, 10):
+                lam = 2.0**j
+                res = solve_fixed_T(dilated(mu, lam), dilated(nu, lam), T)
+                assert res.plan.P.tobytes() == base.plan.P.tobytes()
+                assert res.cost_sq == lam * lam * base.cost_sq
 
 
 def linear_images(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):

@@ -120,6 +120,9 @@ class TestPointwiseCosts:
         assert optimal_time_point(S(0.0, 1.0), S(1.0, 1.0)).value == pytest.approx(1.0)
         assert optimal_time_point(S(3.0, 5.0), S(3.0, -2.0)).kind == "zero"
         assert optimal_time_point(S(0.0, -1.0), S(1.0, -1.0)).kind == "infinite"
+        # (y - x).(v + w) is 0 up to round-off: no horizon of about 1e17
+        src = PhaseState(np.zeros(3), np.array([0.1, 0.2, -0.3]))
+        assert optimal_time_point(src, PhaseState(np.ones(3), np.zeros(3))).kind == "infinite"
 
     def test_grid_minimum_matches_infimum(self):
         rng = np.random.default_rng(2)

@@ -27,6 +27,12 @@ def pair():
     return DiscreteMeasure([[0.0]], [[1.0]], [1.0]), DiscreteMeasure([[1.0]], [[1.0]], [1.0])
 
 
+def half_pair():
+    """Two copies of one measure of two atoms of mass 1/2 on the line."""
+    mu = DiscreteMeasure([[0.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
+    return mu, mu
+
+
 def still(times, forces=None):
     """One particle at rest on the grid ``times``, with zero force samples
     unless ``forces`` is given."""
@@ -47,6 +53,10 @@ REJECTIONS = {
         lambda: Coupling(np.array([[-0.5]]), *pair()),
         "plan has negative mass -0.5",
     ),
+    "coupling-nan-mass": (
+        lambda: Coupling(np.array([[0.5, np.nan], [0.0, 0.5]]), *half_pair()),
+        "plan has negative mass nan",
+    ),
     "unknown-measure-format": (
         lambda: load_measure(str(DATA / "uniform5_mu.json"), "xml"),
         "unknown measure format 'xml'",
@@ -58,6 +68,14 @@ REJECTIONS = {
     "spline-masses-not-one": (
         lambda: SplineEnsemble(np.zeros((1, 4, 1)), np.array([0.5]), 1.0),
         "spline masses must sum to 1",
+    ),
+    "spline-mass-nan": (
+        lambda: SplineEnsemble(np.zeros((1, 4, 1)), np.array([np.nan]), 1.0),
+        "spline masses must be finite and positive",
+    ),
+    "spline-mass-negative": (
+        lambda: SplineEnsemble(np.zeros((2, 4, 1)), np.array([2.0, -1.0]), 1.0),
+        "spline masses must be finite and positive",
     ),
     "spline-horizon-zero": (
         lambda: SplineEnsemble(np.zeros((1, 4, 1)), np.array([1.0]), 0.0),
