@@ -331,7 +331,7 @@ def cmd_simulate(args) -> int:
         return _usage_error(f"--t1 must exceed --t0 by at most {MAX_SIM_STEPS} steps of --dt")
     try:
         force = _force_from_arg(args.force)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
         return _usage_error(f"bad force specification: {exc}")
     mu = _load(args.mu, args.format)
     try:  # a poly force whose width is not the measure's dimension fails here
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError, MemoryError) as exc:
         # With --T given, an OverflowError comes from a power of T that leaves
         # the float range, raised where the power is taken.
         if isinstance(exc, OverflowError) and getattr(args, "T", None) is not None:

@@ -415,6 +415,8 @@ def vlasov_integrate(
     the first step that recorded a non-finite value is replayed with a check
     after every stage, and raises ``ValueError`` naming the time of the first
     non-finite force or state, so a failing run stops within one block.
+    Recorded states that do not fit in memory raise a ``MemoryError`` that
+    names steps x atoms.
 
     Positions and velocities are stepped as one (2, m, n) block in buffers made
     once per run (see ``_rk4_stepper``). The evaluator receives views of those
@@ -434,8 +436,13 @@ def vlasov_integrate(
     m, n = mu0.size, mu0.dim
     times = t0 + dt * np.arange(n_steps + 1)
     grid = times.tolist()
-    states = np.empty((n_steps + 1, m, 2, n))
-    forces = np.empty((n_steps + 1, m, n))
+    try:
+        states = np.empty((n_steps + 1, m, 2, n))
+        forces = np.empty((n_steps + 1, m, n))
+    except MemoryError as exc:
+        raise MemoryError(
+            f"the states of {n_steps + 1} steps x {m} atoms do not fit in memory"
+        ) from exc
     phases = states.transpose(0, 2, 1, 3)  # (n_steps + 1, 2, m, n) view of states
     Z, step = _rk4_stepper(m, n, dt)
     Y, (X0, V0, F0) = Z[0, :2], Z[0]

@@ -2,23 +2,23 @@
 
 ``transportation_simplex`` solves min <C, P> over the transportation polytope
 {P >= 0, row sums = a, col sums = b} and returns a basic (vertex) solution;
-vertex outputs are required by the concave outer minimisation built on top.
-The basis is a tree of (neighbour, cell) pairs. A cell enters by Dantzig's
-rule (the most negative reduced cost, below a threshold relative to max |C|);
-after a run of degenerate pivots Bland's rule takes over until flow moves again, which
-rules out cycling. The returned plan is ``tree_flows`` on its support, the
-basic cells whose pivot flow exceeds ``support_floor``, MASS_ROUNDING_TOL *
-min(a[i], b[j]). A flow at or below that counts as round-off, which a cell
-the vertex leaves empty can pick up on degenerate marginals, so a plan's
-bytes depend only on its vertex, whatever the start or the pivots. The
-oracle, ``Coupling.support()`` and the test of whether a plan moves
-positions read a plan's cells by the same floor. Marginals all of one float,
-bit for bit, are assignment problems, whose vertices are permutations: up to
-``ENUMERATE_MAX`` atoms the call prices every permutation and returns the
-cheapest, the first in ``itertools.permutations`` order on an exact tie; above
-it scipy's ``linear_sum_assignment`` solves them, and scipy is imported only
-then. Scipy gets the cost less each row's minimum and then less each
-column's minimum, the first step of the Hungarian method: every
+vertex outputs are required by the concave outer minimisation built on top. The
+basis is the nodes' parent cells in a tree of (neighbour, cell) pairs. A cell
+enters by Dantzig's rule (the most negative reduced cost, below a threshold
+relative to max |C|); after a run of degenerate pivots Bland's rule takes over
+until flow moves again, which rules out cycling. The returned plan is
+``tree_flows`` on its support, the basic cells whose pivot flow exceeds
+``support_floor``, MASS_ROUNDING_TOL * min(a[i], b[j]). A flow at or below that
+counts as round-off, which a cell the vertex leaves empty can pick up on
+degenerate marginals, so a plan's bytes depend only on its vertex, whatever the
+start or the pivots. The oracle, ``Coupling.support()`` and the test of whether
+a plan moves positions read a plan's cells by the same floor. Marginals all of
+one float, bit for bit, are assignment problems, whose vertices are
+permutations: up to ``ENUMERATE_MAX`` atoms the call prices every permutation
+and returns the cheapest, the first in ``itertools.permutations`` order on an
+exact tie; above it scipy's ``linear_sum_assignment`` solves them, and scipy is
+imported only then. Scipy gets the cost less each row's minimum and then less
+each column's minimum, the first step of the Hungarian method: every
 permutation's total moves by one constant, so the optimum is the same, and
 scipy's solver runs faster on the reduced kinetic costs than on the raw ones.
 
@@ -178,9 +178,9 @@ class WarmStart:
 
     - ``cells``: the optimal basis of the last simplex call, where the next
       one starts; None before the first, which starts from the northwest
-      corner. With it the state keeps the basis's spanning tree, each
-      node's (neighbour, cell) pairs, so the next call only traverses it
-      once to set the potentials for its cost;
+      corner: the parent cells of the final tree's nodes. With it the state
+      keeps that spanning tree, each node's (neighbour, cell) pairs, so the
+      next call only traverses it once to set the potentials for its cost;
     - ``support`` and ``plan``: the key of the last plan returned and that
       plan, read-only. The key is the sorted row-major indices of the final
       basis cells in the plan's support, or on the assignment path the
@@ -210,7 +210,7 @@ class WarmStart:
             self._rows, self._cols = np.arange(m).repeat(k), np.tile(np.arange(m, m + k), m)
             self._floor = support_floor(self.a, self.b).ravel().tolist()
         self._basis = None  # row-major indices of ``cells``; no call changes this list
-        self._tree = None  # (basic, adj): the basis and its (neighbour, cell) pairs per node
+        self._tree = None  # the (neighbour, cell) pairs of each node of the basis tree
         self.support = None
         self.plan = None
         self.pivots = 0
@@ -280,12 +280,12 @@ def transportation_simplex(
     0 where u = 0. A call first hangs every node below its parent in one
     traversal, which sets its depth, its parent cell (the row-major cell
     joining them) and its potential, and a pivot re-hangs only the subtree
-    that the leaving cell cuts off. Pricing subtracts the potentials from
-    every cost in numpy, basic cells too: their round-off is far inside the
-    entering threshold (see ``REDUCED_COST_TOL``). A pivot's cycle is the
-    parent cells on the two tree paths from the entering cell's ends up to
-    their lowest common ancestor; the side that holds the leaving cell is
-    the one cut off.
+    that the leaving cell cuts off. The parent cells are the basis. Pricing
+    subtracts the potentials from every cost in numpy, basic cells too:
+    their round-off is far inside the entering threshold (see
+    ``REDUCED_COST_TOL``). A pivot's cycle is the parent cells on the two
+    tree paths from the entering cell's ends up to their lowest common
+    ancestor; the side that holds the leaving cell is the one cut off.
     """
     if warm is None:
         warm = WarmStart(a, b)
@@ -326,20 +326,18 @@ def transportation_simplex(
 
     n = m + k
     if warm._basis is None:
-        P, basic = _northwest_corner(a, b)
+        P, basis = _northwest_corner(a, b)
     else:
-        P, basic = warm.plan.ravel().tolist(), list(warm._basis)
+        P, basis = warm.plan.ravel().tolist(), warm._basis
     # The pivots below change the tree in place, so it stays detached until
     # the call returns; ``cells`` and ``plan`` keep the last returned basis.
-    tree, warm._tree = warm._tree, None
-    if tree is None:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in basic:
+    adj, warm._tree = warm._tree, None
+    if adj is None:
+        adj = [[] for _ in range(n)]
+        for e in basis:
             i, j = divmod(e, k)
             adj[i].append((m + j, e))
             adj[m + j].append((i, e))
-        tree = (basic, adj)
-    basic, adj = tree
     pot, parent, depth, pcell = [0.0] * n, [-1] * n, [0] * n, [-1] * n
     cflat = cost.ravel().tolist()
     flat, rows, cols, floor = cost.ravel(), warm._rows, warm._cols, warm._floor
@@ -371,14 +369,15 @@ def transportation_simplex(
         else:
             enter = int((reduced < -red_tol).argmax())  # the first improving cell
         if not reduced.item(enter) < -red_tol:
-            support = sorted([e for e in basic if P[e] > floor[e]])
+            basis = pcell[1:]  # every node but the root row hangs from one basic cell
+            support = sorted([e for e in basis if P[e] > floor[e]])
             # Leaf elimination can leave round-off just below zero on a cell
             # whose marginals are tiny.
             plan = warm._keep(
                 tuple(support),
                 lambda: np.maximum(tree_flows(a, b, support), 0.0),
             )
-            warm._basis, warm._tree = list(basic), tree
+            warm._basis, warm._tree = basis, adj
             return plan
         ei, ej = divmod(enter, k)
 
@@ -408,7 +407,6 @@ def transportation_simplex(
         else:
             degenerate += 1
             warm.degenerate_pivots += 1
-        basic[basic.index(leave)] = enter
         li, lj = divmod(leave, k)
         adj[li].remove((m + lj, leave))
         adj[m + lj].remove((li, leave))

@@ -6,7 +6,8 @@ marginals, supported on the cells above the simplex's ``lp.support_floor``;
 a plan keeps positions when no such cell joins distinct positions. Every
 plan-level cost factors through the four moments (A, B, C, D), and every
 pointwise cost matrix is a linear combination of the four pairwise matrices
-behind them; ``PairMoments`` is the one place those matrices are built.
+behind them; ``PairMoments`` is the one place those matrices are built. The
+fixed-horizon cost and the dimension check are ``phase``'s.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import MASS_ROUNDING_TOL, MASS_TOL, support_floor, transportation_simplex
-from .phase import MOMENT_NEG_TOL, POSITION_TOL, PhaseState
+from .phase import MOMENT_NEG_TOL, POSITION_TOL, PhaseState, fixed_horizon_cost, same_dimension
 
 __all__ = [
     "DiscreteMeasure",
@@ -161,7 +162,7 @@ def validate_measure(raw) -> DiscreteMeasure:
 def measure_from_json(text: str) -> DiscreteMeasure:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # a RecursionError: nested too deep
         raise ValueError(f"malformed measure JSON: {exc}") from exc
     if not isinstance(raw, dict) or "dim" not in raw or "points" not in raw:
         raise ValueError("measure JSON must be an object with 'dim' and 'points'")
@@ -184,8 +185,10 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 def measure_from_csv(text: str) -> DiscreteMeasure:
     """Parse one atom per row under exactly the CSV header ``x1..xn,v1..vn,w``."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ValueError(f"malformed measure CSV: {exc}") from exc
     if len(rows) < 2:
         raise ValueError("measure CSV needs a header and at least one atom row")
     header = [c.strip() for c in rows[0]]
@@ -290,8 +293,7 @@ class PlanMoments:
 
 def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Independence coupling P[i, j] = w_i u_j."""
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    same_dimension(mu.dim, nu.dim)
     return Coupling(np.outer(mu.weights, nu.weights), mu, nu)
 
 
@@ -301,7 +303,8 @@ class PairMoments:
     With gap = y_j - x_i, vsum = v_i + w_j and vdiff = w_j - v_i, the m x k
     matrices are A = |gap|^2, B = gap . vsum, C = |vsum|^2 and D = |vdiff|^2.
     Every pointwise cost and the moments of every plan are linear in them.
-    Coordinates whose squares overflow raise ``ValueError``.
+    Coordinates whose squares overflow raise ``ValueError``, and matrices that
+    do not fit in memory a ``MemoryError`` that names m x k.
 
     Positions coincide when their Euclidean gap is within POSITION_TOL *
     (1 + the largest position norm of each measure), the rule
@@ -312,38 +315,43 @@ class PairMoments:
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        if mu.dim != nu.dim:
-            raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = nu.positions[None, :, :] - mu.positions[:, None, :]
-            vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-            vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-            self.A = np.sum(gap * gap, axis=2)
-            self.B = np.sum(gap * vsum, axis=2)
-            self.C = np.sum(vsum * vsum, axis=2)
-            self.D = np.sum(vdiff * vdiff, axis=2)
-            scale = sum(
-                float(np.sqrt(np.max(np.sum(x * x, axis=1), initial=0.0)))
-                for x in (mu.positions, nu.positions)
-            )
-            tol = POSITION_TOL * (1.0 + scale)
-            self.distinct = self.A > tol * tol
-        moments = (self.A, self.B, self.C, self.D)
-        if not all(np.all(np.isfinite(M)) for M in moments):
-            raise ValueError("pairwise moments overflow; coordinates are too large")
-        # The moment matrices, and per cell the flow above which a plan moves positions.
-        self._stack = np.stack(moments)
-        self._move_floor = np.where(self.distinct, support_floor(mu.weights, nu.weights), np.inf)
+        same_dimension(mu.dim, nu.dim)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = nu.positions[None, :, :] - mu.positions[:, None, :]
+                vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
+                vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
+                self.A = np.sum(gap * gap, axis=2)
+                self.B = np.sum(gap * vsum, axis=2)
+                self.C = np.sum(vsum * vsum, axis=2)
+                self.D = np.sum(vdiff * vdiff, axis=2)
+                scale = sum(
+                    float(np.sqrt(np.max(np.sum(x * x, axis=1), initial=0.0)))
+                    for x in (mu.positions, nu.positions)
+                )
+                tol = POSITION_TOL * (1.0 + scale)
+                self.distinct = self.A > tol * tol
+            moments = (self.A, self.B, self.C, self.D)
+            if not all(np.all(np.isfinite(M)) for M in moments):
+                raise ValueError("pairwise moments overflow; coordinates are too large")
+            # The moment matrices, and per cell the flow above which a plan moves positions.
+            self._stack = np.stack(moments)
+            floor = support_floor(mu.weights, nu.weights)
+            self._move_floor = np.where(self.distinct, floor, np.inf)
+        except MemoryError as exc:
+            raise MemoryError(
+                f"the pairwise moments of {mu.size} x {nu.size} atoms do not fit in memory"
+            ) from exc
 
     def fixed_T_cost(self, T: float) -> np.ndarray:
-        """Pointwise fixed-horizon cost 12 A / T^2 - 12 B / T + 3 C + D.
+        """Pointwise ``phase.fixed_horizon_cost``, 12 A / T^2 - 12 B / T + 3 C + D.
 
         A horizon whose powers leave the float range, so that the cost
         overflows, raises ``OverflowError``.
         """
         T = float(T)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cost = 12.0 * self.A / T**2 - 12.0 * self.B / T + 3.0 * self.C + self.D
+            cost = fixed_horizon_cost(self.A, self.B, self.C, self.D, T)
         if not np.all(np.isfinite(cost)):
             raise OverflowError(f"the fixed-horizon cost at T={T} is not finite")
         return cost

@@ -4,8 +4,10 @@ A phase state is a pair (x, v) of position and velocity in R^n. The module
 builds, evaluates and prices the cubic connector that minimises the
 time-weighted squared acceleration between two states, held as one row of
 ascending coefficients. It also gives the induced fixed-horizon discrepancy,
-its time-optimised variants, and the tolerances shared by the measure-level
-code. With s = 1/T, the fixed-horizon cost is |p - q|^2 + |w - v|^2 where
+its time-optimised variants, and the rules that points, plans (``solver``)
+and measure pairs (``measures``) share: the tolerances, the horizon and
+dimension checks, the fixed-horizon cost in the moments A, B, C, D and the
+optimal horizon 2A/B. With s = 1/T, that cost is |p - q|^2 + |w - v|^2 where
 p = sqrt(12) (s x + v/2) and q = sqrt(12) (s y - w/2), so at each fixed T the
 measures' discrepancy is ``measures.w2_sq`` of the images (p, v) and (q, w).
 Free transport, zero-discrepancy detection and derivatives along curves act on
@@ -122,6 +124,32 @@ class OptimalTime:
         return self.kind == "finite"
 
 
+def positive_horizon(T) -> float:
+    """The horizon ``T`` as a float; one that is not positive raises ``ValueError``."""
+    if not T > 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    return float(T)
+
+
+def same_dimension(n_src: int, n_dst: int) -> None:
+    """Raise ``ValueError`` unless the two phase-space dimensions agree."""
+    if n_src != n_dst:
+        raise ValueError(f"dimension mismatch: {n_src} vs {n_dst}")
+
+
+def fixed_horizon_cost(A, B, C, D, T: float):
+    """12 A / T^2 - 12 B / T + 3 C + D, on plan moments or elementwise on pair matrices."""
+    return 12.0 * A / T**2 - 12.0 * B / T + 3.0 * C + D
+
+
+def optimal_horizon(A: float, B: float, C: float) -> OptimalTime:
+    """For A > 0, the T minimising ``fixed_horizon_cost``: 2A/B, or infinite when B
+    is at most MOMENT_NEG_TOL sqrt(A C), the round-off of an exact 0 (no T of 1e17)."""
+    if B > MOMENT_NEG_TOL * float(np.sqrt(max(A * C, 0.0))):
+        return OptimalTime.finite(2.0 * A / B)
+    return OptimalTime.infinite()
+
+
 def spline_from_endpoints(x, v, y, w, T: float) -> np.ndarray:
     """Minimal-acceleration cubic from (x, v) at time 0 to (y, w) at time T.
 
@@ -134,12 +162,9 @@ def spline_from_endpoints(x, v, y, w, T: float) -> np.ndarray:
     whose powers leave the float range, so that a coefficient of finite
     states overflows, raises ``OverflowError``.
     """
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    T = positive_horizon(T)
     x, v, y, w = (np.asarray(a, dtype=float) for a in (x, v, y, w))
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-    T = float(T)
+    same_dimension(x.shape[-1], y.shape[-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a3 = (v + w) / T**2 - 2.0 * (y - x) / T**3
         a2 = 3.0 * (y - x) / T**2 - (2.0 * v + w) / T
@@ -172,11 +197,9 @@ def spline_action(coef: np.ndarray, T: float) -> float:
 
 def tilde_dT_sq(src: PhaseState, dst: PhaseState, T: float) -> float:
     """Squared fixed-horizon discrepancy: 12 |(y-x)/T - (v+w)/2|^2 + |w-v|^2."""
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if src.dim != dst.dim:
-        raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
-    drift = (dst.x - src.x) / float(T) - 0.5 * (src.v + dst.v)
+    T = positive_horizon(T)
+    same_dimension(src.dim, dst.dim)
+    drift = (dst.x - src.x) / T - 0.5 * (src.v + dst.v)
     dv = dst.v - src.v
     return 12.0 * float(np.dot(drift, drift)) + float(np.dot(dv, dv))
 
@@ -184,20 +207,16 @@ def tilde_dT_sq(src: PhaseState, dst: PhaseState, T: float) -> float:
 def optimal_time_point(src: PhaseState, dst: PhaseState) -> OptimalTime:
     """Horizon minimising ``T -> tilde_dT_sq(src, dst, T)`` over T > 0.
 
-    Finite(2 |y-x|^2 / ((y-x).(v+w))) when the dot product exceeds its
-    round-off, ``MOMENT_NEG_TOL * |y-x| |v+w|`` as in ``solver.optimal_time_plan``;
-    zero by convention when y = x; infinite otherwise (the infimum is only
-    approached as T grows).
+    Zero by convention when y = x; otherwise ``optimal_horizon`` of the pair's
+    moments A = |y-x|^2, B = (y-x).(v+w) and C = |v+w|^2, the rule
+    ``solver.optimal_time_plan`` applies to plans.
     """
     gap = dst.x - src.x
     gap_sq = float(np.dot(gap, gap))
     if np.sqrt(gap_sq) <= _eps_x(src.x, dst.x):
         return OptimalTime.zero()
     vw = src.v + dst.v
-    dot = float(np.dot(gap, vw))
-    if dot > MOMENT_NEG_TOL * float(np.sqrt(gap_sq * np.dot(vw, vw))):
-        return OptimalTime.finite(2.0 * gap_sq / dot)
-    return OptimalTime.infinite()
+    return optimal_horizon(gap_sq, float(np.dot(gap, vw)), float(np.dot(vw, vw)))
 
 
 def tilde_d_sq(src: PhaseState, dst: PhaseState) -> float:
@@ -208,8 +227,7 @@ def tilde_d_sq(src: PhaseState, dst: PhaseState) -> float:
     the analytic T -> infinity limit, which applies whenever the optimal time
     is not finite.
     """
-    if src.dim != dst.dim:
-        raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
+    same_dimension(src.dim, dst.dim)
     vw = src.v + dst.v
     dv = dst.v - src.v
     base = 3.0 * float(np.dot(vw, vw)) + float(np.dot(dv, dv))
@@ -226,8 +244,7 @@ def d_sq(src: PhaseState, dst: PhaseState) -> float:
 
     Identical to ``tilde_d_sq`` when x != y, and |w-v|^2 when x = y.
     """
-    if src.dim != dst.dim:
-        raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
+    same_dimension(src.dim, dst.dim)
     gap = dst.x - src.x
     if float(np.linalg.norm(gap)) <= _eps_x(src.x, dst.x):
         dv = dst.v - src.v

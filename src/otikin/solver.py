@@ -3,27 +3,28 @@
 Every cost here is a linear combination of the four pairwise matrices of
 ``measures.PairMoments``, the one place they are built; each solve builds them
 once and derives its cost matrices and plan moments from them. The
-fixed-horizon plan cost is linear in the coupling, so its exact minimiser
-comes from the transportation simplex. A plan takes the D-only branch of the
-envelope cost when none of its cells above ``lp.support_floor`` joins distinct
-positions. The time-optimised costs swap the two infima: with s = 1/T, the
-squared discrepancy is the infimum over s >= 0 of OT(s), the linear transport
-value with pointwise cost 12 s^2 A - 12 s B + 3 C + D. ``solve_d`` and
-``solve_tilde_d`` find that infimum by an exact branch-and-bound over s that
-calls the transportation simplex with one ``lp.WarmStart`` per search (all its
-LPs share their marginals), so each call starts from the last one's optimal
-basis, with the plan it returned as flows. The LP value is concave in the
-cost's coefficients of A and B, and on an interval of s the curve the search
-follows is a quadratic Bezier curve, so the LP values at its three control
-points bound the whole interval; a halved interval also bounds its halves'
-third corners from the corners it has already solved, which can drop a half
-with no LP. A search evaluates each vertex
-once: it remembers the moments of each plan by the plan's support, which the
-warm start reports with each plan. A brute-force vertex oracle cross-checks
-global minima on small instances: it tells vertices apart by their cells above
-the floor, stacks every vertex plan, takes all their moments as arrays,
-validates them and evaluates their envelope costs elementwise, and builds
-``PlanMoments``, plans and horizons only for the tied optima.
+fixed-horizon cost, its optimal horizon and the horizon and dimension checks
+are ``phase``'s. The fixed-horizon plan cost is linear in the coupling, so its
+exact minimiser comes from the transportation simplex. A plan takes the D-only
+branch of the envelope cost when none of its cells above ``lp.support_floor``
+joins distinct positions. The time-optimised costs swap the two infima: with s
+= 1/T, the squared discrepancy is the infimum over s >= 0 of OT(s), the linear
+transport value with pointwise cost 12 s^2 A - 12 s B + 3 C + D. ``solve_d``
+and ``solve_tilde_d`` find that infimum by an exact branch-and-bound over s
+that calls the transportation simplex with one ``lp.WarmStart`` per search
+(all its LPs share their marginals), so each call starts from the last one's
+optimal basis, with the plan it returned as flows. The LP value is concave in
+the cost's coefficients of A and B, and on an interval of s the curve the
+search follows is a quadratic Bezier curve, so the LP values at its three
+control points bound the whole interval; a halved interval also bounds its
+halves' third corners from the corners it has already solved, which can drop a
+half with no LP. A search evaluates each vertex once: it remembers the moments
+of each plan by the plan's support, which the warm start reports with each
+plan. A brute-force vertex oracle cross-checks global minima on small
+instances: it tells vertices apart by their cells above the floor, stacks
+every vertex plan, takes all their moments as arrays, validates them and
+evaluates their envelope costs elementwise, and builds ``PlanMoments``, plans
+and horizons only for the tied optima.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .measures import (
     PlanMoments,
     coincident_blocks,
 )
-from .phase import MOMENT_NEG_TOL, OptimalTime
+from .phase import (
+    OptimalTime, fixed_horizon_cost, optimal_horizon, positive_horizon, same_dimension
+)
 
 __all__ = [
     "SolveResult",
@@ -91,11 +94,8 @@ _REGIME_OF_TAG = {
 
 
 def cost_tilde_c_T(m: PlanMoments, T: float) -> float:
-    """Fixed-horizon plan cost 12 A / T^2 - 12 B / T + 3 C + D."""
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    T = float(T)
-    return 12.0 * m.A / T**2 - 12.0 * m.B / T + 3.0 * m.C + m.D
+    """Fixed-horizon plan cost 12 A / T^2 - 12 B / T + 3 C + D (``phase.fixed_horizon_cost``)."""
+    return fixed_horizon_cost(m.A, m.B, m.C, m.D, positive_horizon(T))
 
 
 def _moving_cost(A, B_plus, C, D):
@@ -129,15 +129,8 @@ def cost_c(m: PlanMoments) -> float:
 
 
 def optimal_time_plan(m: PlanMoments) -> OptimalTime:
-    """Horizon minimising the fixed-horizon cost of a coupling: 2A/B, 0, or inf.
-
-    B up to ``MOMENT_NEG_TOL * sqrt(A C)`` is round-off of an exact 0, not a
-    finite horizon of about 1e17."""
-    if m.keeps_positions:
-        return OptimalTime.zero()
-    if m.B > MOMENT_NEG_TOL * math.sqrt(max(m.A * m.C, 0.0)):
-        return OptimalTime.finite(2.0 * m.A / m.B)
-    return OptimalTime.infinite()
+    """A coupling's optimal horizon: zero if it keeps positions, else ``phase.optimal_horizon``."""
+    return OptimalTime.zero() if m.keeps_positions else optimal_horizon(m.A, m.B, m.C)
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,7 @@ def solve_fixed_T(mu: DiscreteMeasure, nu: DiscreteMeasure, T: float) -> SolveRe
     The objective is linear in the plan, so a vertex solution from the simplex
     (assignment on uniform equal-size inputs) is globally optimal.
     """
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    T = positive_horizon(T)
     pm = PairMoments(mu, nu)
     P = transportation_simplex(pm.fixed_T_cost(T), mu.weights, nu.weights)
     plan = Coupling(P, mu, nu)
@@ -469,8 +461,7 @@ def detect_free_transport(mu: DiscreteMeasure, nu: DiscreteMeasure) -> FreeTrans
     When the drift image exists and the velocity marginal is not concentrated
     at zero, the time is unique.
     """
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    same_dimension(mu.dim, nu.dim)
     vmax_mu = float(np.max(np.linalg.norm(mu.velocities, axis=1)))
     vmax_nu = float(np.max(np.linalg.norm(nu.velocities, axis=1)))
     if vmax_mu <= DRIFT_TOL and vmax_nu <= DRIFT_TOL:

@@ -128,9 +128,10 @@ class TestExitCodes:
             '{"dim": 1, "points": [{"x": [0], "v": [0], "w": "1"}]}',
             '{"dim": 1, "points": [{"x": ["0.5"], "v": [0], "w": 1}]}',
             '{"dim": 1, "points": [{"x": [0], "v": [true], "w": 1}]}',
+            "[" * 200000,  # deeper than the JSON decoder recurses
         ],
         ids=["negative-weight", "overflowing-dim", "zero-dim", "float-dim", "bool-dim",
-             "nested-x", "bool-w", "str-w", "str-x", "bool-v"],
+             "nested-x", "bool-w", "str-w", "str-x", "bool-v", "nested-brackets"],
     )
     def test_malformed_measure_exits_3(self, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -185,6 +186,15 @@ class TestExitCodes:
                   "--T", "1", "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
         assert "unexpected measure CSV header ['v1', 'x1', 'w']" in capsys.readouterr().err
+
+    def test_csv_field_over_size_limit_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "mu.csv"
+        bad.write_text("x1,v1,w\n" + "1" * 200000 + ",0,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["discrepancy", "--format", "csv", "--mu", str(bad), "--nu", str(bad),
+                  "--T", "1", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 3
+        assert "malformed measure CSV: field larger than field limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -275,19 +285,21 @@ class TestExitCodes:
             # PCG64 takes no negative seed
             ["--seed", "-1", "probe", "--suite", "metric-derivative",
              "--scenario", "harmonic-ensemble"],
+            # a force file nested deeper than the JSON decoder recurses
+            ["simulate", "--mu", U5_MU, "--force", "@{nested_file}",
+             "--t0", "0", "--t1", "0.5", "--dt", "0.1"],
         ],
     )
     def test_usage_error_exits_2(self, tmp_path, argv):
-        array_file = tmp_path / "array.json"
-        array_file.write_text("[1, 2]")
-        dict_file = tmp_path / "dict.json"
-        dict_file.write_text('{"kind": "poly", "coeffs": {"a": 1}}')
-        wide_file = tmp_path / "wide.json"
-        wide_file.write_text('{"kind": "poly", "coeffs": [[1, 2, 3]]}')
-        argv = [
-            a.format(array_file=array_file, dict_file=dict_file, wide_file=wide_file)
-            for a in argv
-        ]
+        files = {
+            "array_file": "[1, 2]",
+            "dict_file": '{"kind": "poly", "coeffs": {"a": 1}}',
+            "wide_file": '{"kind": "poly", "coeffs": [[1, 2, 3]]}',
+            "nested_file": "[" * 200000,
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(**{name: tmp_path / name for name in files}) for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
@@ -416,6 +428,40 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: solver failed: transportation simplex exceeded")
+
+    @pytest.mark.parametrize(
+        "atoms, dim, argv, message",
+        [
+            # the (m, k, n) gap array of PairMoments needs 8.6 GiB
+            (6000, 32, ["discrepancy", "--nu", "{mu}", "--T", "1"],
+             "the pairwise moments of 6000 x 6000 atoms"),
+            # the recorded states of the run need 7.5 GiB
+            (1000, 1, ["simulate", "--force", "free", "--t0", "0", "--t1", "1", "--dt", "2e-6"],
+             "the states of 500001 steps x 1000 atoms"),
+        ],
+        ids=["discrepancy", "simulate"],
+    )
+    def test_out_of_memory_exits_4(self, tmp_path, atoms, dim, argv, message):
+        # Run only in a child whose address space is capped at 2 GiB, so that
+        # numpy fails to allocate the first large array at once; uncapped,
+        # the run could take the machine's memory.
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+        point = {"x": [0.0] * dim, "v": [1.0] * dim, "w": 1.0 / atoms}
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"dim": dim, "points": [point] * atoms}))
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "otikin.cli", argv[0], "--mu", str(mu),
+             *[a.format(mu=mu) for a in argv[1:]], "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == f"error: solver failed: {message} do not fit in memory\n"
+        assert not out.exists()
 
 
 class TestDiscrepancy:

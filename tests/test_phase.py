@@ -123,6 +123,19 @@ class TestPointwiseCosts:
         # (y - x).(v + w) is 0 up to round-off: no horizon of about 1e17
         src = PhaseState(np.zeros(3), np.array([0.1, 0.2, -0.3]))
         assert optimal_time_point(src, PhaseState(np.ones(3), np.zeros(3))).kind == "infinite"
+        # solve_d reads a Dirac pair's horizon by the same rule: the same kind, and
+        # a finite value within rounding (PairMoments sums where this module dots)
+        rng = np.random.default_rng(3)
+        pairs = [(src, PhaseState(np.ones(3), np.zeros(3)))]
+        for _ in range(1000):
+            x, v, y, w = rng.normal(size=(4, int(rng.integers(1, 4))))
+            pairs.append((S(x, v), S(y, w)))
+        for a, b in pairs:
+            tag = optimal_time_point(a, b)
+            solved = solve_d(dirac(a), dirac(b)).optimal_time
+            assert solved.kind == tag.kind
+            if tag.is_finite:
+                assert solved.value == pytest.approx(tag.value, rel=1e-13, abs=0.0)
 
     def test_grid_minimum_matches_infimum(self):
         rng = np.random.default_rng(2)
