@@ -9,15 +9,15 @@ and the derivative probe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import MASS_TOL
 from .measures import Coupling, DiscreteMeasure
-from .phase import (
-    HORIZON_TOL, TIME_GRID_TOL, OptimalTime, spline_action, spline_from_endpoints, spline_states
-)
+from .phase import HORIZON_TOL, TIME_GRID_TOL, OptimalTime, positive_horizon, spline_action
+from .phase import spline_from_endpoints, spline_states
 from .solver import solve_d, solve_fixed_T
 
 __all__ = [
@@ -68,8 +68,7 @@ class SplineEnsemble:
             raise ValueError("spline masses must be finite and positive")
         if abs(float(masses.sum()) - 1.0) > MASS_TOL:
             raise ValueError("spline masses must sum to 1")
-        if not self.horizon > 0:
-            raise ValueError("spline horizon must be positive")
+        object.__setattr__(self, "horizon", positive_horizon(self.horizon))
 
     def action(self) -> float:
         # One spline_action per row: an array-wide sum of products can round
@@ -146,6 +145,14 @@ def _real_roots_by_degree(coef: np.ndarray):
         yield int(d), rows, roots.real
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_indices(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(K, 1)``, read-only: the pairs (i, j), i < j, of K splines."""
+    first, second = np.triu_indices(K, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
 def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     """Interior injectivity of an ensemble: distinct-endpoint splines never meet.
 
@@ -158,6 +165,9 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     monotone) coupling the minimum is strictly positive; a reported violation
     certifies non-optimality.
 
+    The four endpoint equalities are tested at once on one (4, K, n) array of
+    start and end states, over the pairs ``np.triu_indices(K, 1)`` cached per K.
+
     Pairs sharing one endpoint state are skipped because they cannot meet
     inside (0, T): their difference is t^2 (a + b t), or (T - t)^2 times a
     linear term, and a common interior zero of it and its derivative forces
@@ -167,14 +177,11 @@ def monge_mather_check(e: SplineEnsemble) -> MongeMatherReport:
     those times (real parts of the roots, clipped to [0, T]).
     """
     T, coef = e.horizon, e.splines
-    x_end, v_end = spline_states(coef, T)
-    first, second = np.triu_indices(len(coef), 1)
-
-    def same(a: np.ndarray) -> np.ndarray:
-        gap = np.max(np.abs(a[first] - a[second]), axis=1)
-        return gap <= STATE_EQUAL_TOL * (1.0 + np.max(np.abs(a[first]), axis=1))
-
-    keep = ~((same(coef[:, 0]) & same(coef[:, 1])) | (same(x_end) & same(v_end)))
+    first, second = _pair_indices(len(coef))
+    ends = np.array((coef[:, 0], coef[:, 1], *spline_states(coef, T)))
+    a = ends[:, first]
+    same = abs(a - ends[:, second]).max(axis=2) <= STATE_EQUAL_TOL * (1.0 + abs(a).max(axis=2))
+    keep = ~((same[0] & same[1]) | (same[2] & same[3]))
     first, second = first[keep], second[keep]
     if first.size == 0:
         return MongeMatherReport(np.inf, False, None, None)

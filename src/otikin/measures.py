@@ -251,10 +251,10 @@ class Coupling:
         # Both tests are written so that a NaN entry fails them.
         if not -P.min(initial=0.0) <= MASS_ROUNDING_TOL:
             raise ValueError(f"plan has negative mass {P.min()}")
-        P = np.clip(P, 0.0, None)
+        P = np.maximum(P, 0.0)
         object.__setattr__(self, "P", P)
-        row_err = float(np.max(np.abs(P.sum(axis=1) - self.source.weights)))
-        col_err = float(np.max(np.abs(P.sum(axis=0) - self.target.weights)))
+        row_err = float(abs(P.sum(axis=1) - self.source.weights).max())
+        col_err = float(abs(P.sum(axis=0) - self.target.weights).max())
         if not (row_err <= MASS_TOL and col_err <= MASS_TOL):
             raise ValueError(
                 f"marginal violation {max(row_err, col_err):.3e} exceeds {MASS_TOL}"
@@ -306,6 +306,11 @@ class PairMoments:
     Coordinates whose squares overflow raise ``ValueError``, and matrices that
     do not fit in memory a ``MemoryError`` that names m x k.
 
+    They are the rows of one (4, m, k) stack summed one coordinate at a time,
+    from +0.0 in the order of numpy's pairwise sum, so the temporaries are
+    O(m k) in any dimension and the bits those of ``np.sum`` over the last
+    axis of the (m, k, n) products.
+
     Positions coincide when their Euclidean gap is within POSITION_TOL *
     (1 + the largest position norm of each measure), the rule
     of ``phase.d_sq`` applied to the whole pair. ``distinct`` is True on the
@@ -316,26 +321,30 @@ class PairMoments:
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         same_dimension(mu.dim, nu.dim)
+        X, V, Y, W = mu.positions, mu.velocities, nu.positions, nu.velocities
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                gap = nu.positions[None, :, :] - mu.positions[:, None, :]
-                vsum = nu.velocities[None, :, :] + mu.velocities[:, None, :]
-                vdiff = nu.velocities[None, :, :] - mu.velocities[:, None, :]
-                self.A = np.sum(gap * gap, axis=2)
-                self.B = np.sum(gap * vsum, axis=2)
-                self.C = np.sum(vsum * vsum, axis=2)
-                self.D = np.sum(vdiff * vdiff, axis=2)
-                scale = sum(
-                    float(np.sqrt(np.max(np.sum(x * x, axis=1), initial=0.0)))
-                    for x in (mu.positions, nu.positions)
-                )
+                # Coordinate c of (gap, vsum, vdiff) is right[c] + left[c], y - x as
+                # y + (-x); its products are gap * (gap, vsum) and (vsum, vdiff)^2.
+                left = np.array([-X, V, -V]).transpose(2, 0, 1)[..., None]
+                right = np.array([Y, W, W]).transpose(2, 0, 1)[:, :, None, :]
+                diffs, products = np.empty((3, mu.size, nu.size)), np.empty((4, mu.size, nu.size))
+
+                def term(c: int) -> np.ndarray:
+                    np.add(right[c], left[c], out=diffs)
+                    np.multiply(diffs[0], diffs[:2], out=products[:2])
+                    np.multiply(diffs[1:], diffs[1:], out=products[2:])
+                    return products
+
+                self._stack = _pairwise_sum(term, 0, mu.dim)
+                self._stack += 0.0  # np.sum starts from +0.0: a sum of -0.0 reads +0.0
+                self.A, self.B, self.C, self.D = self._stack
+                scale = sum(math.sqrt((x * x).sum(axis=1).max()) for x in (X, Y))
                 tol = POSITION_TOL * (1.0 + scale)
                 self.distinct = self.A > tol * tol
-            moments = (self.A, self.B, self.C, self.D)
-            if not all(np.all(np.isfinite(M)) for M in moments):
+            if not np.isfinite(self._stack).all():
                 raise ValueError("pairwise moments overflow; coordinates are too large")
-            # The moment matrices, and per cell the flow above which a plan moves positions.
-            self._stack = np.stack(moments)
+            # Per cell, the flow above which a plan moves positions.
             floor = support_floor(mu.weights, nu.weights)
             self._move_floor = np.where(self.distinct, floor, np.inf)
         except MemoryError as exc:
@@ -367,7 +376,7 @@ class PairMoments:
         """
         if P.shape != self.A.shape:
             raise ValueError("coupling does not match the given measures")
-        A, B, C, D = np.sum(self._stack * P, axis=(-2, -1)).tolist()
+        A, B, C, D = (self._stack * P).sum(axis=(-2, -1)).tolist()
         return PlanMoments(A, B, C, D, not (P > self._move_floor).any())
 
     def of_each(self, plans: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -382,7 +391,7 @@ class PairMoments:
             raise ValueError("expected a stack of plan matrices")
         if plans.shape[1:] != self.A.shape:
             raise ValueError("coupling does not match the given measures")
-        A, B, C, D = (np.sum(plans * M, axis=(-2, -1)) for M in self._stack)
+        A, B, C, D = ((plans * M).sum(axis=(-2, -1)) for M in self._stack)
         keeps = ~(plans > self._move_floor).any(axis=(-2, -1))
         with np.errstate(over="ignore"):  # an infinite sqrt(A C) bounds nothing, as in PlanMoments
             cs = np.sqrt(np.maximum(A, 0.0) * np.maximum(C, 0.0))
@@ -393,6 +402,38 @@ class PairMoments:
             v = int(np.argmax(bad))  # its PlanMoments raises the error
             PlanMoments(float(A[v]), float(B[v]), float(C[v]), float(D[v]), bool(keeps[v]))
         return A, B, C, D, keeps
+
+
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1) in the order of numpy 2.4's pairwise sum:
+    in order below 8 terms; up to 128, eight interleaved partial sums r0..r7
+    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
+    in order; above, two halves split at a multiple of 8. ``term(c)`` may
+    return a buffer that its next call overwrites."""
+    n = hi - lo
+    if n > 128:
+        half = lo + n // 2 - n // 2 % 8
+        total = _pairwise_sum(term, lo, half)
+        total += _pairwise_sum(term, half, hi)
+        return total
+    end, step = (hi, 1) if n < 8 else (hi - n % 8, 8)
+    total = _joined_partial_sums(term, lo, step, step, end)
+    for c in range(end, hi):
+        total += term(c)
+    return total
+
+
+def _joined_partial_sums(term, first: int, width: int, step: int, end: int) -> np.ndarray:
+    """r_first + ... + r_(first + width - 1) joined in pairs, r_j being term(j) +
+    term(j + step) + ... up to ``end``, in order; at most log2(width) + 1 are alive."""
+    if width > 1:
+        total = _joined_partial_sums(term, first, width // 2, step, end)
+        total += _joined_partial_sums(term, first + width // 2, width // 2, step, end)
+        return total
+    total = term(first).copy()
+    for c in range(first + step, end, step):
+        total += term(c)
+    return total
 
 
 def plan_moments(mu: DiscreteMeasure, nu: DiscreteMeasure, plan: Coupling) -> PlanMoments:

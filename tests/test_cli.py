@@ -432,7 +432,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "atoms, dim, argv, message",
         [
-            # the (m, k, n) gap array of PairMoments needs 8.6 GiB
+            # the (3, m, k) and (4, m, k) coordinate buffers of PairMoments need 1.9 GiB
             (6000, 32, ["discrepancy", "--nu", "{mu}", "--T", "1"],
              "the pairwise moments of 6000 x 6000 atoms"),
             # the recorded states of the run need 7.5 GiB

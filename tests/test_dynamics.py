@@ -9,6 +9,7 @@ from otikin.dynamics import (
     ForceField,
     SplineEnsemble,
     Trajectory,
+    _pair_indices,
     _real_roots_by_degree,
     build_dynamical_plan,
     interpolate_at,
@@ -220,6 +221,20 @@ class TestMongeMather:
         rep = monge_mather_check(ens)
         assert not rep.violated
         assert rep.min_separation == pytest.approx(expected, rel=1e-12)
+
+    def test_single_spline_has_no_pair(self):
+        e = SplineEnsemble(np.ones((1, 4, 2)), np.array([1.0]), 1.0)
+        rep = monge_mather_check(e)
+        assert rep.min_separation == np.inf and not rep.violated
+
+    def test_cached_pair_indices_are_read_only(self):
+        for K in (1, 2, 5):
+            first, second = _pair_indices(K)
+            assert [first.tolist(), second.tolist()] == [a.tolist() for a in np.triu_indices(K, 1)]
+            for index in (first, second):
+                with pytest.raises(ValueError):
+                    index[...] = 0
+        assert _pair_indices(5)[0] is _pair_indices(5)[0]
 
     def test_shared_start_pair_exempt(self):
         # One start state, two end states: the connectors differ by

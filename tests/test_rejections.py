@@ -79,7 +79,7 @@ REJECTIONS = {
     ),
     "spline-horizon-zero": (
         lambda: SplineEnsemble(np.zeros((1, 4, 1)), np.array([1.0]), 0.0),
-        "spline horizon must be positive",
+        "horizon must be positive, got 0.0",
     ),
     "trajectory-grid-not-increasing": (
         lambda: still([0.0, 1.0, 1.0]),
