@@ -16,9 +16,10 @@ that calls the transportation simplex with one ``lp.WarmStart`` per search
 optimal basis, with the plan it returned as flows. The LP value is concave in
 the cost's coefficients of A and B, and on an interval of s the curve the
 search follows is a quadratic Bezier curve, so the LP values at its three
-control points bound the whole interval; a halved interval also bounds its
-halves' third corners from the corners it has already solved, which can drop a
-half with no LP. A search evaluates each vertex once: it remembers the moments
+control points bound the whole interval. An interval is split where that
+bound's curve is least, and it bounds its parts' third corners from the
+corners it has already solved, which can drop a part with no LP. A search
+evaluates each vertex once: it remembers the moments
 of each plan by the plan's support, which the warm start reports with each
 plan. A brute-force vertex oracle cross-checks global minima on small
 instances: it tells vertices apart by their cells above the floor, stacks
@@ -76,6 +77,9 @@ REGIME_FIXED_T = "fixed_T"
 # Relative tolerance of the horizon search: intervals within
 # COST_TOL * (1 + |best|) of the best value found are not split further.
 COST_TOL = 1e-10
+# The search splits an interval where its curve bound is least, but never
+# closer to either end than SPLIT_MARGIN of its width.
+SPLIT_MARGIN = 0.1
 # The oracle walks at most ORACLE_MAX_CANDIDATES candidate bases, the count of
 # the enumerator it picks: m! permutations when all weights are one float, else
 # C(m k, m + k - 1) edge subsets. It reports every vertex within
@@ -217,6 +221,23 @@ def _curve_bound(l1: float, l2: float, l3: float) -> float:
     return min(l1, l2)
 
 
+def _split_fraction(l1: float, l2: float, l3: float) -> float:
+    """Where the search splits an interval, as a fraction t of its width.
+
+    t = a / (a + b) with a = l1 - l3 and b = l2 - l3 is where the Bezier of
+    ``_curve_bound`` is least (Horst & Tuy's adaptive subdivision), clamped
+    to [SPLIT_MARGIN, 1 - SPLIT_MARGIN]; it is 1/2 when a or b is not
+    positive or t is NaN. It is unchanged when all three values are scaled
+    by one power of two.
+    """
+    a, b = l1 - l3, l2 - l3
+    if a > 0.0 and b > 0.0:
+        t = a / (a + b)
+        if t == t:  # NaN when a is infinite
+            return min(max(t, SPLIT_MARGIN), 1.0 - SPLIT_MARGIN)
+    return 0.5
+
+
 def _solve_time_optimised(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -235,17 +256,26 @@ def _solve_time_optimised(
     reaches the best time-optimised cost found, or when one of its three
     plans attains all three corner values (Phi is then that plan's linear
     function on the triangle, whose minimum is already counted); otherwise it
-    is split at its midpoint, which costs one LP at (mid^2, mid).
+    is split at x = s1 + t (s2 - s1), which costs one LP at (x^2, x). The
+    fraction t is ``_split_fraction`` of the three values: where the Bezier
+    bound is least, so each part's own bound rises most (Horst & Tuy,
+    *Global Optimization*, ch. VII), kept SPLIT_MARGIN of the width from
+    either end, and 1/2 where that point is not defined.
 
-    Each half's third corner is the midpoint of its end corner and the
-    parent's third corner, which lie on the tangent at that end, so by
-    concavity Phi there is at least the mean of their two values. A half
-    carries that bound and, being monotone in each value, ``_curve_bound``
-    takes it in place of Phi at the third corner: the half is dropped before
-    its corner LP when that bound reaches the best cost. Otherwise, and
-    always at the root, the corner LP is solved and the bound retaken. The
-    corners are floats, so the midpoint identity holds only to rounding,
-    which ``COST_TOL`` absorbs.
+    De Casteljau's construction gives each part's third corner: the left
+    part's divides the segment from c1 to c3 in the ratio t : 1 - t, the
+    right part's the segment from c3 to c2 in the same ratio, and both
+    segments lie on the tangent at their end. So by concavity Phi there is
+    at least (1 - t) l1 + t l3 on the left and t l2 + (1 - t) l3 on the
+    right, where l1, l2, l3 are the parent's three values. A part carries
+    that bound and, being monotone in each value, ``_curve_bound`` takes it
+    in place of Phi at the third corner: the part is dropped before its
+    corner LP when that bound reaches the best cost. Otherwise, and always
+    at the root, the corner LP is solved and the bound retaken. The corners
+    are floats, so the ratio holds only to rounding, which ``COST_TOL``
+    absorbs. The split point changes which LPs the search solves, not what
+    it proves: the least cost is the same, and only a tie between plans of
+    equal cost could be won by another of them.
 
     Past S, every plan's cost rises whenever 2 S A_P >= B_P, which one LP
     checks for all plans at once, so only [0, S] is searched. S starts at 1;
@@ -308,8 +338,7 @@ def _solve_time_optimised(
     stack = [((0.0, m_zero), (S, corner(S * S, S)), -np.inf)]
     while stack:
         (s1, m1), (s2, m2), low3 = stack.pop()
-        mid = 0.5 * (s1 + s2)
-        corners = ((s1 * s1, s1), (s2 * s2, s2), (s1 * s2, mid))
+        corners = ((s1 * s1, s1), (s2 * s2, s2), (s1 * s2, 0.5 * (s1 + s2)))
         lows = [_corner_value(m1, *corners[0]), _corner_value(m2, *corners[1]), low3]
         if _curve_bound(*lows) >= best - tol():
             continue
@@ -320,7 +349,7 @@ def _solve_time_optimised(
         # The curve bound alone cannot end every search: a plan that keeps
         # positions enters ``best`` at 3 C + D, while its linear function can
         # dip below that on the triangle, so where that plan is Phi the bound
-        # never reaches ``best``, and only this rule stops the halving before
+        # never reaches ``best``, and only this rule stops the splitting before
         # no float is left between the ends.
         plans = (m1, m2, m3)
         if any(
@@ -328,13 +357,16 @@ def _solve_time_optimised(
             for m in plans
         ):
             continue
-        if not s1 < mid < s2:  # no float left between the ends to evaluate
+        t = _split_fraction(*lows)
+        x = (1.0 - t) * s1 + t * s2
+        if not s1 < x < s2:  # x rounds onto an end: the interval is a few floats wide
             continue
-        m_mid = corner(mid * mid, mid)
-        # Each half's third corner is the midpoint of its end corner and this
-        # interval's third corner, so Phi there is at least their mean.
-        stack.append(((mid, m_mid), (s2, m2), 0.5 * (lows[1] + lows[2])))
-        stack.append(((s1, m1), (mid, m_mid), 0.5 * (lows[0] + lows[2])))
+        m_x = corner(x * x, x)
+        # Each part's third corner divides the segment from its end corner to
+        # this interval's third corner as x divides [s1, s2], so Phi there is
+        # at least the same combination of their values.
+        stack.append(((x, m_x), (s2, m2), t * lows[1] + (1.0 - t) * lows[2]))
+        stack.append(((s1, m1), (x, m_x), (1.0 - t) * lows[0] + t * lows[2]))
 
     value, plan, m = winner
     return _envelope_result(value, plan, optimal_time_plan(m), lp_solves)

@@ -25,7 +25,9 @@ from otikin.scenarios import (
 from otikin.solver import (
     COST_TOL,
     ORACLE_MAX_CANDIDATES,
+    SPLIT_MARGIN,
     _curve_bound,
+    _split_fraction,
     _vertex_plans_trees,
     _vertex_plans_uniform,
     brute_force_oracle,
@@ -578,10 +580,10 @@ def solve_pin_results():
 # SHA-256 of every ``solve_d`` and ``solve_tilde_d`` result on
 # ``solve_pin_instances``: cost, horizon, regime and plan bytes.
 SOLVE_PIN = "f347eff77bf772a10aae715c09b3b69dfa07998e9cd1799a5069a148f6c0cd43"
-# The LP solves (``iterations``) of those results, in order: 354 in all.
+# The LP solves (``iterations``) of those results, in order: 282 in all.
 SOLVE_LP_COUNTS = [
-    6, 6, 8, 8, 6, 6, 6, 6, 8, 8, 8, 8, 16, 16, 4, 4, 13, 13, 8, 8,
-    14, 14, 16, 16, 4, 4, 10, 10, 10, 10, 15, 15, 6, 6, 8, 8, 4, 4, 7, 7,
+    6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 6, 6, 9, 9, 4, 4, 8, 8, 8, 8,
+    12, 12, 8, 8, 4, 4, 6, 6, 12, 12, 8, 8, 6, 6, 6, 6, 4, 4, 9, 9,
 ]
 
 
@@ -702,6 +704,138 @@ def test_curve_bound_is_the_exact_minimum():
         assert _curve_bound(l1, l2, -np.inf) == -np.inf
 
 
+def test_split_fraction_is_where_the_curve_bound_is_least():
+    # with l3 below both ends the Bezier of ``_curve_bound`` is least at the
+    # split fraction, unless the margin clamps it
+    rng = np.random.default_rng(3301)
+    eps = np.finfo(float).eps
+    unclamped = 0
+    for _ in range(500):
+        scale = 10.0 ** rng.integers(-3, 4)
+        l3 = rng.normal(scale=scale)
+        l1, l2 = l3 + rng.exponential(scale, size=2)
+        t = _split_fraction(l1, l2, l3)
+        assert SPLIT_MARGIN <= t <= 1.0 - SPLIT_MARGIN
+        if SPLIT_MARGIN < t < 1.0 - SPLIT_MARGIN:
+            unclamped += 1
+            value = (1 - t) ** 2 * l1 + 2 * t * (1 - t) * l3 + t * t * l2
+            assert abs(value - _curve_bound(l1, l2, l3)) <= 8 * eps * (abs(l1) + abs(l2) + abs(l3))
+        else:
+            # clamped: the least value lies beyond the margin, on the same side
+            a, b = l1 - l3, l2 - l3
+            assert (a / (a + b) <= SPLIT_MARGIN) == (t == SPLIT_MARGIN)
+    assert unclamped > 250
+
+
+def test_split_fraction_clamps_and_falls_back():
+    assert _split_fraction(1.0, 1.0, 0.0) == 0.5
+    assert _split_fraction(3.0, 1.0, 0.0) == 0.75
+    # the least value at t = 1/1001 and 1000/1001: clamped at the margin
+    assert _split_fraction(1e-3, 1.0, 0.0) == SPLIT_MARGIN
+    assert _split_fraction(1.0, 1e-3, 0.0) == 1.0 - SPLIT_MARGIN
+    # a <= 0, b <= 0, or a NaN value or fraction (an infinite a): the midpoint
+    nan, inf = math.nan, math.inf
+    for lows in (
+        (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (-1.0, 2.0, 0.0), (2.0, -1.0, 0.0),
+        (1.0, 2.0, 3.0), (nan, 1.0, 0.0), (1.0, nan, 0.0), (1.0, 1.0, nan),
+        (inf, 1.0, 0.0), (inf, inf, 0.0), (1.0, 1.0, -inf),
+    ):
+        assert _split_fraction(*lows) == 0.5, lows
+
+
+def test_split_fraction_is_scale_free():
+    rng = np.random.default_rng(3302)
+    for _ in range(300):
+        lows = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
+        t = _split_fraction(*lows)
+        for j in (-20, 20):
+            assert _split_fraction(*(2.0**j * lows)) == t
+
+
+def test_part_third_corner_divides_the_segment():
+    # exactly, in rationals: splitting at x = s1 + t (s2 - s1), each part's
+    # third corner divides the segment from its end corner to the parent's
+    # third corner in the ratio t : 1 - t, measured from the end s1 for the
+    # left part and from s2 (with 1 - t : t) for the right part
+    rng = np.random.default_rng(3303)
+    for _ in range(200):
+        s1, s2 = sorted(Fraction(int(n), int(d)) for n, d in rng.integers(1, 10**6, size=(2, 2)))
+        t = Fraction(int(rng.integers(1, 999)), 1000)
+        x = s1 + t * (s2 - s1)
+        parent = _third_corner(s1, s2)
+        left = tuple((1 - t) * e + t * p for e, p in zip((s1 * s1, s1), parent))
+        right = tuple(t * e + (1 - t) * p for e, p in zip((s2 * s2, s2), parent))
+        assert _third_corner(s1, x) == left
+        assert _third_corner(x, s2) == right
+
+
+@pytest.mark.parametrize("path", ["simplex", "assignment"])
+def test_concavity_bounds_each_part_third_corner(path):
+    # Phi is concave, so at each part's third corner it is at least the
+    # combination of Phi at the two ends of its segment that the search carries
+    rng = np.random.default_rng(3304)
+    for mu, nu in _search_pairs(rng, path, 6):
+        pm = PairMoments(mu, nu)
+        for _ in range(5):
+            s1, s2 = sorted(rng.uniform(0.0, 3.0, size=2))
+            t = rng.uniform(SPLIT_MARGIN, 1.0 - SPLIT_MARGIN)
+            x = s1 + t * (s2 - s1)
+            l1, l2 = _phi(pm, mu, nu, s1 * s1, s1), _phi(pm, mu, nu, s2 * s2, s2)
+            l3 = _phi(pm, mu, nu, *_third_corner(s1, s2))
+            for part, bound in (((s1, x), (1 - t) * l1 + t * l3), ((x, s2), t * l2 + (1 - t) * l3)):
+                value = _phi(pm, mu, nu, *_third_corner(*part))
+                assert value >= bound - 1e-12 * (1.0 + abs(value))
+
+
+def _split_sweep():
+    """Weighted 6 x 5 and 12 x 10 pairs, uniform 8 x 8 pairs, and weighted
+    6 x 5 and 12 x 10 pairs with (x, v) dilated by 2^-20 and by 2^10."""
+    rng = np.random.default_rng(3305)
+    pool = [_tree_pair(rng, 6, 5, integer=False) for _ in range(40)]
+    pairs = list(pool)
+    pairs += [_tree_pair(rng, 12, 10, integer=False) for _ in range(6)]
+    pairs += [random_uniform_instance(rng, 8, 2) for _ in range(6)]
+    rng = np.random.default_rng(5)
+    for m, k in ((6, 5), (12, 10)) * 3:
+
+        def measure(size):
+            w = rng.uniform(0.2, 1.0, size)
+            x, v = rng.normal(size=(2, size, 2))
+            return x, v, w / w.sum()
+
+        (x, v, a), (y, w, b) = measure(m), measure(k)
+        for lam in (2.0**-20, 2.0**10):
+            pairs.append(
+                (DiscreteMeasure(lam * x, lam * v, a), DiscreteMeasure(lam * y, lam * w, b))
+            )
+    return pool, pairs
+
+
+def test_split_rule_leaves_every_result_as_the_midpoint_rule(monkeypatch):
+    # the split point only orders the search: both rules return the same
+    # cost bits, plan bytes and horizon, and the least-bound rule needs at
+    # most 0.85 times the midpoint rule's LP solves on the 6 x 5 pool
+    import otikin.solver as solver
+
+    pool, pairs = _split_sweep()
+
+    def run():
+        return [solve(mu, nu) for mu, nu in pairs for solve in (solve_d, solve_tilde_d)]
+
+    least = run()
+    monkeypatch.setattr(solver, "_split_fraction", lambda *_: 0.5)
+    midpoint = run()
+    for new, old in zip(least, midpoint):
+        assert new.cost_sq.hex() == old.cost_sq.hex()
+        assert new.plan.P.tobytes() == old.plan.P.tobytes()
+        assert _time_key(new.optimal_time) == _time_key(old.optimal_time)
+        assert new.regime == old.regime
+    on_pool = 2 * len(pool)  # solve_d and solve_tilde_d of each pool pair
+    assert sum(r.iterations for r in least[:on_pool]) <= 0.85 * sum(
+        r.iterations for r in midpoint[:on_pool]
+    )
+
+
 class TestFreeTransportDetection:
     def test_recovers_drift_time(self):
         mu, nu = free_transport_pair(T=1.3)
@@ -742,3 +876,11 @@ class TestFreeTransportDetection:
         a = DiscreteMeasure(rng.normal(size=(4, 2)), np.zeros((4, 2)), np.full(4, 0.25))
         b = DiscreteMeasure(rng.normal(size=(4, 2)), np.zeros((4, 2)), np.full(4, 0.25))
         assert solve_d(a, b).cost_sq <= 1e-10
+        # weighted 6 x 5 at rest, on the simplex path: every corner value is
+        # 12 u A_P >= 0, and the plan of the s = 0 corner costs exactly 0
+        mu, nu = _tree_pair(rng, 6, 5, integer=False)
+        mu = DiscreteMeasure(mu.positions, np.zeros((6, 2)), mu.weights)
+        nu = DiscreteMeasure(nu.positions, np.zeros((5, 2)), nu.weights)
+        res = solve_d(mu, nu)
+        assert res.cost_sq == 0.0
+        assert res.optimal_time.kind == "infinite"
