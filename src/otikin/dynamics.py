@@ -10,6 +10,7 @@ and the derivative probe.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,8 +331,10 @@ class Trajectory:
         return self.times.size
 
     def index_of(self, t: float) -> int:
+        """Index of the grid time within TIME_GRID_TOL times the grid's span
+        (at least 1) of ``t``; an off-grid time raises ``ValueError``."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        span = max(1.0, float(abs(self.times[-1])))
+        span = max(1.0, float(self.times[-1] - self.times[0]))
         if abs(float(self.times[idx]) - t) > TIME_GRID_TOL * span:
             raise ValueError(f"time {t} is not on the trajectory grid")
         return idx
@@ -411,7 +414,8 @@ def vlasov_integrate(
 ) -> Trajectory:
     """Classical RK4 on dx/dt = v, dv/dt = F(t, x, v), per particle.
 
-    ``dt`` must divide the window; weights are carried unchanged (the particle
+    ``t0``, ``t1`` and ``dt`` must be finite, and ``dt`` positive and a
+    divisor of the window; weights are carried unchanged (the particle
     method is exact in the measure variable). Force samples at the grid states
     are recorded for the action and the moment checks.
 
@@ -431,6 +435,9 @@ def vlasov_integrate(
     write them. Every element gets the float operations of the per-half RK4
     formulas in their order, so the recorded bytes do not depend on the layout.
     """
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     span = float(t1) - float(t0)

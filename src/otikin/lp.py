@@ -11,8 +11,8 @@ until flow moves again, which rules out cycling. The returned plan is
 ``support_floor``, MASS_ROUNDING_TOL * min(a[i], b[j]). A flow at or below that
 counts as round-off, which a cell the vertex leaves empty can pick up on
 degenerate marginals, so a plan's bytes depend only on its vertex, whatever the
-start or the pivots. The oracle, ``Coupling.support()`` and the test of whether
-a plan moves positions read a plan's cells by the same floor. Marginals all of
+start or the pivots. ``Coupling.support()`` and the test of whether a plan
+moves positions read a plan's cells by the same floor. Marginals all of
 one float, bit for bit, are assignment problems, whose vertices are
 permutations: up to ``ENUMERATE_MAX`` atoms the call prices every permutation
 and returns the cheapest, the first in ``itertools.permutations`` order on an
@@ -30,6 +30,16 @@ read-only, with its support. The next call starts from that basis with that
 plan as its flows, which are feasible on the basis whatever the cost, so it
 only sets the potentials for its cost. A call that ends on the same support,
 such as one that makes no pivot, returns the same array again.
+
+``vertex_plans`` enumerates every vertex for the brute-force oracle, and
+``candidate_bases`` counts the candidates it walks. Off the assignment path it
+keys a vertex by its cells above the floor, as the simplex does, but runs leaf
+elimination on the first spanning tree that reaches it, where the simplex runs
+it on the support. At a nondegenerate vertex the two are one tree and the
+plans agree bit for bit; at a degenerate one they share the support and differ
+only by rounding. The one exception is a real flow at or below the floor, such
+as a tiny atom's counter-flow: the enumeration keeps it, and the simplex's plan
+misses a marginal by up to that cell's floor.
 """
 
 from __future__ import annotations
@@ -45,9 +55,9 @@ __all__ = [
     "transportation_simplex",
     "WarmStart",
     "is_uniform_equal",
-    "permutation_cells",
-    "tree_flows",
     "support_floor",
+    "vertex_plans",
+    "candidate_bases",
 ]
 
 # A cell holds round-off up to this times its smaller marginal (``support_floor``;
@@ -137,6 +147,40 @@ def tree_flows(a: np.ndarray, b: np.ndarray, cells) -> np.ndarray | None:
     P = np.zeros((m, k))
     P.flat[list(cells)] = flows
     return P
+
+
+def candidate_bases(a: np.ndarray, b: np.ndarray) -> int:
+    """How many candidate bases ``vertex_plans(a, b)`` walks: the m!
+    permutations on the assignment path, else C(m k, m + k - 1) cell sets."""
+    m, k = a.size, b.size
+    return math.factorial(m) if is_uniform_equal(a, b) else math.comb(m * k, m + k - 1)
+
+
+def vertex_plans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every vertex of the transportation polytope of ``a`` and ``b``, stacked (V, m, k).
+
+    On the assignment path: the m! permutation plans of mass ``a[0]`` per
+    cell, in ``itertools.permutations`` order. Otherwise each m + k - 1 cells,
+    in ``itertools.combinations`` order, give a vertex by ``tree_flows`` when
+    no flow lies below minus its cell's ``support_floor``, such round-off
+    clipped to zero; degenerate trees give a vertex once, as the first's plan.
+    """
+    m, k = a.size, b.size
+    if is_uniform_equal(a, b):
+        cells = permutation_cells(m)
+        plans = np.zeros((len(cells), m * m))
+        plans[np.arange(len(cells))[:, None], cells] = a[0]
+        return plans.reshape(-1, m, m)
+    floor = support_floor(a, b)
+    vertices: dict[tuple, np.ndarray] = {}  # by key, in the order first reached
+    for tree in itertools.combinations(range(m * k), m + k - 1):
+        P = tree_flows(a, b, tree)
+        if P is None or np.any(P < -floor):
+            continue
+        key = tuple(np.flatnonzero(P > floor).tolist())
+        if key not in vertices:
+            vertices[key] = np.clip(P, 0.0, None)
+    return np.stack(list(vertices.values()))
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):

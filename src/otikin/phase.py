@@ -37,7 +37,7 @@ __all__ = [
 
 # A time may overshoot either end of a horizon T by HORIZON_TOL * T.
 HORIZON_TOL = 1e-12
-# Two positions coincide within POSITION_TOL * (1 + their scale); see _eps_x.
+# Two positions coincide within POSITION_TOL * (1 + their scale); see _gap.
 POSITION_TOL = 1e-12
 # Moments A, C, D down to -MOMENT_NEG_TOL are rounding, not negative, and so is
 # a gap-velocity product B up to MOMENT_NEG_TOL * sqrt(A C).
@@ -78,13 +78,6 @@ class PhaseState:
     @property
     def dim(self) -> int:
         return self.x.size
-
-
-# Positional tolerance for the x == y branch switch.  The switch in the
-# closed-form discrepancies is discontinuous, so the decision must be
-# deterministic and scale-aware.
-def _eps_x(x: np.ndarray, y: np.ndarray) -> float:
-    return POSITION_TOL * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y)))
 
 
 @dataclass(frozen=True)
@@ -195,6 +188,36 @@ def spline_action(coef: np.ndarray, T: float) -> float:
     return T * (12.0 * q33 * T**3 + 12.0 * q32 * T**2 + 4.0 * q22 * T)
 
 
+def _gap(src: PhaseState, dst: PhaseState) -> tuple[np.ndarray, float, bool]:
+    """The gap y - x of two states of one dimension, its squared norm, and
+    whether the positions coincide: |y - x| <= POSITION_TOL (1 + |x| + |y|).
+
+    The closed forms switch branch there, discontinuously, so the test is
+    made in one place, deterministic and scale-aware.
+    """
+    same_dimension(src.dim, dst.dim)
+    gap = dst.x - src.x
+    gap_sq = float(np.dot(gap, gap))
+    scale = 1.0 + float(np.linalg.norm(src.x)) + float(np.linalg.norm(dst.x))
+    return gap, gap_sq, float(np.sqrt(gap_sq)) <= POSITION_TOL * scale
+
+
+def _closed_form(src: PhaseState, dst: PhaseState, envelope: bool) -> float:
+    """``d_sq`` when ``envelope``, else ``tilde_d_sq``; they differ only where
+    the positions coincide."""
+    gap, gap_sq, coincide = _gap(src, dst)
+    dv = dst.v - src.v
+    dv_sq = float(np.dot(dv, dv))
+    if coincide and envelope:
+        return dv_sq
+    vw = src.v + dst.v
+    base = 3.0 * float(np.dot(vw, vw)) + dv_sq
+    if coincide:
+        return base
+    aligned = max(float(np.dot(gap, vw)) / float(np.sqrt(gap_sq)), 0.0)
+    return base - 3.0 * aligned * aligned
+
+
 def tilde_dT_sq(src: PhaseState, dst: PhaseState, T: float) -> float:
     """Squared fixed-horizon discrepancy: 12 |(y-x)/T - (v+w)/2|^2 + |w-v|^2."""
     T = positive_horizon(T)
@@ -211,9 +234,8 @@ def optimal_time_point(src: PhaseState, dst: PhaseState) -> OptimalTime:
     moments A = |y-x|^2, B = (y-x).(v+w) and C = |v+w|^2, the rule
     ``solver.optimal_time_plan`` applies to plans.
     """
-    gap = dst.x - src.x
-    gap_sq = float(np.dot(gap, gap))
-    if np.sqrt(gap_sq) <= _eps_x(src.x, dst.x):
+    gap, gap_sq, coincide = _gap(src, dst)
+    if coincide:
         return OptimalTime.zero()
     vw = src.v + dst.v
     return optimal_horizon(gap_sq, float(np.dot(gap, vw)), float(np.dot(vw, vw)))
@@ -227,16 +249,7 @@ def tilde_d_sq(src: PhaseState, dst: PhaseState) -> float:
     the analytic T -> infinity limit, which applies whenever the optimal time
     is not finite.
     """
-    same_dimension(src.dim, dst.dim)
-    vw = src.v + dst.v
-    dv = dst.v - src.v
-    base = 3.0 * float(np.dot(vw, vw)) + float(np.dot(dv, dv))
-    gap = dst.x - src.x
-    gap_norm = float(np.linalg.norm(gap))
-    if gap_norm <= _eps_x(src.x, dst.x):
-        return base
-    aligned = max(float(np.dot(gap, vw)) / gap_norm, 0.0)
-    return base - 3.0 * aligned * aligned
+    return _closed_form(src, dst, envelope=False)
 
 
 def d_sq(src: PhaseState, dst: PhaseState) -> float:
@@ -244,9 +257,4 @@ def d_sq(src: PhaseState, dst: PhaseState) -> float:
 
     Identical to ``tilde_d_sq`` when x != y, and |w-v|^2 when x = y.
     """
-    same_dimension(src.dim, dst.dim)
-    gap = dst.x - src.x
-    if float(np.linalg.norm(gap)) <= _eps_x(src.x, dst.x):
-        dv = dst.v - src.v
-        return float(np.dot(dv, dv))
-    return tilde_d_sq(src, dst)
+    return _closed_form(src, dst, envelope=True)

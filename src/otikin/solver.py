@@ -22,29 +22,20 @@ corners it has already solved, which can drop a part with no LP. A search
 evaluates each vertex once: it remembers the moments
 of each plan by the plan's support, which the warm start reports with each
 plan. A brute-force vertex oracle cross-checks global minima on small
-instances: it tells vertices apart by their cells above the floor, stacks
-every vertex plan, takes all their moments as arrays, validates them and
-evaluates their envelope costs elementwise, and builds ``PlanMoments``, plans
-and horizons only for the tied optima.
+instances: it takes every vertex plan as one stack from ``lp.vertex_plans``,
+takes all their moments as arrays, validates them and evaluates their
+envelope costs elementwise, and builds ``PlanMoments``, plans and horizons
+only for the tied optima.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import (
-    MASS_TOL,
-    WarmStart,
-    is_uniform_equal,
-    permutation_cells,
-    support_floor,
-    transportation_simplex,
-    tree_flows,
-)
+from .lp import MASS_TOL, WarmStart, candidate_bases, transportation_simplex, vertex_plans
 from .measures import (
     Coupling,
     DiscreteMeasure,
@@ -80,9 +71,9 @@ COST_TOL = 1e-10
 # The search splits an interval where its curve bound is least, but never
 # closer to either end than SPLIT_MARGIN of its width.
 SPLIT_MARGIN = 0.1
-# The oracle walks at most ORACLE_MAX_CANDIDATES candidate bases, the count of
-# the enumerator it picks: m! permutations when all weights are one float, else
-# C(m k, m + k - 1) edge subsets. It reports every vertex within
+# The oracle walks at most ORACLE_MAX_CANDIDATES candidate bases, as
+# ``lp.candidate_bases`` counts them: m! permutations when all weights are one
+# float, else C(m k, m + k - 1) cell sets. It reports every vertex within
 # ORACLE_TIE_TOL * (1 + |best|) of the least cost.
 ORACLE_MAX_CANDIDATES = math.factorial(8)
 ORACLE_TIE_TOL = 1e-9
@@ -392,58 +383,22 @@ def solve_tilde_d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     return _solve_time_optimised(mu, nu, cost_tilde_c)
 
 
-def _vertex_plans_uniform(a: np.ndarray) -> np.ndarray:
-    """The m! permutation plans of mass ``a[0]``, the one float of ``a``, per
-    cell, stacked (m!, m, m) in ``itertools.permutations`` order."""
-    cells = permutation_cells(a.size)
-    plans = np.zeros((len(cells), a.size**2))
-    plans[np.arange(len(cells))[:, None], cells] = a[0]
-    return plans.reshape(-1, a.size, a.size)
-
-
-def _vertex_plans_trees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All vertices of the transportation polytope via spanning-tree bases,
-    stacked (V, m, k) in the order their first tree is enumerated.
-
-    Basic solutions are supported on spanning trees of the complete bipartite
-    graph, walked as row-major cell sets; a tree's flow (``tree_flows``) is a
-    vertex when no cell's flow lies below minus its ``support_floor``, and such
-    round-off is clipped to zero. As in the simplex, a vertex is keyed by its
-    cells above the floor, so degenerate trees give it once, as the first's plan.
-    """
-    m, k = a.size, b.size
-    floor = support_floor(a, b)
-    seen: set[tuple] = set()
-    vertices = []
-    for tree in itertools.combinations(range(m * k), m + k - 1):
-        P = tree_flows(a, b, tree)
-        if P is None or np.any(P < -floor):
-            continue
-        key = tuple(np.flatnonzero(P > floor).tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        vertices.append(np.clip(P, 0.0, None))
-    return np.stack(vertices)
-
-
 def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     """Global minimum of the envelope cost by vertex enumeration.
 
     The time-optimised cost is an infimum of linear functions of the plan,
     hence concave; its minimum over the polytope is attained at a vertex, so
-    enumerating vertices is exhaustive. The vertices are evaluated as one
+    enumerating vertices is exhaustive. ``lp.vertex_plans`` gives them as one
     (V, m, k) stack: ``PairMoments.of_each`` gives the validated moments of
     all of them as arrays, and ``cost_c`` is evaluated elementwise. All optimal
     vertices within a relative tie tolerance of ``ORACLE_TIE_TOL`` are
     reported in ``optima``, in enumeration order; only these get a copied
-    plan and an optimal horizon. A pair whose enumerator would walk more than
-    ``ORACLE_MAX_CANDIDATES`` candidates raises ``ValueError`` before any
-    pairwise matrix is built.
+    plan and an optimal horizon. A pair whose enumeration would walk more
+    than ``ORACLE_MAX_CANDIDATES`` candidates (``lp.candidate_bases``) raises
+    ``ValueError`` before any pairwise matrix is built.
     """
-    m, k, a = mu.size, nu.size, mu.weights
-    uniform = is_uniform_equal(a, nu.weights)
-    count = math.factorial(m) if uniform else math.comb(m * k, m + k - 1)
+    m, k = mu.size, nu.size
+    count = candidate_bases(mu.weights, nu.weights)
     if count > ORACLE_MAX_CANDIDATES:
         shown = count if count < 10**18 else f"about 10^{math.log10(count):.0f}"
         raise ValueError(
@@ -451,7 +406,7 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
             f"bases, more than the limit {ORACLE_MAX_CANDIDATES})"
         )
     pm = PairMoments(mu, nu)
-    plans = _vertex_plans_uniform(a) if uniform else _vertex_plans_trees(a, nu.weights)
+    plans = vertex_plans(mu.weights, nu.weights)
     A, B, C, D, keeps = pm.of_each(plans)
     # cost_c of every vertex: D where it keeps positions, else _moving_cost.
     costs = D.copy()

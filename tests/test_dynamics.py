@@ -402,6 +402,17 @@ class TestVlasov:
         assert end.positions[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert end.velocities[0, 0] == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("t0", [0.0, 1e6])
+    def test_grid_times_read_on_a_shifted_grid(self, t0):
+        # the tolerance scales with the grid's span, not with its last time,
+        # so a grid far from zero rejects an off-grid time as one at zero does
+        mu0 = DiscreteMeasure([[0.0]], [[1.0]], [1.0])
+        traj = vlasov_integrate(mu0, ForceField.free(), t0, t0 + 1.0, 1e-3)
+        for k in range(traj.n_times):
+            assert traj.index_of(traj.times[k]) == traj.index_of(t0 + k * 1e-3) == k
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
+            traj.measure_at(t0 + 0.0005)
+
     def test_bad_steps_rejected(self):
         mu0 = DiscreteMeasure([[0.0]], [[1.0]], [1.0])
         with pytest.raises(ValueError):

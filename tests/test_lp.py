@@ -8,9 +8,15 @@ import pytest
 
 import otikin.lp
 import otikin.solver
-from otikin.lp import WarmStart, is_uniform_equal, support_floor, transportation_simplex
+from otikin.lp import (
+    WarmStart,
+    is_uniform_equal,
+    support_floor,
+    transportation_simplex,
+    vertex_plans,
+)
 from otikin.measures import Coupling, DiscreteMeasure, PairMoments
-from otikin.solver import _vertex_plans_trees, solve_d
+from otikin.solver import solve_d
 
 
 def reference_lp_value(cost, a, b):
@@ -536,7 +542,7 @@ def test_vertex_matches_enumeration():
         m = int(rng.integers(2, 5))
         k = int(rng.integers(2, 8 - m))
         cost, a, b = generic_problem(rng, m, k)
-        vertices = _vertex_plans_trees(a, b)
+        vertices = vertex_plans(a, b)
         values = [float(np.sum(cost * V)) for V in vertices]
         best = vertices[int(np.argmin(values))]
         P = transportation_simplex(cost, a, b)
@@ -620,3 +626,30 @@ def test_non_finite_cost_rejected(bad):
     cost[5, 2] = bad
     with pytest.raises(ValueError, match="cost matrix must be finite"):
         transportation_simplex(cost, np.full(8, 0.125), np.full(8, 0.125))
+
+
+def test_degenerate_vertex_plans_differ_only_by_rounding():
+    # integer marginals make degenerate vertices: the simplex eliminates
+    # leaves on the support, the enumeration on the first spanning tree that
+    # reaches the vertex, so the two plans share the key and differ by rounding
+    rng = np.random.default_rng(3)
+    degenerate = 0
+    for _ in range(40):
+        m, k = (int(x) for x in rng.integers(2, 5, size=2))
+        a = rng.integers(1, 4, size=m).astype(float)
+        b = rng.integers(1, 4, size=k).astype(float)
+        a[0] += max(b.sum() - a.sum(), 0.0)
+        b[0] += max(a.sum() - b.sum(), 0.0)
+        total = a.sum()
+        a, b = a / total, b / total
+        floor = support_floor(a, b)
+        vertices = vertex_plans(a, b)
+        keys = [tuple(np.flatnonzero(V > floor)) for V in vertices]
+        warm = WarmStart(a, b)
+        for cost in rng.normal(size=(5, m, k)):
+            P = transportation_simplex(cost, a, b, warm)
+            assert keys.count(warm.support) == 1
+            V = vertices[keys.index(warm.support)]
+            assert np.abs(P - V).max() <= 4 * np.finfo(float).eps * max(a.max(), b.max())
+            degenerate += len(warm.support) < m + k - 1
+    assert degenerate > 0

@@ -24,14 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otikin.lp import ENUMERATE_MAX, WarmStart, support_floor, transportation_simplex
+from otikin.lp import (
+    ENUMERATE_MAX,
+    WarmStart,
+    support_floor,
+    transportation_simplex,
+    vertex_plans,
+)
 from otikin.measures import DiscreteMeasure, PairMoments
 from otikin.scenarios import random_uniform_instance
 from otikin.solver import (
     COST_TOL,
     _equal_positions_candidate,
-    _vertex_plans_trees,
-    _vertex_plans_uniform,
     brute_force_oracle,
     solve_d,
     solve_fixed_T,
@@ -108,7 +112,7 @@ def test_assignment_plans(m, weight):
 def test_oracle_permutation_plans(m):
     rng = np.random.default_rng(m)
     mu, nu = random_uniform_instance(rng, m, 2)
-    for P in _vertex_plans_uniform(mu.weights):
+    for P in vertex_plans(mu.weights, nu.weights):
         assert_on_marginals(P, mu.weights, nu.weights)
     for P, _, _ in brute_force_oracle(mu, nu).optima:
         assert_on_marginals(P, mu.weights, nu.weights)
@@ -119,7 +123,7 @@ def test_oracle_permutation_plans(m):
 def test_oracle_tree_plans(kind, m, k):
     rng = np.random.default_rng(10 * m + k)
     a, b = weights(rng, m, kind), weights(rng, k, kind)
-    for P in _vertex_plans_trees(a, b):
+    for P in vertex_plans(a, b):
         assert_on_marginals(P, a, b)
     mu = DiscreteMeasure(rng.normal(size=(m, 1)), rng.normal(size=(m, 1)), a)
     nu = DiscreteMeasure(rng.normal(size=(k, 1)), rng.normal(size=(k, 1)), b)

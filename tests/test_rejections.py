@@ -16,7 +16,7 @@ from otikin.dynamics import (
     vlasov_integrate,
 )
 from otikin.measures import Coupling, DiscreteMeasure, PairMoments, PlanMoments, load_measure
-from otikin.phase import OptimalTime
+from otikin.phase import OptimalTime, PhaseState, optimal_time_point
 from otikin.solver import cost_tilde_c_T, detect_free_transport, solve_fixed_T
 
 DATA = Path(otikin.__file__).parent / "data"
@@ -89,6 +89,18 @@ REJECTIONS = {
         lambda: vlasov_integrate(pair()[0], ForceField.free(), 0.0, 1.0, 0.0),
         "dt must be positive",
     ),
+    "integrate-t0-nan": (
+        lambda: vlasov_integrate(pair()[0], ForceField.free(), np.nan, 1.0, 0.25),
+        "t0 must be finite, got nan",
+    ),
+    "integrate-t1-infinite": (
+        lambda: vlasov_integrate(pair()[0], ForceField.free(), 0.0, np.inf, 0.25),
+        "t1 must be finite, got inf",
+    ),
+    "integrate-dt-nan": (
+        lambda: vlasov_integrate(pair()[0], ForceField.free(), 0.0, 1.0, np.nan),
+        "dt must be finite, got nan",
+    ),
     "action-non-uniform-grid": (
         lambda: path_action(still([0.0, 1.0, 3.0])),
         "action quadrature requires a uniform time grid",
@@ -129,6 +141,10 @@ REJECTIONS = {
         lambda: detect_free_transport(
             pair()[0], DiscreteMeasure([[0.0, 0.0]], [[1.0, 0.0]], [1.0])
         ),
+        "dimension mismatch: 1 vs 2",
+    ),
+    "optimal-time-point-dimension-mismatch": (
+        lambda: optimal_time_point(PhaseState([0.0], [1.0]), PhaseState([1.0, 2.0], [0.5, 0.5])),
         "dimension mismatch: 1 vs 2",
     ),
 }

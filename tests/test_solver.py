@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otikin.lp import support_floor, transportation_simplex
+from otikin.lp import support_floor, transportation_simplex, vertex_plans
 from otikin.measures import (
     Coupling,
     DiscreteMeasure,
@@ -28,8 +28,6 @@ from otikin.solver import (
     SPLIT_MARGIN,
     _curve_bound,
     _split_fraction,
-    _vertex_plans_trees,
-    _vertex_plans_uniform,
     brute_force_oracle,
     cost_c,
     cost_tilde_c,
@@ -399,7 +397,7 @@ class TestOracle:
         res = brute_force_oracle(mu, nu)
         assert res.iterations == 4
         floor = support_floor(mu.weights, nu.weights)
-        for plans in (_vertex_plans_trees(mu.weights, nu.weights), [P for P, _, _ in res.optima]):
+        for plans in (vertex_plans(mu.weights, nu.weights), [P for P, _, _ in res.optima]):
             supports = {tuple(np.flatnonzero(P > floor)) for P in plans}
             assert len(supports) == len(plans)
 
@@ -449,10 +447,10 @@ def test_stacked_moments_equal_single_plan_moments(path):
     rng = np.random.default_rng(12)
     if path == "uniform":
         mu, nu = random_uniform_instance(rng, 5, 3)
-        plans = _vertex_plans_uniform(mu.weights)
+        plans = vertex_plans(mu.weights, nu.weights)
     else:
         mu, nu = _tree_pair(rng, 3, 4, integer=False)
-        plans = _vertex_plans_trees(mu.weights, nu.weights)
+        plans = vertex_plans(mu.weights, nu.weights)
     pm = PairMoments(mu, nu)
     stacked = pm.of_each(plans)
     single = [pm.of(P) for P in plans]
@@ -474,7 +472,7 @@ def test_stacked_oracle_rejects_bad_moments(monkeypatch, w, t, error, other):
     # of its entries are negative
     rng = np.random.default_rng(8)
     mu, nu = random_uniform_instance(rng, 3, 1)
-    vertices = _vertex_plans_uniform(mu.weights)
+    vertices = vertex_plans(mu.weights, nu.weights)
 
     def extrapolate(w, t):
         return (1.0 - t) * vertices[0] + t * vertices[w]
@@ -485,7 +483,7 @@ def test_stacked_oracle_rejects_bad_moments(monkeypatch, w, t, error, other):
         PairMoments(mu, nu).of(bad)
     # a second bad plan, of the other kind, comes later: the first one raises
     stack = np.concatenate([vertices[:4], [bad], vertices[4:], [extrapolate(*other)]])
-    monkeypatch.setattr("otikin.solver._vertex_plans_uniform", lambda m: stack)
+    monkeypatch.setattr("otikin.solver.vertex_plans", lambda a, b: stack)
     with pytest.raises(ValueError) as stacked:
         brute_force_oracle(mu, nu)
     assert str(stacked.value) == str(single.value)
